@@ -17,8 +17,6 @@ from .arith import (
 )
 from .cover import CoverElement, CoverSpec, build_cover, cover_count, delta
 from .simplex import (
-    GRAM_2D,
-    GramMetric2D,
     KuhnSimplex,
     contains,
     contains_oracle,
@@ -28,7 +26,6 @@ from .simplex import (
 )
 from .triangulation import (
     AdmissiblePair,
-    DomainSimplex,
     enumerate_base_slab,
     enumerate_cube_triangulation,
     enumerate_simplex_triangulation,
@@ -37,7 +34,6 @@ from .triangulation import (
 from .verifier import (
     CoverageReport,
     PartitionReport,
-    SamplePlan,
     boundary_suite,
     bruteforce_containing,
     coverage_report,
@@ -50,9 +46,6 @@ from .witness import (
     WitnessResult,
     in_domain,
     witness,
-    witness_base_a,
-    witness_base_b,
-    witness_top,
 )
 
 __all__ = [
@@ -60,16 +53,12 @@ __all__ = [
     "CoverElement",
     "CoverSpec",
     "CoverageReport",
-    "DomainSimplex",
-    "GRAM_2D",
-    "GramMetric2D",
     "KuhnSimplex",
     "ParseError",
     "PartitionReport",
     "Permutation",
     "Point",
     "Rational",
-    "SamplePlan",
     "UncoveredPointError",
     "WitnessResult",
     "boundary_suite",
@@ -97,9 +86,6 @@ __all__ = [
     "unit_volume",
     "vertices",
     "witness",
-    "witness_base_a",
-    "witness_base_b",
-    "witness_top",
 ]
 
 __version__ = "0.1.0"

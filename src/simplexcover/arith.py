@@ -67,53 +67,13 @@ def point_format(p: Sequence[Fraction]) -> str:
     return ",".join(rat_format(c) for c in p)
 
 
-def as_point(values: Sequence) -> Point:
-    """Coerce a sequence of ints/Fractions to a Point."""
-    return tuple(Fraction(v) for v in values)
-
-
-def vec_add(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vec_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
-def vec_scale(c: Fraction, a: Sequence[Fraction]) -> Point:
-    return tuple(c * x for x in a)
-
-
-def ones(d: int) -> Point:
-    """The all-ones vector e."""
-    return (Fraction(1),) * d
-
-
-def unit_vector(d: int, j: int) -> Point:
-    """The coordinate vector e^j (1-based j)."""
-    if not 1 <= j <= d:
-        raise ValueError(f"coordinate index {j} out of range 1..{d}")
-    return tuple(Fraction(1 if i == j else 0) for i in range(1, d + 1))
-
-
 def is_permutation(perm: Sequence[int], d: int) -> bool:
     return len(perm) == d and sorted(perm) == list(range(1, d + 1))
-
-
-def perm_identity(d: int) -> Permutation:
-    return tuple(range(1, d + 1))
 
 
 def perm_position(perm: Permutation, j: int) -> int:
     """The 1-based position of j in perm, i.e. the inverse image pi^{-1}(j)."""
     return perm.index(j) + 1
-
-
-def perm_inverse(perm: Permutation) -> Permutation:
-    inv = [0] * len(perm)
-    for pos, image in enumerate(perm, start=1):
-        inv[image - 1] = pos
-    return tuple(inv)
 
 
 def rank_descending(values: Sequence[Fraction]) -> Permutation:

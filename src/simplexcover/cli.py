@@ -20,6 +20,7 @@ from .verifier import (
     boundary_suite,
     coverage_report,
     format_failures,
+    format_points,
     lattice_samples,
     random_samples,
 )
@@ -148,6 +149,8 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             print(f"uncovered points: {format_failures(report)}", file=sys.stderr)
         if report.routes.get("fallback", 0):
             print(f"fallback witnesses: {report.routes['fallback']}", file=sys.stderr)
+        if report.sliver_violations:
+            print(f"sliver violations: {format_points(report.sliver_violations)}", file=sys.stderr)
         return 1
     return 0
 

@@ -34,20 +34,6 @@ class KuhnSimplex:
         return len(self.anchor)
 
 
-@dataclass(frozen=True)
-class GramMetric2D:
-    """Entries of the exact Gram matrix of the shear taking right 2-simplices to
-    equilateral triangles.  The shear itself has an irrational entry; its Gram
-    matrix does not, so squared lengths stay rational."""
-
-    g11: Fraction = Fraction(1)
-    g12: Fraction = Fraction(-1, 2)
-    g22: Fraction = Fraction(1)
-
-
-GRAM_2D = GramMetric2D()
-
-
 def vertices(simplex: KuhnSimplex) -> tuple[Point, ...]:
     """The d+1 vertices in path order, from the anchor up to anchor + e."""
     pts = [simplex.anchor]
@@ -120,9 +106,14 @@ def unit_volume(d: int) -> Fraction:
     return Fraction(1, factorial(d))
 
 
-def gram_squared_length(u: Point, metric: GramMetric2D = GRAM_2D) -> Fraction:
-    """Squared length of a 2-vector under the equilateral metric: u1^2 - u1*u2 + u2^2."""
+def gram_squared_length(u: Point) -> Fraction:
+    """Squared length of a 2-vector under the equilateral metric: u1^2 - u1*u2 + u2^2.
+
+    This is the Gram matrix of the shear taking right 2-simplices to
+    equilateral triangles.  The shear itself has an irrational entry; its Gram
+    matrix does not, so squared lengths stay rational.
+    """
     if len(u) != 2:
         raise ValueError(f"expected a 2-dimensional vector, got dimension {len(u)}")
     a, b = u
-    return metric.g11 * a * a + 2 * metric.g12 * a * b + metric.g22 * b * b
+    return a * a - a * b + b * b

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
 from typing import Iterator
 
 from .arith import IntVector, Permutation, is_permutation
@@ -30,29 +28,6 @@ class AdmissiblePair:
 
     v: IntVector
     perm: Permutation
-
-
-@dataclass(frozen=True)
-class DomainSimplex:
-    """The dilated right simplex S^scale = {x : scale >= x_1 >= ... >= x_d >= 0}."""
-
-    scale: Fraction
-    d: int
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if self.d < 2:
-            raise ValueError(f"dimension must be at least 2, got {self.d}")
-
-    def contains(self, x: tuple[Fraction, ...], strict: bool = False) -> bool:
-        chain = (self.scale, *x, Fraction(0))
-        if strict:
-            return all(a > b for a, b in itertools.pairwise(chain))
-        return all(a >= b for a, b in itertools.pairwise(chain))
-
-    def volume(self) -> Fraction:
-        return self.scale**self.d / factorial(self.d)
 
 
 def is_admissible(v: IntVector, perm: Permutation, n: int) -> bool:

@@ -24,19 +24,6 @@ from .witness import ROUTES, UncoveredPointError, in_domain, witness
 RANDOM_GRID = 10**6
 
 
-@dataclass(frozen=True)
-class SamplePlan:
-    """Parameters of one sampling campaign over S^{n+eps}."""
-
-    mode: str  # lattice | random | boundary | all
-    d: int
-    n: int
-    eps: Fraction
-    q: int = 2
-    count: int = 10_000
-    seed: int = 0
-
-
 @dataclass
 class CoverageReport:
     total: int
@@ -48,7 +35,11 @@ class CoverageReport:
 
     @property
     def success(self) -> bool:
-        return self.covered == self.total and self.routes.get("fallback", 0) == 0
+        return (
+            self.covered == self.total
+            and self.routes.get("fallback", 0) == 0
+            and not self.sliver_violations
+        )
 
     def to_json(self) -> dict:
         """Stable wire form; field order and rational formatting are canonical."""
@@ -138,10 +129,10 @@ def coverage_report(
 ) -> CoverageReport:
     """Witness every sample, verify membership exactly, aggregate the outcome.
 
-    The run succeeds iff every sample is covered and no witness fell back to
-    exhaustive search.  Points below the sliver plane that come back on any
-    route but base_a are tracked separately (the report stays on the pinned
-    wire schema; violations fail the campaign via tests, not serialization).
+    The run succeeds iff every sample is covered, no witness fell back to
+    exhaustive search, and every point at or below the sliver plane came back
+    on the base_a route.  Sliver violations fail the run but are not
+    serialized: the report stays on the pinned wire schema.
     Passing ``eps`` asserts the caller's sampling contract — every sample must
     lie in S^{n+eps} — before any witness runs.
     """
@@ -276,7 +267,11 @@ def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
     return out
 
 
-def format_failures(report: CoverageReport, limit: int = 5) -> str:
-    shown = ", ".join(point_format(p) for p in report.failures[:limit])
-    extra = len(report.failures) - limit
+def format_points(points: tuple[Point, ...], limit: int = 5) -> str:
+    shown = ", ".join(point_format(p) for p in points[:limit])
+    extra = len(points) - limit
     return shown + (f" (+{extra} more)" if extra > 0 else "")
+
+
+def format_failures(report: CoverageReport, limit: int = 5) -> str:
+    return format_points(report.failures, limit)

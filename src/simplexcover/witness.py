@@ -1,17 +1,22 @@
 """Deterministic point location: find a cover element containing a given point.
 
-For x in S^{n+delta} the route follows the cover's split.  Above the seam
-(``x_d >= 1 + delta``, possible only for n >= 2) the containing top element is
-read off by flooring ``x - (1+delta)e``.  Below it, a type-(a) anchor is
-attempted first: ``v_j = floor(x_j / (1-delta))`` per coordinate, decremented
-once when that leaves a residual at or below delta (so positive anchors always
-keep their residual above delta).  If the last coordinate cannot be made the
-smallest residual, the type-(b) anchor ``v_j = floor((x_j - delta)/(1-delta))``
-lands every residual in [delta, 1) directly and always succeeds.
+For x in S^{n+delta} one pass of floor arithmetic plus one descending sort
+reads off the containing element's ``(kind, v, perm)`` and the residual ``w``
+whose order gives ``perm``.  Above the seam (``x_d >= 1 + delta``, possible
+only for n >= 2) it floors ``x - (1+delta)e``.  Below it, it tries the
+type-(a) anchor ``v_j = floor(x_j / (1-delta))``, decremented once when that
+leaves a residual at or below delta (so positive anchors always keep their
+residual above delta).  If ``x_d`` then exceeds 1 or some residual, index d
+cannot sort last, and the type-(b) anchor
+``v_j = floor((x_j - delta)/(1-delta))`` is used instead; it lands every
+residual in [delta, 1).  As in ``build_cover``, a base element is type (a)
+exactly when its permutation ends with d.
 
-Every route exact-verifies membership before returning; any failed check (an
-implementation defect, never observed) falls back to an exhaustive scan of the
-cover so the function stays total, and the result is flagged as ``fallback``.
+The pass result is then checked: a base anchor must have ``v_1 <= n``, the key
+must name an element of the cover, that element's anchor must match the
+formula, and it must exactly contain x.  Any failed check (an implementation
+defect, never observed) falls back to an exhaustive scan of the cover so the
+function stays total, and the result is flagged as ``fallback``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import Point, rank_descending, rat_floor, vec_sub
+from .arith import IntVector, Permutation, Point, rank_descending, rat_floor
 from .cover import (
     KIND_BASE_A,
     KIND_BASE_B,
@@ -28,7 +33,6 @@ from .cover import (
     CoverSpec,
     base_a_anchor,
     base_b_anchor,
-    delta,
     top_anchor,
 )
 from .simplex import contains
@@ -36,9 +40,7 @@ from .simplex import contains
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
 
-
-class WitnessDefect(RuntimeError):
-    """A constructed element failed its exactness check; callers fall back."""
+_ANCHORS = {KIND_TOP: top_anchor, KIND_BASE_A: base_a_anchor, KIND_BASE_B: base_b_anchor}
 
 
 class UncoveredPointError(RuntimeError):
@@ -63,108 +65,65 @@ def in_domain(x: Point, n: int, eps: Fraction) -> bool:
     return prev >= 0
 
 
-def _checked(element: CoverElement, x: Point) -> CoverElement:
-    if not contains(element.simplex, x):
-        raise WitnessDefect(f"constructed element {element.key} does not contain {x}")
-    return element
-
-
-def witness_top(x: Point, d: int, n: int) -> CoverElement:
-    """Locate x in the translated triangulation above the seam."""
-    dl = delta(n)
-    if n < 2:
-        raise ValueError("the top region is empty for n = 1")
-    if not in_domain(x, n, dl) or x[d - 1] < 1 + dl:
-        raise ValueError(f"{x} is not in the top region of the target")
-    u = [xi - (1 + dl) for xi in x]
-    # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
-    # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
-    v = tuple(min(rat_floor(uj), n - 2) for uj in u)
-    residual = [uj - vj for uj, vj in zip(u, v)]
-    perm = rank_descending(residual)
-    return _checked(CoverElement(KIND_TOP, v, perm, top_anchor(v, dl)), x)
-
-
-def witness_base_a(x: Point, d: int, n: int) -> CoverElement | None:
-    """Try to locate x in a type-(a) element; None when index d cannot come last."""
-    dl = delta(n)
+def _locate(
+    x: Point, d: int, n: int, dl: Fraction
+) -> tuple[str, IntVector, Permutation, Point]:
+    """The single routing pass: ``(kind, v, perm, w)`` for an in-domain x."""
+    xd = x[d - 1]
+    if n >= 2 and xd >= 1 + dl:
+        # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
+        # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
+        u = [xj - (1 + dl) for xj in x]
+        v = tuple(min(rat_floor(uj), n - 2) for uj in u)
+        w = tuple(uj - vj for uj, vj in zip(u, v))
+        return KIND_TOP, v, rank_descending(w), w
     shrink = 1 - dl
-    if not in_domain(x, n, dl) or x[d - 1] > 1 + dl:
-        raise ValueError(f"{x} is not in the base region of the target")
-    v: list[int] = []
-    w: list[Fraction] = []
-    for j in range(d - 1):
-        vj = rat_floor(x[j] / shrink)
-        wj = x[j] - shrink * vj
+    va: list[int] = []
+    wa: list[Fraction] = []
+    for xj in x[: d - 1]:
+        vj = rat_floor(xj / shrink)
+        wj = xj - shrink * vj
         if vj > 0 and wj <= dl:
             # one decrement restores the residual to [1-delta, 1]
             vj -= 1
             wj += shrink
-        v.append(vj)
-        w.append(wj)
-    v.append(0)
-    xd = x[d - 1]
-    w.append(xd)
-    if xd > 1 or any(xd > wj for wj in w[: d - 1]):
-        return None
+        va.append(vj)
+        wa.append(wj)
+    if xd > 1 or any(xd > wj for wj in wa):
+        va = [rat_floor((xj - dl) / shrink) for xj in x[: d - 1]]
+        wa = [xj - shrink * vj for xj, vj in zip(x, va)]
+    v = (*va, 0)
+    w = (*wa, xd)
     perm = rank_descending(w)
-    if perm[d - 1] != d:
-        raise WitnessDefect(f"residual order failed to place index {d} last for {x}")
-    return _checked(CoverElement(KIND_BASE_A, tuple(v), perm, base_a_anchor(tuple(v), dl)), x)
-
-
-def witness_base_b(x: Point, d: int, n: int) -> CoverElement:
-    """Locate x in a type-(b) element (or a type-(a) one when index d happens to
-    sort last anyway)."""
-    dl = delta(n)
-    shrink = 1 - dl
-    if not in_domain(x, n, dl) or x[d - 1] > 1 + dl:
-        raise ValueError(f"{x} is not in the base region of the target")
-    if any(xj <= dl for xj in x):
-        raise ValueError(f"type-(b) location needs every coordinate above {dl}, got {x}")
-    v = tuple(rat_floor((x[j] - dl) / shrink) for j in range(d - 1)) + (0,)
-    w = [x[j] - shrink * v[j] for j in range(d)]
-    perm = rank_descending(w)
-    if perm[d - 1] == d:
-        element = CoverElement(KIND_BASE_A, v, perm, base_a_anchor(v, dl))
-    else:
-        element = CoverElement(KIND_BASE_B, v, perm, base_b_anchor(v, dl))
-    return _checked(element, x)
-
-
-def _residual(element: CoverElement, x: Point, dl: Fraction) -> Point:
-    if element.kind == KIND_TOP:
-        return vec_sub(x, element.anchor)
-    return tuple(xj - (1 - dl) * vj for xj, vj in zip(x, element.v))
+    return (KIND_BASE_A if perm[-1] == d else KIND_BASE_B), v, perm, w
 
 
 def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     """Produce a cover element exactly containing x, with its route.
 
-    The element returned is always the cover's own instance (field-for-field
-    identical to the constructed one).  Routes other than ``fallback`` are the
-    element's kind; ``fallback`` marks a defensive exhaustive scan and signals
-    a defect in the constructive routes.
+    The element returned is always the cover's own instance.  Routes other
+    than ``fallback`` are the element's kind; ``fallback`` marks a defensive
+    exhaustive scan and signals a defect in the routing pass.
     """
     if len(x) != d or cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
     dl = cover.delta
     if not in_domain(x, n, dl):
         raise ValueError(f"{x} is outside the target simplex")
-    try:
-        if n >= 2 and x[d - 1] >= 1 + dl:
-            element = witness_top(x, d, n)
-        else:
-            maybe = witness_base_a(x, d, n)
-            element = maybe if maybe is not None else witness_base_b(x, d, n)
-        if element.kind != KIND_TOP and element.v[0] > n:
-            raise WitnessDefect(f"base anchor v={element.v} exceeds bound {n} for {x}")
-        known = cover.element_index.get(element.key)
-        if known is None or known != element:
-            raise WitnessDefect(f"element {element.key} is not part of the cover")
-        return WitnessResult(element=known, route=known.kind, w=_residual(known, x, dl))
-    except WitnessDefect:
-        for el in cover.elements:
-            if contains(el.simplex, x):
-                return WitnessResult(element=el, route=ROUTE_FALLBACK, w=_residual(el, x, dl))
-        raise UncoveredPointError(f"no cover element contains in-domain point {x}") from None
+    kind, v, perm, w = _locate(x, d, n, dl)
+    known = cover.element_index.get((kind, v, perm))
+    if (
+        (kind == KIND_TOP or v[0] <= n)
+        and known is not None
+        and known.anchor == _ANCHORS[kind](v, dl)
+        and contains(known.simplex, x)
+    ):
+        return WitnessResult(element=known, route=kind, w=w)
+    for el in cover.elements:
+        if contains(el.simplex, x):
+            if el.kind == KIND_TOP:
+                w = tuple(xj - aj for xj, aj in zip(x, el.anchor))
+            else:
+                w = tuple(xj - (1 - dl) * vj for xj, vj in zip(x, el.v))
+            return WitnessResult(element=el, route=ROUTE_FALLBACK, w=w)
+    raise UncoveredPointError(f"no cover element contains in-domain point {x}")

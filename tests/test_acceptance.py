@@ -14,7 +14,7 @@ import pytest
 
 from simplexcover import cli
 from simplexcover.cover import KIND_BASE_A, KIND_TOP, build_cover, cover_count, delta
-from simplexcover.simplex import GRAM_2D, contains, contains_oracle, gram_squared_length
+from simplexcover.simplex import contains, contains_oracle, gram_squared_length
 from simplexcover.triangulation import (
     enumerate_base_slab,
     enumerate_cube_triangulation,
@@ -66,7 +66,7 @@ def test_criterion_1_count_formula():
 def test_criterion_2_planar_reduction():
     counts_ok = all(cover_count(2, n) == n * n + 2 for n in range(1, 21))
     edges = ((F(1), F(0)), (F(0), F(1)), (F(1), F(1)))
-    sides = [gram_squared_length(e, metric=GRAM_2D) for e in edges]
+    sides = [gram_squared_length(e) for e in edges]
     sides_ok = sides == [F(1), F(1), F(1)]
     report_line(
         2,

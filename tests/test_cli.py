@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from fractions import Fraction
+
 from simplexcover import cli
 from simplexcover.cover import build_cover, cover_count
+from simplexcover.verifier import CoverageReport
 
 
 def run(capsys, *argv):
@@ -131,6 +134,34 @@ def test_verify_deterministic_modulo_elapsed(capsys):
     r1.pop("elapsed_ms")
     r2.pop("elapsed_ms")
     assert r1 == r2
+
+
+def test_verify_route_split_pinned(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--d", "4", "--n", "2", "--mode", "all",
+        "--q", "2", "--samples", "500", "--seed", "3",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["total"] == report["covered"] == 7832
+    assert report["routes"] == {"top": 514, "base_a": 5342, "base_b": 1976, "fallback": 0}
+
+
+def test_verify_sliver_violation_exits_1(capsys, monkeypatch):
+    sliver = (Fraction(1, 3), Fraction(1, 3))
+    report = CoverageReport(
+        total=1,
+        covered=1,
+        routes={"top": 0, "base_a": 0, "base_b": 1, "fallback": 0},
+        failures=(),
+        elapsed_ms=0,
+        sliver_violations=(sliver,),
+    )
+    monkeypatch.setattr(cli, "coverage_report", lambda spec, samples: report)
+    code, out, err = run(capsys, "verify", "--d", "2", "--n", "1", "--mode", "boundary")
+    assert code == 1
+    assert out == json.dumps(report.to_json()) + "\n"
+    assert err == "sliver violations: 1/3,1/3\n"
 
 
 def test_render_cli(tmp_path, capsys):

@@ -13,11 +13,8 @@ from simplexcover.cover import (
     delta,
 )
 from simplexcover.simplex import contains_oracle, vertices
-from simplexcover.triangulation import (
-    DomainSimplex,
-    enumerate_base_slab,
-    enumerate_simplex_triangulation,
-)
+from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
+from simplexcover.witness import in_domain
 
 F = Fraction
 
@@ -114,13 +111,12 @@ def test_vertex_geometry_bounds(d, n):
     # while the top piece is tiled exactly, so top elements never overhang.
     cover = build_cover(d, n)
     dl = cover.delta
-    target = DomainSimplex(scale=F(n) + dl, d=d)
     bound = F(n) + 3 * dl
     for el in cover.elements:
         for vtx in vertices(el.simplex):
             assert all(0 <= c <= bound for c in vtx), (el.key, vtx)
             if el.kind == KIND_TOP:
-                assert target.contains(vtx), (el.key, vtx)
+                assert in_domain(vtx, n, dl), (el.key, vtx)
 
 
 def test_element_index_lookup():
@@ -133,13 +129,12 @@ def test_element_index_lookup():
 def test_interior_of_each_element_is_covered_only_within_target():
     d, n = 2, 2
     cover = build_cover(d, n)
-    target = DomainSimplex(scale=F(n) + cover.delta, d=d)
     for el in cover.elements:
         verts = vertices(el.simplex)
         centroid = tuple(
             sum(v[k] for v in verts) / len(verts) for k in range(d)
         )
-        assert target.contains(centroid)
+        assert in_domain(centroid, n, cover.delta)
         assert contains_oracle(el.simplex, centroid)
 
 

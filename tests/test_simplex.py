@@ -5,7 +5,6 @@ from math import factorial
 import pytest
 
 from simplexcover.simplex import (
-    GRAM_2D,
     KuhnSimplex,
     barycentric,
     contains,
@@ -112,7 +111,6 @@ def test_gram_lengths_model_equilateral_unit_triangle():
     assert gram_squared_length((F(1), F(0))) == 1
     assert gram_squared_length((F(0), F(1))) == 1
     assert gram_squared_length((F(1), F(1))) == 1
-    assert gram_squared_length((F(1), F(1)), metric=GRAM_2D) == 1
 
 
 def test_gram_scales_quadratically():

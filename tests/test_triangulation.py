@@ -7,7 +7,6 @@ import pytest
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.triangulation import (
     AdmissiblePair,
-    DomainSimplex,
     enumerate_base_slab,
     enumerate_cube_triangulation,
     enumerate_simplex_triangulation,
@@ -16,6 +15,7 @@ from simplexcover.triangulation import (
     tie_respecting_perms_filtered,
     weakly_decreasing_vectors,
 )
+from simplexcover.witness import in_domain
 
 F = Fraction
 
@@ -126,17 +126,6 @@ def test_cube_triangulation_counts(d):
     assert len({p.perm for p in cube}) == len(cube)
 
 
-def test_domain_simplex_contains():
-    dom = DomainSimplex(scale=F(3, 2), d=2)
-    assert dom.contains((F(3, 2), F(3, 2)))
-    assert dom.contains((F(1), F(1, 2)))
-    assert not dom.contains((F(1, 2), F(1)))  # coordinates must be sorted
-    assert not dom.contains((F(2), F(1)))
-    assert dom.contains((F(1), F(1, 2)), strict=True)
-    assert not dom.contains((F(3, 2), F(1, 2)), strict=True)
-    assert dom.volume() == F(9, 8)
-
-
 def sample_domain_points(d, bound, count, seed):
     rng = random.Random(seed)
     pts = []
@@ -151,9 +140,8 @@ def sample_domain_points(d, bound, count, seed):
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2)])
 def test_triangulation_covers_its_simplex(d, n):
     pairs = list(enumerate_simplex_triangulation(d, n))
-    dom = DomainSimplex(scale=F(n), d=d)
     for x in sample_domain_points(d, n, 200, seed=77 * d + n):
-        if not dom.contains(x):
+        if not in_domain(x, n, F(0)):
             continue
         hits = 0
         for pair in pairs:

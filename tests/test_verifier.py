@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,15 @@ def test_coverage_report_eps_precondition():
         coverage_report(cover, [(F(4, 3), F(0))], eps=F(0))
     with pytest.raises(ValueError):
         coverage_report(cover, good, eps=F(1, 2))
+
+
+def test_coverage_report_sliver_violation_fails():
+    cover = build_cover(2, 1)
+    report = coverage_report(cover, lattice_samples(2, 1, cover.delta, 1))
+    assert report.success
+    bad = replace(report, sliver_violations=((F(1, 3), F(1, 3)),))
+    assert not bad.success
+    assert bad.to_json() == report.to_json()
 
 
 def test_coverage_report_json_schema():
@@ -223,8 +233,6 @@ def test_format_failures_truncates():
     cover = build_cover(2, 1)
     report = coverage_report(cover, lattice_samples(2, 1, cover.delta, 1))
     assert format_failures(report) == ""
-    from dataclasses import replace
-
     fake = replace(
         report,
         failures=tuple((F(k), F(0)) for k in range(8)),

@@ -6,15 +6,7 @@ import pytest
 from simplexcover.cover import KIND_BASE_A, KIND_BASE_B, KIND_TOP, build_cover
 from simplexcover.simplex import contains, contains_oracle
 from simplexcover.verifier import random_samples
-from simplexcover.witness import (
-    ROUTE_FALLBACK,
-    UncoveredPointError,
-    in_domain,
-    witness,
-    witness_base_a,
-    witness_base_b,
-    witness_top,
-)
+from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain, witness
 
 F = Fraction
 
@@ -23,56 +15,55 @@ def pt(*coords):
     return tuple(F(c) for c in coords)
 
 
+def located(x, d, n):
+    """(kind, v, perm, anchor) of the element witness() picks for x."""
+    res = witness(x, d, n, build_cover(d, n))
+    assert res.route == res.element.kind
+    el = res.element
+    return el.kind, el.v, el.perm, el.anchor
+
+
 def test_in_domain_examples():
     assert in_domain(pt(F(9, 4), F(1, 2)), 2, F(1, 4))
     assert not in_domain(pt(F(1, 2), F(3, 4)), 2, F(1, 4))
     assert not in_domain(pt(F(13, 4), 0), 2, F(1, 4))
     assert not in_domain(pt(F(1, 2), F(-1, 8)), 2, F(1, 4))
     assert in_domain(pt(0, 0), 1, F(0))
+    # S^{3/2} as n + eps = 1 + 1/2: the apex, an interior point, an unsorted
+    # point and one past the scale.
+    assert in_domain(pt(F(3, 2), F(3, 2)), 1, F(1, 2))
+    assert in_domain(pt(1, F(1, 2)), 1, F(1, 2))
+    assert not in_domain(pt(F(1, 2), 1), 1, F(1, 2))
+    assert not in_domain(pt(2, 1), 1, F(1, 2))
 
 
 def test_witness_top_examples():
-    el = witness_top(pt(F(9, 4), F(9, 4)), 2, 2)
-    assert el.kind == KIND_TOP
-    assert el.v == (0, 0)
-    assert el.perm == (1, 2)
-    assert el.anchor == pt(F(5, 4), F(5, 4))
-
-    el = witness_top(pt(2, F(3, 2)), 2, 2)
-    assert (el.v, el.perm, el.anchor) == ((0, 0), (1, 2), pt(F(5, 4), F(5, 4)))
-
-    el = witness_top(pt(F(9, 4), F(9, 4), F(9, 4)), 3, 2)
-    assert el.anchor == pt(F(5, 4), F(5, 4), F(5, 4))
-    assert el.perm == (1, 2, 3)
+    assert located(pt(F(9, 4), F(9, 4)), 2, 2) == (KIND_TOP, (0, 0), (1, 2), pt(F(5, 4), F(5, 4)))
+    assert located(pt(2, F(3, 2)), 2, 2) == (KIND_TOP, (0, 0), (1, 2), pt(F(5, 4), F(5, 4)))
+    assert located(pt(F(9, 4), F(9, 4), F(9, 4)), 3, 2) == (
+        KIND_TOP,
+        (0, 0, 0),
+        (1, 2, 3),
+        pt(F(5, 4), F(5, 4), F(5, 4)),
+    )
 
 
 def test_witness_top_clamps_at_far_vertex():
     # The apex of the target: u_j = n-1 exactly, floor would leave residual 0.
     n = 3
     top = F(n) + F(1, n + 2)
-    el = witness_top(pt(top, top), 2, n)
-    assert el.v == (n - 2, n - 2)
-    assert contains(el.simplex, pt(top, top))
-
-
-def test_witness_top_preconditions():
-    with pytest.raises(ValueError):
-        witness_top(pt(F(4, 3), F(4, 3)), 2, 1)
-    with pytest.raises(ValueError):
-        witness_top(pt(F(1, 2), F(1, 2)), 2, 2)  # below the seam
+    res = witness(pt(top, top), 2, n, build_cover(2, n))
+    assert res.route == KIND_TOP
+    assert res.element.v == (n - 2, n - 2)
+    assert res.w == pt(1, 1)
+    assert contains(res.element.simplex, pt(top, top))
 
 
 def test_witness_base_a_examples():
-    el = witness_base_a(pt(F(1, 8), F(1, 8)), 2, 2)
-    assert el is not None
-    assert (el.kind, el.v, el.perm) == (KIND_BASE_A, (0, 0), (1, 2))
-    assert el.anchor == pt(0, 0)
-
-    assert witness_base_a(pt(F(9, 8), F(9, 8)), 2, 2) is None
-
-    el = witness_base_a(pt(0, 0), 2, 1)
-    assert el is not None
-    assert (el.kind, el.anchor, el.perm) == (KIND_BASE_A, pt(0, 0), (1, 2))
+    assert located(pt(F(1, 8), F(1, 8)), 2, 2) == (KIND_BASE_A, (0, 0), (1, 2), pt(0, 0))
+    assert located(pt(0, 0), 2, 1) == (KIND_BASE_A, (0, 0), (1, 2), pt(0, 0))
+    # Index d cannot come last among the type-(a) residuals: type (b) instead.
+    assert located(pt(F(9, 8), F(9, 8)), 2, 2)[0] == KIND_BASE_B
 
 
 def test_witness_base_a_decrement_keeps_positive_anchor_residual_large():
@@ -80,31 +71,18 @@ def test_witness_base_a_decrement_keeps_positive_anchor_residual_large():
     # residual of the still-positive anchor coordinate ends up above delta.
     n = 2
     x = pt(F(8, 5), F(1, 20))
-    el = witness_base_a(x, 2, n)
-    assert el is not None
-    assert el.v == (1, 0)
-    w1 = x[0] - (1 - F(1, 4)) * el.v[0]
-    assert w1 == F(17, 20) > F(1, 4)
+    res = witness(x, 2, n, build_cover(2, n))
+    assert res.route == KIND_BASE_A
+    assert res.element.v == (1, 0)
+    assert res.w == pt(F(17, 20), F(1, 20))
+    assert res.w[0] > F(1, 4)
 
 
 def test_witness_base_b_examples():
-    el = witness_base_b(pt(F(9, 8), F(9, 8)), 2, 2)
-    assert (el.kind, el.v, el.perm) == (KIND_BASE_B, (1, 0), (2, 1))
-    assert el.anchor == pt(1, F(1, 4))
-
-    el = witness_base_b(pt(F(4, 3), F(4, 3)), 2, 1)
-    assert (el.kind, el.v, el.perm) == (KIND_BASE_B, (1, 0), (2, 1))
-    assert el.anchor == pt(1, F(1, 3))
-
-    # Ties put index d last: the type-(a) element is returned instead.
-    el = witness_base_b(pt(F(1, 2), F(1, 2)), 2, 2)
-    assert (el.kind, el.v, el.perm) == (KIND_BASE_A, (0, 0), (1, 2))
-    assert el.anchor == pt(0, 0)
-
-
-def test_witness_base_b_precondition():
-    with pytest.raises(ValueError):
-        witness_base_b(pt(F(1, 8), F(1, 8)), 2, 2)  # coordinate at or below delta
+    assert located(pt(F(9, 8), F(9, 8)), 2, 2) == (KIND_BASE_B, (1, 0), (2, 1), pt(1, F(1, 4)))
+    assert located(pt(F(4, 3), F(4, 3)), 2, 1) == (KIND_BASE_B, (1, 0), (2, 1), pt(1, F(1, 3)))
+    # x_d ties the other residual, so index d still sorts last: type (a).
+    assert located(pt(F(1, 2), F(1, 2)), 2, 2) == (KIND_BASE_A, (0, 0), (1, 2), pt(0, 0))
 
 
 def test_witness_route_selection():
