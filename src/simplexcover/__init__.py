@@ -15,7 +15,7 @@ from .arith import (
     rat_format,
     rat_parse,
 )
-from .cover import CoverElement, CoverSpec, build_cover, cover_count, delta
+from .cover import CoverElement, CoverSpec, build_cover, cover_count, delta, iter_cover
 from .simplex import (
     KuhnSimplex,
     contains,
@@ -75,6 +75,7 @@ __all__ = [
     "gram_squared_length",
     "in_domain",
     "is_admissible",
+    "iter_cover",
     "lattice_samples",
     "partition_check",
     "point_format",

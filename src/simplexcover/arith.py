@@ -20,8 +20,9 @@ Point = tuple[Fraction, ...]
 Permutation = tuple[int, ...]
 IntVector = tuple[int, ...]
 
-# Accepted grammar: -? digits ( "/" digits )?
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?")
+# Accepted grammar: -? digits ( "/" digits )? with ASCII digits; ``\d`` would
+# also match other scripts' digits, which ``int`` then accepts.
+_RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -69,11 +70,6 @@ def point_format(p: Sequence[Fraction]) -> str:
 
 def is_permutation(perm: Sequence[int], d: int) -> bool:
     return len(perm) == d and sorted(perm) == list(range(1, d + 1))
-
-
-def perm_position(perm: Permutation, j: int) -> int:
-    """The 1-based position of j in perm, i.e. the inverse image pi^{-1}(j)."""
-    return perm.index(j) + 1
 
 
 def rank_descending(values: Sequence[Fraction]) -> Permutation:

@@ -13,13 +13,20 @@ import json
 import sys
 from fractions import Fraction
 
-from .arith import ParseError, point_format, point_parse, rat_format, rat_parse
-from .cover import CoverElement, build_cover, cover_count, delta
+from .arith import (
+    IntVector,
+    ParseError,
+    is_permutation,
+    point_format,
+    point_parse,
+    rat_format,
+    rat_parse,
+)
+from .cover import CoverElement, build_cover, check_dn, cover_count, delta, iter_cover
 from .render import render_svg
 from .verifier import (
     boundary_suite,
     coverage_report,
-    format_failures,
     format_points,
     lattice_samples,
     random_samples,
@@ -37,32 +44,41 @@ def cover_record(el: CoverElement) -> dict:
     }
 
 
+def _int_field(obj: dict, field: str) -> IntVector:
+    items = obj[field]
+    # bool is an int subclass: JSON true/false are not integers here
+    if not isinstance(items, list) or any(type(c) is not int for c in items):
+        raise ValueError(f"cover record field {field!r} is not a list of integers: {items!r}")
+    return tuple(items)
+
+
 def parse_cover_record(line: str) -> CoverElement:
-    """Inverse of cover_record; round-trips losslessly."""
+    """Inverse of cover_record; round-trips losslessly.
+
+    Raises ValueError (ParseError for a bad rational), naming the field, on a
+    record whose ``v``/``pi`` are not integer lists, whose ``pi`` is not a
+    permutation of 1..len(v), or whose ``anchor`` has the wrong length.
+    """
     obj = json.loads(line)
-    return CoverElement(
-        kind=obj["kind"],
-        v=tuple(int(c) for c in obj["v"]),
-        perm=tuple(int(c) for c in obj["pi"]),
-        anchor=tuple(rat_parse(c) for c in obj["anchor"]),
-    )
+    v, perm, anchor = _int_field(obj, "v"), _int_field(obj, "pi"), obj["anchor"]
+    d = len(v)
+    if not is_permutation(perm, d):
+        raise ValueError(f"cover record field 'pi' is not a permutation of 1..{d}: {list(perm)}")
+    if not isinstance(anchor, list) or len(anchor) != d:
+        raise ValueError(f"cover record field 'anchor' is not a list of {d} rationals: {anchor!r}")
+    try:
+        point = tuple(rat_parse(c) for c in anchor)
+    except (ParseError, TypeError) as exc:
+        raise ParseError(f"cover record field 'anchor': {exc}") from exc
+    return CoverElement(kind=obj["kind"], v=v, perm=perm, anchor=point)
 
 
-def _add_dn(parser: argparse.ArgumentParser, fixed_d: int | None = None) -> None:
-    if fixed_d is None:
-        parser.add_argument("--d", type=int, required=True, help="dimension (>= 2)")
+def _add_dn(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d", type=int, required=True, help="dimension (>= 2)")
     parser.add_argument("--n", type=int, required=True, help="target scale (>= 1)")
 
 
-def _validate_dn(parser: argparse.ArgumentParser, d: int, n: int) -> None:
-    if d < 2:
-        parser.error(f"--d must be at least 2 (got {d})")
-    if n < 1:
-        parser.error(f"--n must be at least 1 (got {n})")
-
-
 def _cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_dn(parser, args.d, args.n)
     print(cover_count(args.d, args.n))
     top = (args.n - 1) ** args.d
     base = (args.n + 1) ** args.d - args.n**args.d
@@ -71,11 +87,9 @@ def _cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_cover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_dn(parser, args.d, args.n)
-    spec = build_cover(args.d, args.n)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            for el in spec.elements:
+            for el in iter_cover(args.d, args.n):
                 fh.write(json.dumps(cover_record(el)) + "\n")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
@@ -84,7 +98,6 @@ def _cmd_cover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 
 
 def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_dn(parser, args.d, args.n)
     try:
         x = point_parse(args.point, args.d)
     except ParseError as exc:
@@ -127,7 +140,6 @@ def _parse_eps(parser: argparse.ArgumentParser, raw: str | None, n: int) -> Frac
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _validate_dn(parser, args.d, args.n)
     if args.q < 1:
         parser.error(f"--q must be at least 1 (got {args.q})")
     if args.samples < 1:
@@ -146,7 +158,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     print(json.dumps(report.to_json()))
     if not report.success:
         if report.failures:
-            print(f"uncovered points: {format_failures(report)}", file=sys.stderr)
+            print(f"uncovered points: {format_points(report.failures)}", file=sys.stderr)
         if report.routes.get("fallback", 0):
             print(f"fallback witnesses: {report.routes['fallback']}", file=sys.stderr)
         if report.sliver_violations:
@@ -156,9 +168,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 
 def _cmd_render(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.n < 1:
-        parser.error(f"--n must be at least 1 (got {args.n})")
-    spec = build_cover(2, args.n)
+    spec = build_cover(args.d, args.n)
     svg = render_svg(spec, equilateral=args.equilateral, labels=args.labels)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -207,13 +217,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--out", required=True, help="output path")
     p_render.add_argument("--equilateral", action="store_true", help="shear to equilateral triangles")
     p_render.add_argument("--labels", action="store_true", help="label each element")
-    p_render.set_defaults(func=_cmd_render)
+    p_render.set_defaults(func=_cmd_render, d=2)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        check_dn(args.d, args.n)
+    except ValueError as exc:
+        parser.error(str(exc))
     return args.func(args, parser)
 
 

@@ -9,6 +9,10 @@ With ``delta = 1/(n+2)`` the target splits at the seam ``x_d = 1 + delta``:
   ``(1-delta)v`` ("base_a"), any other cell gets ``(1-delta)v + delta*e``
   ("base_b").
 
+``make_element`` is the only place that states this kind rule and the three
+anchor formulas; ``iter_cover`` streams the elements through it in canonical
+order, and ``witness`` checks its routing result against it.
+
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
 """
@@ -18,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from typing import Iterator
 
-from .arith import IntVector, Permutation, Point, perm_position
+from .arith import IntVector, Permutation, Point
 from .simplex import KuhnSimplex
 from .triangulation import enumerate_base_slab, enumerate_simplex_triangulation
 
@@ -71,6 +77,14 @@ class CoverSpec:
         return counts
 
 
+def check_dn(d: int, n: int) -> None:
+    """Raise ValueError unless d >= 2 and n >= 1."""
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def delta(n: int) -> Fraction:
     """The squeeze margin 1/(n+2)."""
     if n < 1:
@@ -80,43 +94,36 @@ def delta(n: int) -> Fraction:
 
 def cover_count(d: int, n: int) -> int:
     """Number of cover elements: (n+1)^d + (n-1)^d - n^d."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    check_dn(d, n)
     return (n + 1) ** d + (n - 1) ** d - n**d
 
 
-def top_anchor(v: IntVector, dl: Fraction) -> Point:
-    return tuple(v_j + 1 + dl for v_j in v)
+def make_element(top: bool, v: IntVector, perm: Permutation, dl: Fraction) -> CoverElement:
+    """The element on Kuhn cell (v, perm): top above the seam, else base_a
+    exactly when perm ends with d, each kind with its anchor formula."""
+    if top:
+        return CoverElement(KIND_TOP, v, perm, tuple(v_j + 1 + dl for v_j in v))
+    shrink = 1 - dl
+    if perm[-1] == len(perm):
+        return CoverElement(KIND_BASE_A, v, perm, tuple(shrink * v_j for v_j in v))
+    return CoverElement(KIND_BASE_B, v, perm, tuple(shrink * v_j + dl for v_j in v))
 
 
-def base_a_anchor(v: IntVector, dl: Fraction) -> Point:
-    return tuple((1 - dl) * v_j for v_j in v)
+def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
+    """The cover's elements in canonical order (top, then base), one at a time.
 
-
-def base_b_anchor(v: IntVector, dl: Fraction) -> Point:
-    return tuple((1 - dl) * v_j + dl for v_j in v)
+    (d, n) is checked on the call, before the first element is made.
+    """
+    check_dn(d, n)
+    dl = delta(n)
+    top = enumerate_simplex_triangulation(d, n - 1) if n >= 2 else ()
+    return chain(
+        (make_element(True, cell.v, cell.perm, dl) for cell in top),
+        (make_element(False, cell.v, cell.perm, dl) for cell in enumerate_base_slab(d, n + 1)),
+    )
 
 
 def build_cover(d: int, n: int) -> CoverSpec:
     """Construct the cover, invariant-complete and canonically ordered."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    dl = delta(n)
-    elements: list[CoverElement] = []
-    if n >= 2:
-        for pair in enumerate_simplex_triangulation(d, n - 1):
-            elements.append(CoverElement(KIND_TOP, pair.v, pair.perm, top_anchor(pair.v, dl)))
-    for pair in enumerate_base_slab(d, n + 1):
-        if perm_position(pair.perm, d) == d:
-            elements.append(
-                CoverElement(KIND_BASE_A, pair.v, pair.perm, base_a_anchor(pair.v, dl))
-            )
-        else:
-            elements.append(
-                CoverElement(KIND_BASE_B, pair.v, pair.perm, base_b_anchor(pair.v, dl))
-            )
-    return CoverSpec(d=d, n=n, delta=dl, elements=tuple(elements))
+    elements = tuple(iter_cover(d, n))
+    return CoverSpec(d=d, n=n, delta=delta(n), elements=elements)

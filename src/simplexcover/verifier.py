@@ -271,7 +271,3 @@ def format_points(points: tuple[Point, ...], limit: int = 5) -> str:
     shown = ", ".join(point_format(p) for p in points[:limit])
     extra = len(points) - limit
     return shown + (f" (+{extra} more)" if extra > 0 else "")
-
-
-def format_failures(report: CoverageReport, limit: int = 5) -> str:
-    return format_points(report.failures, limit)

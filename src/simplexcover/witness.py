@@ -1,20 +1,21 @@
 """Deterministic point location: find a cover element containing a given point.
 
 For x in S^{n+delta} one pass of floor arithmetic plus one descending sort
-reads off the containing element's ``(kind, v, perm)`` and the residual ``w``
-whose order gives ``perm``.  Above the seam (``x_d >= 1 + delta``, possible
-only for n >= 2) it floors ``x - (1+delta)e``.  Below it, it tries the
-type-(a) anchor ``v_j = floor(x_j / (1-delta))``, decremented once when that
-leaves a residual at or below delta (so positive anchors always keep their
-residual above delta).  If ``x_d`` then exceeds 1 or some residual, index d
-cannot sort last, and the type-(b) anchor
+reads off the containing Kuhn cell ``(v, perm)``, whether it lies above the
+seam, and the residual ``w`` whose order gives ``perm``.  Above the seam
+(``x_d >= 1 + delta``, possible only for n >= 2) it floors ``x - (1+delta)e``.
+Below it, it tries the type-(a) anchor ``v_j = floor(x_j / (1-delta))``,
+decremented once when that leaves a residual at or below delta (so positive
+anchors always keep their residual above delta).  If ``x_d`` then exceeds 1 or
+some residual, index d cannot sort last, and the type-(b) anchor
 ``v_j = floor((x_j - delta)/(1-delta))`` is used instead; it lands every
-residual in [delta, 1).  As in ``build_cover``, a base element is type (a)
-exactly when its permutation ends with d.
+residual in [delta, 1).  The kind and anchor are not decided here:
+``cover.make_element`` turns the cell into the formula element, the same
+function the cover is built with.
 
-The pass result is then checked: a base anchor must have ``v_1 <= n``, the key
-must name an element of the cover, that element's anchor must match the
-formula, and it must exactly contain x.  Any failed check (an implementation
+The formula element is then checked: a base anchor must have ``v_1 <= n``,
+the cover must hold an element equal to it (same key and same anchor), and
+that element must exactly contain x.  Any failed check (an implementation
 defect, never observed) falls back to an exhaustive scan of the cover so the
 function stays total, and the result is flagged as ``fallback``.
 """
@@ -25,22 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import IntVector, Permutation, Point, rank_descending, rat_floor
-from .cover import (
-    KIND_BASE_A,
-    KIND_BASE_B,
-    KIND_TOP,
-    CoverElement,
-    CoverSpec,
-    base_a_anchor,
-    base_b_anchor,
-    top_anchor,
-)
+from .cover import KIND_BASE_A, KIND_BASE_B, KIND_TOP, CoverElement, CoverSpec, make_element
 from .simplex import contains
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
-
-_ANCHORS = {KIND_TOP: top_anchor, KIND_BASE_A: base_a_anchor, KIND_BASE_B: base_b_anchor}
 
 
 class UncoveredPointError(RuntimeError):
@@ -67,8 +57,8 @@ def in_domain(x: Point, n: int, eps: Fraction) -> bool:
 
 def _locate(
     x: Point, d: int, n: int, dl: Fraction
-) -> tuple[str, IntVector, Permutation, Point]:
-    """The single routing pass: ``(kind, v, perm, w)`` for an in-domain x."""
+) -> tuple[bool, IntVector, Permutation, Point]:
+    """The single routing pass: ``(above_seam, v, perm, w)`` for an in-domain x."""
     xd = x[d - 1]
     if n >= 2 and xd >= 1 + dl:
         # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
@@ -76,7 +66,7 @@ def _locate(
         u = [xj - (1 + dl) for xj in x]
         v = tuple(min(rat_floor(uj), n - 2) for uj in u)
         w = tuple(uj - vj for uj, vj in zip(u, v))
-        return KIND_TOP, v, rank_descending(w), w
+        return True, v, rank_descending(w), w
     shrink = 1 - dl
     va: list[int] = []
     wa: list[Fraction] = []
@@ -94,8 +84,7 @@ def _locate(
         wa = [xj - shrink * vj for xj, vj in zip(x, va)]
     v = (*va, 0)
     w = (*wa, xd)
-    perm = rank_descending(w)
-    return (KIND_BASE_A if perm[-1] == d else KIND_BASE_B), v, perm, w
+    return False, v, rank_descending(w), w
 
 
 def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
@@ -110,15 +99,11 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     dl = cover.delta
     if not in_domain(x, n, dl):
         raise ValueError(f"{x} is outside the target simplex")
-    kind, v, perm, w = _locate(x, d, n, dl)
-    known = cover.element_index.get((kind, v, perm))
-    if (
-        (kind == KIND_TOP or v[0] <= n)
-        and known is not None
-        and known.anchor == _ANCHORS[kind](v, dl)
-        and contains(known.simplex, x)
-    ):
-        return WitnessResult(element=known, route=kind, w=w)
+    above, v, perm, w = _locate(x, d, n, dl)
+    formula = make_element(above, v, perm, dl)
+    known = cover.element_index.get(formula.key)
+    if (above or v[0] <= n) and known == formula and contains(known.simplex, x):
+        return WitnessResult(element=known, route=known.kind, w=w)
     for el in cover.elements:
         if contains(el.simplex, x):
             if el.kind == KIND_TOP:

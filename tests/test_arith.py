@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from simplexcover.arith import (
     ParseError,
-    perm_position,
+    is_permutation,
     point_format,
     point_parse,
     rank_descending,
@@ -24,7 +24,9 @@ def test_rat_parse_examples():
     assert rat_parse("3") == Fraction(3)
 
 
-@pytest.mark.parametrize("bad", ["", "1.5", "1/0", "a/b", "1/ 2", "+3", "1/-2", "--1"])
+@pytest.mark.parametrize(
+    "bad", ["", "1.5", "1/0", "a/b", "1/ 2", "+3", "1/-2", "--1", "\u0661/\u0662", "\u0663"]
+)
 def test_rat_parse_rejects(bad):
     with pytest.raises(ParseError):
         rat_parse(bad)
@@ -66,10 +68,9 @@ def test_point_roundtrip(coords):
 
 
 def test_perm_helpers():
-    perm = (2, 3, 1)
-    assert [perm_position(perm, j) for j in (1, 2, 3)] == [3, 1, 2]
-    for j in (1, 2, 3):
-        assert perm[perm_position(perm, j) - 1] == j
+    assert is_permutation((2, 3, 1), 3)
+    assert not is_permutation((2, 3, 1), 4)
+    assert not is_permutation((7, 7, 7), 3)
 
 
 def test_rank_descending_breaks_ties_by_index():

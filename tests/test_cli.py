@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -25,10 +26,17 @@ def test_count_examples(capsys):
     assert out.splitlines()[0] == "20"
 
 
-def test_count_rejects_d1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["count", "--d", "1", "--n", "2"])
-    assert exc.value.code == 2
+def test_count_rejects_d1(tmp_path, capsys):
+    for argv in (
+        ["count", "--d", "1", "--n", "2"],
+        ["cover", "--d", "1", "--n", "2", "--out", str(tmp_path / "unused.jsonl")],
+        ["witness", "--d", "1", "--n", "2", "--point", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "d must be at least 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "unused.jsonl").exists()
 
 
 def test_cover_writes_canonical_jsonl(tmp_path, capsys):
@@ -53,6 +61,47 @@ def test_cover_line_counts_and_kinds(tmp_path, capsys):
     records = [json.loads(l) for l in out_path.read_text().splitlines()]
     assert len(records) == cover_count(2, 2) == 6
     assert sum(1 for r in records if r["kind"] == "top") == 1
+
+
+def test_cover_streams_without_building_the_cover(tmp_path, capsys, monkeypatch):
+    def refuse(d, n):
+        raise AssertionError("cover must write elements as it makes them")
+
+    monkeypatch.setattr(cli, "build_cover", refuse)
+    out_path = tmp_path / "c33.jsonl"
+    code, _, _ = run(capsys, "cover", "--d", "3", "--n", "3", "--out", str(out_path))
+    assert code == 0
+    # the digest benchmarks/config.py pins for cover-d3-n3.jsonl
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "2f7408a05b9a22755eed80b3ebfc5f66549eae533ab9575afe292a2addd0865f"
+    )
+
+
+@pytest.mark.parametrize(
+    "field,line",
+    [
+        pytest.param("v", '{"v": [1.7, 0], "pi": [1, 2], "anchor": ["0", "0"]}', id="v-float"),
+        pytest.param("v", '{"v": [true, 0], "pi": [1, 2], "anchor": ["0", "0"]}', id="v-bool"),
+        pytest.param("pi", '{"v": [0, 0], "pi": ["1", 2], "anchor": ["0", "0"]}', id="pi-str"),
+        pytest.param(
+            "pi", '{"v": [0, 0, 0], "pi": [7, 7, 7], "anchor": ["0", "0", "0"]}', id="pi-repeat"
+        ),
+        pytest.param(
+            "pi", '{"v": [0, 0, 0], "pi": [1, 2], "anchor": ["0", "0", "0"]}', id="pi-short"
+        ),
+        pytest.param("anchor", '{"v": [0, 0], "pi": [1, 2], "anchor": ["0"]}', id="anchor-short"),
+        pytest.param("anchor", '{"v": [0, 0], "pi": [1, 2], "anchor": "00"}', id="anchor-str"),
+        pytest.param("anchor", '{"v": [0, 0], "pi": [1, 2], "anchor": [0, 0]}', id="anchor-int"),
+        pytest.param(
+            "anchor",
+            '{"v": [0, 0], "pi": [1, 2], "anchor": ["\\u0661/\\u0662", "0"]}',
+            id="anchor-arabic-indic",
+        ),
+    ],
+)
+def test_parse_cover_record_rejects_malformed(field, line):
+    with pytest.raises(ValueError, match=f"field '{field}'"):
+        cli.parse_cover_record(line.replace("{", '{"kind": "base_a", ', 1))
 
 
 def test_cover_reruns_byte_identical(tmp_path, capsys):
@@ -174,6 +223,8 @@ def test_render_cli(tmp_path, capsys):
 
 
 def test_render_rejects_bad_n(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["render", "--n", "0", "--out", "unused.svg"])
-    assert exc.value.code == 2
+    for argv in (["render", "--n", "0", "--out", "unused.svg"], ["verify", "--d", "2", "--n", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "n must be at least 1, got 0" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from simplexcover.cover import (
     build_cover,
     cover_count,
     delta,
+    iter_cover,
 )
 from simplexcover.simplex import contains_oracle, vertices
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
@@ -138,7 +139,16 @@ def test_interior_of_each_element_is_covered_only_within_target():
         assert contains_oracle(el.simplex, centroid)
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (4, 2)])
+def test_iter_cover_matches_build_cover(d, n):
+    assert tuple(iter_cover(d, n)) == build_cover(d, n).elements
+
+
 def test_invalid_args_rejected():
+    with pytest.raises(ValueError):
+        iter_cover(1, 2)  # checked on the call, before the first next()
+    with pytest.raises(ValueError):
+        iter_cover(2, 0)
     with pytest.raises(ValueError):
         build_cover(1, 2)
     with pytest.raises(ValueError):

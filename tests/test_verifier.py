@@ -15,7 +15,7 @@ from simplexcover.verifier import (
     boundary_suite,
     bruteforce_containing,
     coverage_report,
-    format_failures,
+    format_points,
     generic_interior_cube_samples,
     generic_interior_simplex_samples,
     lattice_samples,
@@ -229,14 +229,14 @@ def test_generic_samples_are_generic_and_seeded():
     assert all(len(set(x)) == 3 for x in cube)
 
 
-def test_format_failures_truncates():
+def test_format_points_truncates():
     cover = build_cover(2, 1)
     report = coverage_report(cover, lattice_samples(2, 1, cover.delta, 1))
-    assert format_failures(report) == ""
+    assert format_points(report.failures) == ""
     fake = replace(
         report,
         failures=tuple((F(k), F(0)) for k in range(8)),
     )
-    text = format_failures(fake, limit=3)
+    text = format_points(fake.failures, limit=3)
     assert "(+5 more)" in text
     assert text.count(",") >= 3

@@ -161,6 +161,22 @@ def test_witness_fallback_on_incomplete_cover():
     assert contains(res.element.simplex, x)
 
 
+def test_witness_fallback_on_altered_anchor():
+    # The element under the route keeps its key and still contains x, but its
+    # anchor no longer matches the formula, so the scan takes over.
+    cover = build_cover(2, 1)
+    x = pt(F(9, 10), F(1, 10))
+    key = (KIND_BASE_A, (0, 0), (1, 2))
+    moved = replace(cover.element_index[key], anchor=pt(F(1, 10), F(0)))
+    assert contains(moved.simplex, x)
+    broken = replace(
+        cover, elements=tuple(moved if el.key == key else el for el in cover.elements)
+    )
+    res = witness(x, 2, 1, broken)
+    assert res.route == ROUTE_FALLBACK
+    assert res.element is broken.elements[0] is broken.element_index[key]
+
+
 def test_witness_uncovered_error_on_incomplete_cover():
     cover = build_cover(2, 1)
     broken = pruned(cover, (KIND_BASE_A, (0, 0), (1, 2)))
