@@ -25,7 +25,6 @@ from .simplex import (
     vertices,
 )
 from .triangulation import (
-    AdmissiblePair,
     enumerate_base_slab,
     enumerate_cube_triangulation,
     enumerate_simplex_triangulation,
@@ -49,7 +48,6 @@ from .witness import (
 )
 
 __all__ = [
-    "AdmissiblePair",
     "CoverElement",
     "CoverSpec",
     "CoverageReport",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .arith import (
     IntVector,
@@ -22,8 +21,17 @@ from .arith import (
     rat_format,
     rat_parse,
 )
-from .cover import CoverElement, build_cover, check_dn, cover_count, delta, iter_cover
+from .cover import (
+    KINDS,
+    CoverElement,
+    build_cover,
+    cover_count,
+    cover_split,
+    delta,
+    iter_cover,
+)
 from .render import render_svg
+from .triangulation import check_dn
 from .verifier import (
     boundary_suite,
     coverage_report,
@@ -44,8 +52,14 @@ def cover_record(el: CoverElement) -> dict:
     }
 
 
-def _int_field(obj: dict, field: str) -> IntVector:
-    items = obj[field]
+def _field(obj: object, field: str) -> object:
+    if not isinstance(obj, dict) or field not in obj:
+        raise ValueError(f"cover record has no field {field!r}: {obj!r}")
+    return obj[field]
+
+
+def _int_field(obj: object, field: str) -> IntVector:
+    items = _field(obj, field)
     # bool is an int subclass: JSON true/false are not integers here
     if not isinstance(items, list) or any(type(c) is not int for c in items):
         raise ValueError(f"cover record field {field!r} is not a list of integers: {items!r}")
@@ -56,11 +70,15 @@ def parse_cover_record(line: str) -> CoverElement:
     """Inverse of cover_record; round-trips losslessly.
 
     Raises ValueError (ParseError for a bad rational), naming the field, on a
+    line that is not an object or lacks a field, on an unknown ``kind``, on a
     record whose ``v``/``pi`` are not integer lists, whose ``pi`` is not a
     permutation of 1..len(v), or whose ``anchor`` has the wrong length.
     """
     obj = json.loads(line)
-    v, perm, anchor = _int_field(obj, "v"), _int_field(obj, "pi"), obj["anchor"]
+    kind = _field(obj, "kind")
+    if kind not in KINDS:
+        raise ValueError(f"cover record field 'kind' is not one of {list(KINDS)}: {kind!r}")
+    v, perm, anchor = _int_field(obj, "v"), _int_field(obj, "pi"), _field(obj, "anchor")
     d = len(v)
     if not is_permutation(perm, d):
         raise ValueError(f"cover record field 'pi' is not a permutation of 1..{d}: {list(perm)}")
@@ -70,7 +88,7 @@ def parse_cover_record(line: str) -> CoverElement:
         point = tuple(rat_parse(c) for c in anchor)
     except (ParseError, TypeError) as exc:
         raise ParseError(f"cover record field 'anchor': {exc}") from exc
-    return CoverElement(kind=obj["kind"], v=v, perm=perm, anchor=point)
+    return CoverElement(kind=kind, v=v, perm=perm, anchor=point)
 
 
 def _add_dn(parser: argparse.ArgumentParser) -> None:
@@ -79,9 +97,8 @@ def _add_dn(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    top, base = cover_split(args.d, args.n)
     print(cover_count(args.d, args.n))
-    top = (args.n - 1) ** args.d
-    base = (args.n + 1) ** args.d - args.n**args.d
     print(f"top={top} base={base}")
     return 0
 
@@ -124,36 +141,21 @@ def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _parse_eps(parser: argparse.ArgumentParser, raw: str | None, n: int) -> Fraction:
-    dl = delta(n)
-    if raw is None:
-        return dl
-    try:
-        eps = rat_parse(raw)
-    except ParseError as exc:
-        parser.error(str(exc))
-    if eps < 0:
-        parser.error(f"--eps must be nonnegative (got {raw})")
-    if eps > dl:
-        parser.error(f"--eps must not exceed 1/(n+2) = {rat_format(dl)} (got {raw})")
-    return eps
-
-
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.q < 1:
-        parser.error(f"--q must be at least 1 (got {args.q})")
-    if args.samples < 1:
-        parser.error(f"--samples must be at least 1 (got {args.samples})")
-    eps = _parse_eps(parser, args.eps, args.n)
+    # The samplers check the plan on the call; every stream is made, whatever
+    # the mode, so a bad --q or --samples is a usage error in every mode.
+    try:
+        eps = delta(args.n) if args.eps is None else rat_parse(args.eps)
+        streams = {
+            "lattice": lattice_samples(args.d, args.n, eps, args.q),
+            "random": random_samples(args.d, args.n, eps, args.samples, args.seed),
+            "boundary": boundary_suite(args.d, args.n, eps),
+        }
+    except ValueError as exc:
+        parser.error(str(exc))
+    modes = streams if args.mode == "all" else (args.mode,)
+    samples = (x for mode in modes for x in streams[mode])
     spec = build_cover(args.d, args.n)
-    streams: list = []
-    if args.mode in ("lattice", "all"):
-        streams.append(lattice_samples(args.d, args.n, eps, args.q))
-    if args.mode in ("random", "all"):
-        streams.append(random_samples(args.d, args.n, eps, args.samples, args.seed))
-    if args.mode in ("boundary", "all"):
-        streams.append(boundary_suite(args.d, args.n, eps))
-    samples = (x for stream in streams for x in stream)
     report = coverage_report(spec, samples)
     print(json.dumps(report.to_json()))
     if not report.success:

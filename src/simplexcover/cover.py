@@ -27,7 +27,7 @@ from typing import Iterator
 
 from .arith import IntVector, Permutation, Point
 from .simplex import KuhnSimplex
-from .triangulation import enumerate_base_slab, enumerate_simplex_triangulation
+from .triangulation import check_dn, enumerate_base_slab, enumerate_simplex_triangulation
 
 KIND_TOP = "top"
 KIND_BASE_A = "base_a"
@@ -77,14 +77,6 @@ class CoverSpec:
         return counts
 
 
-def check_dn(d: int, n: int) -> None:
-    """Raise ValueError unless d >= 2 and n >= 1."""
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-
-
 def delta(n: int) -> Fraction:
     """The squeeze margin 1/(n+2)."""
     if n < 1:
@@ -92,10 +84,15 @@ def delta(n: int) -> Fraction:
     return Fraction(1, n + 2)
 
 
+def cover_split(d: int, n: int) -> tuple[int, int]:
+    """Element counts by side of the seam: (n-1)^d top, (n+1)^d - n^d base."""
+    check_dn(d, n)
+    return (n - 1) ** d, (n + 1) ** d - n**d
+
+
 def cover_count(d: int, n: int) -> int:
     """Number of cover elements: (n+1)^d + (n-1)^d - n^d."""
-    check_dn(d, n)
-    return (n + 1) ** d + (n - 1) ** d - n**d
+    return sum(cover_split(d, n))
 
 
 def make_element(top: bool, v: IntVector, perm: Permutation, dl: Fraction) -> CoverElement:
@@ -118,8 +115,8 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
     dl = delta(n)
     top = enumerate_simplex_triangulation(d, n - 1) if n >= 2 else ()
     return chain(
-        (make_element(True, cell.v, cell.perm, dl) for cell in top),
-        (make_element(False, cell.v, cell.perm, dl) for cell in enumerate_base_slab(d, n + 1)),
+        (make_element(True, v, perm, dl) for v, perm in top),
+        (make_element(False, v, perm, dl) for v, perm in enumerate_base_slab(d, n + 1)),
     )
 
 

@@ -16,6 +16,8 @@ from .simplex import vertices
 FILL = {"top": "#4c72b0", "base_a": "#55a868", "base_b": "#dd8452"}
 STROKE = {"top": "#2b4a76", "base_a": "#2f6b3c", "base_b": "#9c5220"}
 LABEL_PREFIX = {"top": "t", "base_a": "a", "base_b": "b"}
+WIDTH = 720.0  # figure width in pixels; the height follows the aspect ratio
+MARGIN = 24.0  # blank border around the drawing, in pixels
 
 # Shear taking the right-angle coordinate frame to the equilateral one.
 _EQ = (1.0, -0.5, 0.0, math.sqrt(3.0) / 2.0)
@@ -28,13 +30,7 @@ def _to_plane(p: tuple[Fraction, Fraction], equilateral: bool) -> tuple[float, f
     return (x, y)
 
 
-def render_svg(
-    cover: CoverSpec,
-    equilateral: bool = False,
-    labels: bool = False,
-    width: float = 720.0,
-    margin: float = 24.0,
-) -> str:
+def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> str:
     """Render the target outline and every cover element as translucent polygons."""
     if cover.d != 2:
         raise ValueError(f"rendering supports d = 2 only, got d = {cover.d}")
@@ -55,19 +51,19 @@ def render_svg(
     min_y = min(p[1] for p in all_pts)
     max_y = max(p[1] for p in all_pts)
     span_x = max(max_x - min_x, 1e-9)
-    scale = (width - 2 * margin) / span_x
-    height = (max_y - min_y) * scale + 2 * margin
+    scale = (WIDTH - 2 * MARGIN) / span_x
+    height = (max_y - min_y) * scale + 2 * MARGIN
 
     def screen(pt: tuple[float, float]) -> tuple[float, float]:
         # y axis flipped: world up is screen up
-        return (margin + (pt[0] - min_x) * scale, margin + (max_y - pt[1]) * scale)
+        return (MARGIN + (pt[0] - min_x) * scale, MARGIN + (max_y - pt[1]) * scale)
 
     def fmt(poly: list[tuple[float, float]]) -> str:
         return " ".join(f"{sx:.3f},{sy:.3f}" for sx, sy in map(screen, poly))
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
-        f'height="{height:.3f}" viewBox="0 0 {width:.0f} {height:.3f}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
+        f'height="{height:.3f}" viewBox="0 0 {WIDTH:.0f} {height:.3f}">',
         f"<!-- cover figure: d={cover.d} n={cover.n} delta={cover.delta} "
         f"equilateral={'true' if equilateral else 'false'} -->",
         '<rect width="100%" height="100%" fill="#ffffff"/>',

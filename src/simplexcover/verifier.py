@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .arith import Point, point_format, rank_descending, rat_floor
-from .cover import CoverElement, CoverSpec
+from .cover import CoverElement, CoverSpec, delta
 from .simplex import KuhnSimplex, contains, contains_oracle, unit_volume
-from .triangulation import AdmissiblePair, weakly_decreasing_vectors
+from .triangulation import Cell, check_dn, weakly_decreasing_vectors
 from .witness import ROUTES, UncoveredPointError, in_domain, witness
 
 RANDOM_GRID = 10**6
@@ -65,35 +65,42 @@ class PartitionReport:
         return self.volume_ok and not self.bad_points
 
 
-def _check_plan(n: int, eps: Fraction) -> None:
+def _check_plan(d: int, n: int, eps: Fraction) -> None:
+    check_dn(d, n)
     if eps < 0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps > Fraction(1, n + 2):
-        raise ValueError(f"eps={eps} exceeds the margin 1/(n+2)={Fraction(1, n + 2)}")
+    if eps > delta(n):
+        raise ValueError(f"eps={eps} exceeds the margin 1/(n+2)={delta(n)}")
 
 
 def lattice_samples(d: int, n: int, eps: Fraction, q: int) -> Iterator[Point]:
-    """Every point of the step-delta/q grid inside S^{n+eps}, ascending lex."""
+    """Every point of the step-delta/q grid inside S^{n+eps}, ascending lex.
+
+    The plan is checked on the call, before the first point."""
+    _check_plan(d, n, eps)
     if q < 1:
         raise ValueError(f"lattice resolution must be at least 1, got {q}")
-    _check_plan(n, eps)
-    step = Fraction(1, n + 2) / q
+    step = delta(n) / q
     kmax = rat_floor((n + eps) / step)
-    for k in weakly_decreasing_vectors(d, kmax):
-        yield tuple(step * ki for ki in k)
+    return (tuple(step * ki for ki in k) for k in weakly_decreasing_vectors(d, kmax))
 
 
 def random_samples(d: int, n: int, eps: Fraction, count: int, seed: int) -> Iterator[Point]:
     """Deterministic seeded stream of in-domain points: d integer draws from
-    [0, 10^6], sorted descending, scaled to the target."""
+    [0, 10^6], sorted descending, scaled to the target.
+
+    The plan is checked on the call, before the first point."""
+    _check_plan(d, n, eps)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    _check_plan(n, eps)
     rng = random.Random(seed)
     scale = (n + eps) / RANDOM_GRID
-    for _ in range(count):
+
+    def draw() -> Point:
         draws = sorted((rng.randint(0, RANDOM_GRID) for _ in range(d)), reverse=True)
-        yield tuple(scale * a for a in draws)
+        return tuple(scale * a for a in draws)
+
+    return (draw() for _ in range(count))
 
 
 def boundary_suite(d: int, n: int, eps: Fraction) -> list[Point]:
@@ -101,8 +108,8 @@ def boundary_suite(d: int, n: int, eps: Fraction) -> list[Point]:
     plane x_d = delta and the seam plane x_d = 1+delta, and delta/1 coordinate
     patterns.  Everything outside S^{n+eps} is dropped (the seam plane leaves
     the target when eps < delta and n = 1)."""
-    _check_plan(n, eps)
-    dl = Fraction(1, n + 2)
+    _check_plan(d, n, eps)
+    dl = delta(n)
     top = n + eps
     pts: list[Point] = []
     for k in range(d + 1):
@@ -137,7 +144,7 @@ def coverage_report(
     lie in S^{n+eps} — before any witness runs.
     """
     if eps is not None:
-        _check_plan(cover.n, eps)
+        _check_plan(cover.d, cover.n, eps)
         samples = list(samples)
         for x in samples:
             if not in_domain(x, cover.n, eps):
@@ -194,18 +201,19 @@ def _generic_candidate(x: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def partition_check(
-    pairs: Iterable[AdmissiblePair],
+    cells: Iterable[Cell],
     d: int,
     region_volume: Fraction,
     samples: Iterable[Point],
 ) -> PartitionReport:
-    """Check that the pairs tile a region: exact volume accounting plus strict
-    containment multiplicity exactly 1 at each generic interior sample."""
-    pair_list = list(pairs)
-    keys = {(p.v, p.perm) for p in pair_list}
-    if len(keys) != len(pair_list):
-        raise ValueError("duplicate (v, perm) pairs in triangulation")
-    volume_ok = len(pair_list) * unit_volume(d) == region_volume
+    """Check that the (v, perm) cells tile a region: exact volume accounting
+    plus strict containment multiplicity exactly 1 at each generic interior
+    sample."""
+    cell_list = list(cells)
+    keys = set(cell_list)
+    if len(keys) != len(cell_list):
+        raise ValueError("duplicate (v, perm) cells in triangulation")
+    volume_ok = len(cell_list) * unit_volume(d) == region_volume
     bad: list[tuple[Point, int]] = []
     total = 0
     for x in samples:
@@ -219,7 +227,7 @@ def partition_check(
         if multiplicity != 1:
             bad.append((x, multiplicity))
     return PartitionReport(
-        simplex_count=len(pair_list),
+        simplex_count=len(cell_list),
         volume_expected=region_volume,
         volume_ok=volume_ok,
         samples_total=total,

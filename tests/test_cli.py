@@ -77,31 +77,47 @@ def test_cover_streams_without_building_the_cover(tmp_path, capsys, monkeypatch)
     )
 
 
+def rec(body):
+    """A cover record line with kind base_a and the given other fields."""
+    return '{"kind": "base_a", ' + body + "}"
+
+
 @pytest.mark.parametrize(
     "field,line",
     [
-        pytest.param("v", '{"v": [1.7, 0], "pi": [1, 2], "anchor": ["0", "0"]}', id="v-float"),
-        pytest.param("v", '{"v": [true, 0], "pi": [1, 2], "anchor": ["0", "0"]}', id="v-bool"),
-        pytest.param("pi", '{"v": [0, 0], "pi": ["1", 2], "anchor": ["0", "0"]}', id="pi-str"),
+        pytest.param("v", rec('"v": [1.7, 0], "pi": [1, 2], "anchor": ["0", "0"]'), id="v-float"),
+        pytest.param("v", rec('"v": [true, 0], "pi": [1, 2], "anchor": ["0", "0"]'), id="v-bool"),
+        pytest.param("pi", rec('"v": [0, 0], "pi": ["1", 2], "anchor": ["0", "0"]'), id="pi-str"),
         pytest.param(
-            "pi", '{"v": [0, 0, 0], "pi": [7, 7, 7], "anchor": ["0", "0", "0"]}', id="pi-repeat"
+            "pi", rec('"v": [0, 0, 0], "pi": [7, 7, 7], "anchor": ["0", "0", "0"]'), id="pi-repeat"
         ),
         pytest.param(
-            "pi", '{"v": [0, 0, 0], "pi": [1, 2], "anchor": ["0", "0", "0"]}', id="pi-short"
+            "pi", rec('"v": [0, 0, 0], "pi": [1, 2], "anchor": ["0", "0", "0"]'), id="pi-short"
         ),
-        pytest.param("anchor", '{"v": [0, 0], "pi": [1, 2], "anchor": ["0"]}', id="anchor-short"),
-        pytest.param("anchor", '{"v": [0, 0], "pi": [1, 2], "anchor": "00"}', id="anchor-str"),
-        pytest.param("anchor", '{"v": [0, 0], "pi": [1, 2], "anchor": [0, 0]}', id="anchor-int"),
+        pytest.param("anchor", rec('"v": [0, 0], "pi": [1, 2], "anchor": ["0"]'), id="anchor-short"),
+        pytest.param("anchor", rec('"v": [0, 0], "pi": [1, 2], "anchor": "00"'), id="anchor-str"),
+        pytest.param("anchor", rec('"v": [0, 0], "pi": [1, 2], "anchor": [0, 0]'), id="anchor-int"),
         pytest.param(
             "anchor",
-            '{"v": [0, 0], "pi": [1, 2], "anchor": ["\\u0661/\\u0662", "0"]}',
+            rec('"v": [0, 0], "pi": [1, 2], "anchor": ["\\u0661/\\u0662", "0"]'),
             id="anchor-arabic-indic",
+        ),
+        pytest.param("kind", "[]", id="not-an-object"),
+        pytest.param("anchor", rec('"v": [0, 0], "pi": [1, 2]'), id="anchor-missing"),
+        pytest.param("v", rec('"pi": [1, 2], "anchor": ["0", "0"]'), id="v-missing"),
+        pytest.param(
+            "kind", '{"v": [0, 0], "pi": [1, 2], "anchor": ["0", "0"]}', id="kind-missing"
+        ),
+        pytest.param(
+            "kind",
+            '{"kind": "diag", "v": [0, 0], "pi": [1, 2], "anchor": ["0", "0"]}',
+            id="kind-unknown",
         ),
     ],
 )
 def test_parse_cover_record_rejects_malformed(field, line):
     with pytest.raises(ValueError, match=f"field '{field}'"):
-        cli.parse_cover_record(line.replace("{", '{"kind": "base_a", ', 1))
+        cli.parse_cover_record(line)
 
 
 def test_cover_reruns_byte_identical(tmp_path, capsys):
@@ -172,6 +188,30 @@ def test_verify_eps_above_delta_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--d", "2", "--n", "2", "--eps", "1/2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--q", "0"],
+        ["--samples", "0"],
+        ["--eps=-1/8"],
+        ["--eps", "x"],
+        ["--mode", "lattice", "--samples", "0"],
+        ["--mode", "random", "--q", "0"],
+        ["--mode", "boundary", "--eps=-1/8"],
+    ],
+    ids=" ".join,
+)
+def test_verify_bad_plan_exits_2(capsys, monkeypatch, extra):
+    def refuse(d, n):
+        raise AssertionError("a bad plan must be rejected before the cover is built")
+
+    monkeypatch.setattr(cli, "build_cover", refuse)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--d", "2", "--n", "2", *extra])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_verify_deterministic_modulo_elapsed(capsys):

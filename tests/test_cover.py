@@ -70,10 +70,10 @@ def test_top_elements_mirror_inner_triangulation():
     tops = [el for el in cover.elements if el.kind == KIND_TOP]
     inner = list(enumerate_simplex_triangulation(d, n - 1))
     assert len(tops) == len(inner)
-    for el, pair in zip(tops, inner):
-        assert el.v == pair.v
-        assert el.perm == pair.perm
-        expected = tuple(F(c) + 1 + dl for c in pair.v)
+    for el, (v, perm) in zip(tops, inner):
+        assert el.v == v
+        assert el.perm == perm
+        expected = tuple(F(c) + 1 + dl for c in v)
         assert el.anchor == expected
 
 
@@ -84,10 +84,10 @@ def test_base_elements_mirror_slab():
     bases = [el for el in cover.elements if el.kind != KIND_TOP]
     slab = list(enumerate_base_slab(d, n + 1))
     assert len(bases) == len(slab)
-    for el, pair in zip(bases, slab):
-        assert (el.v, el.perm) == (pair.v, pair.perm)
-        squeezed = tuple((1 - dl) * c for c in pair.v)
-        if pair.perm[-1] == d:
+    for el, (v, perm) in zip(bases, slab):
+        assert (el.v, el.perm) == (v, perm)
+        squeezed = tuple((1 - dl) * c for c in v)
+        if perm[-1] == d:
             assert el.kind == KIND_BASE_A
             assert el.anchor == squeezed
         else:

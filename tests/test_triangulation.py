@@ -6,7 +6,7 @@ import pytest
 
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.triangulation import (
-    AdmissiblePair,
+    check_dn,
     enumerate_base_slab,
     enumerate_cube_triangulation,
     enumerate_simplex_triangulation,
@@ -39,17 +39,15 @@ def test_tie_respecting_perms_examples():
     assert got == {(1, 2, 3), (2, 1, 3), (2, 3, 1)}
 
 
+TIE_CASES = [(0, 0), (1, 0), (2, 2, 1), (3, 1, 1, 0), (2, 2, 2, 1), (1, 1, 0, 0), (4, 3, 2, 1)]
+
+
+# the hand-picked cases first, then every weakly decreasing v with entries <= 3
+# for 2 <= d <= 6; the order is compared, not just the set
 @pytest.mark.parametrize(
     "v",
-    [
-        (0, 0),
-        (1, 0),
-        (2, 2, 1),
-        (3, 1, 1, 0),
-        (2, 2, 2, 1),
-        (1, 1, 0, 0),
-        (4, 3, 2, 1),
-    ],
+    TIE_CASES
+    + [v for d in range(2, 7) for v in weakly_decreasing_vectors(d, 3) if v not in TIE_CASES],
 )
 def test_tie_respecting_perms_matches_filter(v):
     constructive = list(tie_respecting_perms(v))
@@ -72,7 +70,7 @@ def brute_pairs(d, n):
     for v in weakly_decreasing_vectors(d, n - 1):
         for perm in permutations(range(1, d + 1)):
             if is_admissible(v, perm, n):
-                found.append(AdmissiblePair(v=v, perm=perm))
+                found.append((v, perm))
     return found
 
 
@@ -84,7 +82,7 @@ def test_simplex_triangulation_matches_bruteforce(d, n):
 
 
 def test_simplex_triangulation_d2_n2_exact():
-    got = [(p.v, p.perm) for p in enumerate_simplex_triangulation(2, 2)]
+    got = list(enumerate_simplex_triangulation(2, 2))
     assert got == [
         ((0, 0), (1, 2)),
         ((1, 0), (1, 2)),
@@ -94,7 +92,7 @@ def test_simplex_triangulation_d2_n2_exact():
 
 
 def test_base_slab_d2_m2_exact():
-    got = [(p.v, p.perm) for p in enumerate_base_slab(2, 2)]
+    got = list(enumerate_base_slab(2, 2))
     assert got == [
         ((0, 0), (1, 2)),
         ((1, 0), (1, 2)),
@@ -103,8 +101,7 @@ def test_base_slab_d2_m2_exact():
 
 
 def test_small_trivial_enumerations():
-    only = list(enumerate_simplex_triangulation(3, 1))
-    assert [(p.v, p.perm) for p in only] == [((0, 0, 0), (1, 2, 3))]
+    assert list(enumerate_simplex_triangulation(3, 1)) == [((0, 0, 0), (1, 2, 3))]
     assert len(list(enumerate_simplex_triangulation(3, 2))) == 8
     assert len(list(enumerate_base_slab(3, 2))) == 7
     assert len(list(enumerate_base_slab(2, 1))) == 1
@@ -115,15 +112,15 @@ def test_base_slab_counts_and_filter(d, m):
     slab = list(enumerate_base_slab(d, m))
     assert len(slab) == m**d - (m - 1) ** d
     whole = list(enumerate_simplex_triangulation(d, m))
-    assert slab == [p for p in whole if p.v[-1] == 0]
+    assert slab == [(v, perm) for v, perm in whole if v[-1] == 0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cube_triangulation_counts(d):
     cube = list(enumerate_cube_triangulation(d))
     assert len(cube) == len(list(permutations(range(d))))
-    assert all(p.v == (0,) * d for p in cube)
-    assert len({p.perm for p in cube}) == len(cube)
+    assert all(v == (0,) * d for v, _ in cube)
+    assert len({perm for _, perm in cube}) == len(cube)
 
 
 def sample_domain_points(d, bound, count, seed):
@@ -139,13 +136,30 @@ def sample_domain_points(d, bound, count, seed):
 
 @pytest.mark.parametrize("d,n", [(2, 2), (2, 3), (3, 2)])
 def test_triangulation_covers_its_simplex(d, n):
-    pairs = list(enumerate_simplex_triangulation(d, n))
+    cells = list(enumerate_simplex_triangulation(d, n))
     for x in sample_domain_points(d, n, 200, seed=77 * d + n):
         if not in_domain(x, n, F(0)):
             continue
         hits = 0
-        for pair in pairs:
-            simplex = KuhnSimplex(anchor=tuple(F(c) for c in pair.v), perm=pair.perm)
+        for v, perm in cells:
+            simplex = KuhnSimplex(anchor=tuple(F(c) for c in v), perm=perm)
             if contains(simplex, x):
                 hits += 1
         assert hits >= 1
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (lambda: enumerate_simplex_triangulation(1, 2), "d must be at least 2, got 1"),
+        (lambda: enumerate_simplex_triangulation(2, 0), "n must be at least 1, got 0"),
+        (lambda: enumerate_base_slab(1, 2), "d must be at least 2, got 1"),
+        (lambda: enumerate_base_slab(3, -1), "n must be at least 1, got -1"),
+        (lambda: enumerate_cube_triangulation(1), "d must be at least 2, got 1"),
+        (lambda: check_dn(2, 0), "n must be at least 1, got 0"),
+    ],
+)
+def test_enumerators_check_dn_on_call(make, message):
+    # raised by the call itself, before the first next()
+    with pytest.raises(ValueError, match=message):
+        make()

@@ -42,12 +42,27 @@ def test_lattice_points_exact_and_in_domain():
 
 
 def test_lattice_rejects_bad_plan():
+    # every sampler checks its plan on the call, before the first point
     with pytest.raises(ValueError):
-        list(lattice_samples(2, 1, F(1, 2), 1))  # eps above delta
+        lattice_samples(2, 1, F(1, 2), 1)  # eps above delta
     with pytest.raises(ValueError):
-        list(lattice_samples(2, 1, F(1, 3), 0))
+        lattice_samples(2, 1, F(1, 3), 0)
     with pytest.raises(ValueError):
-        list(lattice_samples(2, 1, F(-1, 3), 1))
+        lattice_samples(2, 1, F(-1, 3), 1)
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        lattice_samples(2, 0, F(0), 1)
+    with pytest.raises(ValueError, match="n must be at least 1, got -2"):
+        random_samples(2, -2, F(0), 1, 0)
+    with pytest.raises(ValueError, match="d must be at least 2, got 0"):
+        random_samples(0, 2, F(0), 2, 0)
+    with pytest.raises(ValueError):
+        random_samples(2, 1, F(1, 3), 0, 0)
+    with pytest.raises(ValueError):
+        random_samples(2, 1, F(1, 2), 1, 0)
+    with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+        boundary_suite(1, 2, F(0))
+    with pytest.raises(ValueError):
+        boundary_suite(2, 1, F(-1, 3))
 
 
 def test_random_samples_deterministic_and_in_domain():
@@ -144,8 +159,8 @@ def test_witness_agrees_with_bruteforce(d, n):
 
 def naive_strict_multiplicity(pairs, x):
     count = 0
-    for p in pairs:
-        cell = KuhnSimplex(tuple(F(c) for c in p.v), p.perm)
+    for v, perm in pairs:
+        cell = KuhnSimplex(tuple(F(c) for c in v), perm)
         if contains(cell, x, strict=True):
             count += 1
     return count
