@@ -8,7 +8,6 @@ from .arith import (
     ParseError,
     Permutation,
     Point,
-    Rational,
     point_format,
     point_parse,
     rat_floor,
@@ -16,28 +15,17 @@ from .arith import (
     rat_parse,
 )
 from .cover import CoverElement, CoverSpec, build_cover, cover_count, delta, iter_cover
-from .simplex import (
-    KuhnSimplex,
-    contains,
-    contains_oracle,
-    gram_squared_length,
-    unit_volume,
-    vertices,
-)
+from .simplex import KuhnSimplex, contains, contains_oracle, vertices
 from .triangulation import (
     enumerate_base_slab,
-    enumerate_cube_triangulation,
     enumerate_simplex_triangulation,
     is_admissible,
 )
 from .verifier import (
     CoverageReport,
-    PartitionReport,
     boundary_suite,
-    bruteforce_containing,
     coverage_report,
     lattice_samples,
-    partition_check,
     random_samples,
 )
 from .witness import (
@@ -53,14 +41,11 @@ __all__ = [
     "CoverageReport",
     "KuhnSimplex",
     "ParseError",
-    "PartitionReport",
     "Permutation",
     "Point",
-    "Rational",
     "UncoveredPointError",
     "WitnessResult",
     "boundary_suite",
-    "bruteforce_containing",
     "build_cover",
     "contains",
     "contains_oracle",
@@ -68,21 +53,17 @@ __all__ = [
     "coverage_report",
     "delta",
     "enumerate_base_slab",
-    "enumerate_cube_triangulation",
     "enumerate_simplex_triangulation",
-    "gram_squared_length",
     "in_domain",
     "is_admissible",
     "iter_cover",
     "lattice_samples",
-    "partition_check",
     "point_format",
     "point_parse",
     "random_samples",
     "rat_floor",
     "rat_format",
     "rat_parse",
-    "unit_volume",
     "vertices",
     "witness",
 ]

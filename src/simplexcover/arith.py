@@ -15,7 +15,6 @@ import re
 from fractions import Fraction
 from typing import Sequence
 
-Rational = Fraction
 Point = tuple[Fraction, ...]
 Permutation = tuple[int, ...]
 IntVector = tuple[int, ...]
@@ -39,11 +38,13 @@ def rat_parse(s: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(s):
         raise ParseError(f"not a rational literal: {s!r}")
     num, _, den = s.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ParseError(f"zero denominator: {s!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    try:
+        p, q = int(num), int(den or 1)
+    except ValueError as exc:  # the interpreter's integer-digit limit
+        raise ParseError(f"rational literal too long: {exc}") from exc
+    if q == 0:
+        raise ParseError(f"zero denominator: {s!r}")
+    return Fraction(p, q)
 
 
 def rat_format(r: Fraction) -> str:

@@ -71,8 +71,9 @@ def parse_cover_record(line: str) -> CoverElement:
 
     Raises ValueError (ParseError for a bad rational), naming the field, on a
     line that is not an object or lacks a field, on an unknown ``kind``, on a
-    record whose ``v``/``pi`` are not integer lists, whose ``pi`` is not a
-    permutation of 1..len(v), or whose ``anchor`` has the wrong length.
+    record whose ``v``/``pi`` are not integer lists, whose ``v`` has fewer than
+    2 entries, whose ``pi`` is not a permutation of 1..len(v), or whose
+    ``anchor`` has the wrong length.
     """
     obj = json.loads(line)
     kind = _field(obj, "kind")
@@ -80,6 +81,8 @@ def parse_cover_record(line: str) -> CoverElement:
         raise ValueError(f"cover record field 'kind' is not one of {list(KINDS)}: {kind!r}")
     v, perm, anchor = _int_field(obj, "v"), _int_field(obj, "pi"), _field(obj, "anchor")
     d = len(v)
+    if d < 2:
+        raise ValueError(f"cover record field 'v' has dimension {d}, expected at least 2")
     if not is_permutation(perm, d):
         raise ValueError(f"cover record field 'pi' is not a permutation of 1..{d}: {list(perm)}")
     if not isinstance(anchor, list) or len(anchor) != d:

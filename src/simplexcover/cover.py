@@ -63,18 +63,16 @@ class CoverSpec:
 
     d: int
     n: int
-    delta: Fraction
     elements: tuple[CoverElement, ...]
+
+    @cached_property
+    def delta(self) -> Fraction:
+        """The margin 1/(n+2), derived from n so it cannot contradict it."""
+        return delta(self.n)
 
     @cached_property
     def element_index(self) -> dict[tuple[str, IntVector, Permutation], CoverElement]:
         return {el.key: el for el in self.elements}
-
-    def kind_counts(self) -> dict[str, int]:
-        counts = {kind: 0 for kind in KINDS}
-        for el in self.elements:
-            counts[el.kind] += 1
-        return counts
 
 
 def delta(n: int) -> Fraction:
@@ -123,4 +121,4 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
 def build_cover(d: int, n: int) -> CoverSpec:
     """Construct the cover, invariant-complete and canonically ordered."""
     elements = tuple(iter_cover(d, n))
-    return CoverSpec(d=d, n=n, delta=delta(n), elements=elements)
+    return CoverSpec(d=d, n=n, elements=elements)

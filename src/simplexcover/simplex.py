@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .arith import Permutation, Point, is_permutation
 
@@ -97,23 +96,3 @@ def contains_oracle(simplex: KuhnSimplex, x: Point) -> bool:
     """Independent membership test: solve for barycentric coordinates and check
     they are all nonnegative.  Must agree with ``contains`` everywhere."""
     return all(lam >= 0 for lam in barycentric(simplex, x))
-
-
-def unit_volume(d: int) -> Fraction:
-    """Volume 1/d! of any unit right d-simplex."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    return Fraction(1, factorial(d))
-
-
-def gram_squared_length(u: Point) -> Fraction:
-    """Squared length of a 2-vector under the equilateral metric: u1^2 - u1*u2 + u2^2.
-
-    This is the Gram matrix of the shear taking right 2-simplices to
-    equilateral triangles.  The shear itself has an irrational entry; its Gram
-    matrix does not, so squared lengths stay rational.
-    """
-    if len(u) != 2:
-        raise ValueError(f"expected a 2-dimensional vector, got dimension {len(u)}")
-    a, b = u
-    return a * a - a * b + b * b

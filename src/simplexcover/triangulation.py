@@ -1,12 +1,10 @@
-"""Kuhn triangulations: the unit cube, the right simplex S^n, and its base slab.
+"""Kuhn triangulations: the right simplex S^n and its base slab.
 
 The right simplex ``S^n = {x : n >= x_1 >= ... >= x_d >= 0}`` is partitioned by
 the unit simplices ``k(v, pi)`` whose integer anchor v is weakly decreasing with
 ``n-1 >= v_1`` and whose permutation obeys the tie rule: whenever ``v_j = v_{j+1}``,
 index j precedes j+1 in pi.  There are exactly n^d such cells.  Restricting to
-``v_d = 0`` triangulates the slab ``0 <= x_d <= 1`` with n^d - (n-1)^d cells, and
-``v = 0`` with all d! permutations triangulates the unit cube (no tie rule there:
-the cube pieces legitimately use every permutation).
+``v_d = 0`` triangulates the slab ``0 <= x_d <= 1`` with n^d - (n-1)^d cells.
 
 A cell is the plain tuple ``(v, perm)``.  ``tie_respecting_perms`` reads the tie
 rule directly, placing images left to right and admitting j only after j-1 when
@@ -20,7 +18,6 @@ sequences.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from .arith import IntVector, Permutation, is_permutation
@@ -87,22 +84,6 @@ def tie_respecting_perms(v: IntVector) -> Iterator[Permutation]:
                 placed[j] = False
 
     return extend()
-
-
-def tie_respecting_perms_filtered(v: IntVector, n: int) -> list[Permutation]:
-    """Reference oracle: filter all d! permutations through is_admissible.
-
-    O(d!) per anchor; retained to cross-check the constructive generator.
-    """
-    d = len(v)
-    return [p for p in itertools.permutations(range(1, d + 1)) if is_admissible(v, p, n)]
-
-
-def enumerate_cube_triangulation(d: int) -> Iterator[Cell]:
-    """The d! cells (0, pi) partitioning the unit cube."""
-    check_dn(d, 1)  # the cube is the unit-scale case: only d is checked
-    zero = (0,) * d
-    return ((zero, perm) for perm in itertools.permutations(range(1, d + 1)))
 
 
 def enumerate_simplex_triangulation(d: int, n: int) -> Iterator[Cell]:

@@ -1,10 +1,8 @@
-"""Verification campaigns: coverage sampling, oracle cross-checks, partitions.
+"""Coverage campaigns: sample streams, the coverage report, point lists.
 
 Coverage of the target is certified by sampling (exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere) with
-per-point exact witness verification.  Triangulations are checked by counting,
-by exact volume accounting, and by strict-containment multiplicity at generic
-interior points.
+per-point exact witness verification.
 """
 
 from __future__ import annotations
@@ -15,13 +13,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .arith import Point, point_format, rank_descending, rat_floor
-from .cover import CoverElement, CoverSpec, delta
-from .simplex import KuhnSimplex, contains, contains_oracle, unit_volume
-from .triangulation import Cell, check_dn, weakly_decreasing_vectors
+from .arith import Point, point_format, rat_floor
+from .cover import CoverSpec, delta
+from .triangulation import check_dn, weakly_decreasing_vectors
 from .witness import ROUTES, UncoveredPointError, in_domain, witness
 
 RANDOM_GRID = 10**6
+FORMAT_POINTS_LIMIT = 5  # points shown before "(+k more)"
 
 
 @dataclass
@@ -50,19 +48,6 @@ class CoverageReport:
             "failures": [[str(c) for c in p] for p in self.failures],
             "elapsed_ms": self.elapsed_ms,
         }
-
-
-@dataclass
-class PartitionReport:
-    simplex_count: int
-    volume_expected: Fraction
-    volume_ok: bool
-    samples_total: int
-    bad_points: tuple[tuple[Point, int], ...]
-
-    @property
-    def success(self) -> bool:
-        return self.volume_ok and not self.bad_points
 
 
 def _check_plan(d: int, n: int, eps: Fraction) -> None:
@@ -177,105 +162,7 @@ def coverage_report(
     )
 
 
-def bruteforce_containing(cover: CoverSpec, x: Point) -> tuple[CoverElement, ...]:
-    """All cover elements containing x, decided by the barycentric oracle."""
-    return tuple(el for el in cover.elements if contains_oracle(el.simplex, x))
-
-
-def _generic_candidate(x: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Anchor and permutation of the only simplex that can strictly contain a
-    generic point: strict containment forces every residual into (0, 1), hence
-    v = floor(x) and pi = the descending order of the fractional parts."""
-    v: list[int] = []
-    fracs: list[Fraction] = []
-    for xi in x:
-        fi = rat_floor(xi)
-        frac = xi - fi
-        if frac == 0:
-            raise ValueError(f"non-generic sample (integer coordinate): {x}")
-        v.append(fi)
-        fracs.append(frac)
-    if len(set(fracs)) != len(fracs):
-        raise ValueError(f"non-generic sample (integer coordinate difference): {x}")
-    return tuple(v), rank_descending(fracs)
-
-
-def partition_check(
-    cells: Iterable[Cell],
-    d: int,
-    region_volume: Fraction,
-    samples: Iterable[Point],
-) -> PartitionReport:
-    """Check that the (v, perm) cells tile a region: exact volume accounting
-    plus strict containment multiplicity exactly 1 at each generic interior
-    sample."""
-    cell_list = list(cells)
-    keys = set(cell_list)
-    if len(keys) != len(cell_list):
-        raise ValueError("duplicate (v, perm) cells in triangulation")
-    volume_ok = len(cell_list) * unit_volume(d) == region_volume
-    bad: list[tuple[Point, int]] = []
-    total = 0
-    for x in samples:
-        total += 1
-        v, perm = _generic_candidate(x)
-        multiplicity = 0
-        if (v, perm) in keys:
-            cell = KuhnSimplex(tuple(Fraction(c) for c in v), perm)
-            if contains(cell, x, strict=True):
-                multiplicity = 1
-        if multiplicity != 1:
-            bad.append((x, multiplicity))
-    return PartitionReport(
-        simplex_count=len(cell_list),
-        volume_expected=region_volume,
-        volume_ok=volume_ok,
-        samples_total=total,
-        bad_points=tuple(bad),
-    )
-
-
-def generic_interior_simplex_samples(
-    d: int,
-    scale: int,
-    count: int,
-    seed: int,
-    below: Fraction | None = None,
-) -> list[Point]:
-    """Seeded generic interior points of S^scale: strictly inside, no integer
-    coordinate, no integer coordinate difference (so exactly one triangulation
-    cell contains each strictly).  ``below`` additionally bounds x_d (slab use).
-    Non-generic draws are rejected and redrawn."""
-    rng = random.Random(seed)
-    out: list[Point] = []
-    hi = scale * RANDOM_GRID - 1
-    while len(out) < count:
-        draws = sorted((rng.randint(1, hi) for _ in range(d)), reverse=True)
-        if any(a % RANDOM_GRID == 0 for a in draws):
-            continue
-        if len({a % RANDOM_GRID for a in draws}) != d:
-            continue
-        x = tuple(Fraction(a, RANDOM_GRID) for a in draws)
-        if below is not None and x[-1] >= below:
-            continue
-        out.append(x)
-    return out
-
-
-def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
-    """Seeded generic interior points of the unit cube (coordinates distinct,
-    strictly inside), unsorted."""
-    rng = random.Random(seed)
-    out: list[Point] = []
-    while len(out) < count:
-        draws = [rng.randint(1, RANDOM_GRID - 1) for _ in range(d)]
-        if len(set(draws)) != d:
-            continue
-        out.append(tuple(Fraction(a, RANDOM_GRID) for a in draws))
-    return out
-
-
-def format_points(points: tuple[Point, ...], limit: int = 5) -> str:
-    shown = ", ".join(point_format(p) for p in points[:limit])
-    extra = len(points) - limit
+def format_points(points: tuple[Point, ...]) -> str:
+    shown = ", ".join(point_format(p) for p in points[:FORMAT_POINTS_LIMIT])
+    extra = len(points) - FORMAT_POINTS_LIMIT
     return shown + (f" (+{extra} more)" if extra > 0 else "")

@@ -1,0 +1,164 @@
+"""Reference oracles the tests check the package against: slow, independent
+restatements that no package code, CLI command or benchmark runs.  Tests import
+them as ``from oracles import ...``; pytest puts ``tests/`` on ``sys.path``.
+"""
+
+import itertools
+import random
+from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
+from typing import Iterable, Iterator
+
+from simplexcover.arith import IntVector, Permutation, Point, rank_descending, rat_floor
+from simplexcover.cover import CoverElement, CoverSpec
+from simplexcover.simplex import KuhnSimplex, contains, contains_oracle
+from simplexcover.triangulation import Cell, check_dn, is_admissible
+from simplexcover.verifier import RANDOM_GRID
+
+
+def unit_volume(d: int) -> Fraction:
+    """Volume 1/d! of any unit right d-simplex."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    return Fraction(1, factorial(d))
+
+
+def gram_squared_length(u: Point) -> Fraction:
+    """Squared length of a 2-vector under the equilateral metric: u1^2 - u1*u2 + u2^2.
+
+    This is the Gram matrix of the shear taking right 2-simplices to
+    equilateral triangles.  The shear itself has an irrational entry; its Gram
+    matrix does not, so squared lengths stay rational.
+    """
+    if len(u) != 2:
+        raise ValueError(f"expected a 2-dimensional vector, got dimension {len(u)}")
+    a, b = u
+    return a * a - a * b + b * b
+
+
+def tie_respecting_perms_filtered(v: IntVector, n: int) -> list[Permutation]:
+    """Filter all d! permutations through is_admissible.
+
+    O(d!) per anchor; cross-checks the constructive generator.
+    """
+    d = len(v)
+    return [p for p in itertools.permutations(range(1, d + 1)) if is_admissible(v, p, n)]
+
+
+def enumerate_cube_triangulation(d: int) -> Iterator[Cell]:
+    """The d! cells (0, pi) partitioning the unit cube."""
+    check_dn(d, 1)  # the cube is the unit-scale case: only d is checked
+    zero = (0,) * d
+    return ((zero, perm) for perm in itertools.permutations(range(1, d + 1)))
+
+
+@dataclass
+class PartitionReport:
+    simplex_count: int
+    volume_expected: Fraction
+    volume_ok: bool
+    samples_total: int
+    bad_points: tuple[tuple[Point, int], ...]
+
+    @property
+    def success(self) -> bool:
+        return self.volume_ok and not self.bad_points
+
+
+def bruteforce_containing(cover: CoverSpec, x: Point) -> tuple[CoverElement, ...]:
+    """All cover elements containing x, decided by the barycentric oracle."""
+    return tuple(el for el in cover.elements if contains_oracle(el.simplex, x))
+
+
+def _generic_candidate(x: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Anchor and permutation of the only simplex that can strictly contain a
+    generic point: strict containment forces every residual into (0, 1), hence
+    v = floor(x) and pi = the descending order of the fractional parts."""
+    v: list[int] = []
+    fracs: list[Fraction] = []
+    for xi in x:
+        fi = rat_floor(xi)
+        frac = xi - fi
+        if frac == 0:
+            raise ValueError(f"non-generic sample (integer coordinate): {x}")
+        v.append(fi)
+        fracs.append(frac)
+    if len(set(fracs)) != len(fracs):
+        raise ValueError(f"non-generic sample (integer coordinate difference): {x}")
+    return tuple(v), rank_descending(fracs)
+
+
+def partition_check(
+    cells: Iterable[Cell],
+    d: int,
+    region_volume: Fraction,
+    samples: Iterable[Point],
+) -> PartitionReport:
+    """Check that the (v, perm) cells tile a region: exact volume accounting
+    plus strict containment multiplicity exactly 1 at each generic interior
+    sample."""
+    cell_list = list(cells)
+    keys = set(cell_list)
+    if len(keys) != len(cell_list):
+        raise ValueError("duplicate (v, perm) cells in triangulation")
+    volume_ok = len(cell_list) * unit_volume(d) == region_volume
+    bad: list[tuple[Point, int]] = []
+    total = 0
+    for x in samples:
+        total += 1
+        v, perm = _generic_candidate(x)
+        multiplicity = 0
+        if (v, perm) in keys:
+            cell = KuhnSimplex(tuple(Fraction(c) for c in v), perm)
+            if contains(cell, x, strict=True):
+                multiplicity = 1
+        if multiplicity != 1:
+            bad.append((x, multiplicity))
+    return PartitionReport(
+        simplex_count=len(cell_list),
+        volume_expected=region_volume,
+        volume_ok=volume_ok,
+        samples_total=total,
+        bad_points=tuple(bad),
+    )
+
+
+def generic_interior_simplex_samples(
+    d: int,
+    scale: int,
+    count: int,
+    seed: int,
+    below: Fraction | None = None,
+) -> list[Point]:
+    """Seeded generic interior points of S^scale: strictly inside, no integer
+    coordinate, no integer coordinate difference (so exactly one triangulation
+    cell contains each strictly).  ``below`` additionally bounds x_d (slab use).
+    Non-generic draws are rejected and redrawn."""
+    rng = random.Random(seed)
+    out: list[Point] = []
+    hi = scale * RANDOM_GRID - 1
+    while len(out) < count:
+        draws = sorted((rng.randint(1, hi) for _ in range(d)), reverse=True)
+        if any(a % RANDOM_GRID == 0 for a in draws):
+            continue
+        if len({a % RANDOM_GRID for a in draws}) != d:
+            continue
+        x = tuple(Fraction(a, RANDOM_GRID) for a in draws)
+        if below is not None and x[-1] >= below:
+            continue
+        out.append(x)
+    return out
+
+
+def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
+    """Seeded generic interior points of the unit cube (coordinates distinct,
+    strictly inside), unsorted."""
+    rng = random.Random(seed)
+    out: list[Point] = []
+    while len(out) < count:
+        draws = [rng.randint(1, RANDOM_GRID - 1) for _ in range(d)]
+        if len(set(draws)) != d:
+            continue
+        out.append(tuple(Fraction(a, RANDOM_GRID) for a in draws))
+    return out

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,8 +25,20 @@ def test_rat_parse_examples():
     assert rat_parse("3") == Fraction(3)
 
 
+# The interpreter's limit on int() digits (0 or absent: no limit).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 @pytest.mark.parametrize(
-    "bad", ["", "1.5", "1/0", "a/b", "1/ 2", "+3", "1/-2", "--1", "\u0661/\u0662", "\u0663"]
+    "bad",
+    [
+        "", "1.5", "1/0", "a/b", "1/ 2", "+3", "1/-2", "--1", "\u0661/\u0662", "\u0663",
+        pytest.param(
+            "1" * (DIGIT_LIMIT + 1),
+            id="over-digit-limit",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit"),
+        ),
+    ],
 )
 def test_rat_parse_rejects(bad):
     with pytest.raises(ParseError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -8,6 +9,11 @@ from fractions import Fraction
 from simplexcover import cli
 from simplexcover.cover import build_cover, cover_count
 from simplexcover.verifier import CoverageReport
+
+# A literal one digit past the interpreter's int() digit limit (0 or absent:
+# no limit, and the cases using it are skipped).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG = "1" * (DIGIT_LIMIT + 1)
 
 
 def run(capsys, *argv):
@@ -102,6 +108,14 @@ def rec(body):
             rec('"v": [0, 0], "pi": [1, 2], "anchor": ["\\u0661/\\u0662", "0"]'),
             id="anchor-arabic-indic",
         ),
+        pytest.param(
+            "anchor",
+            rec(f'"v": [0, 0], "pi": [1, 2], "anchor": ["{LONG}", "0"]'),
+            id="anchor-over-digit-limit",
+            marks=pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit"),
+        ),
+        pytest.param("v", rec('"v": [], "pi": [], "anchor": []'), id="v-d0"),
+        pytest.param("v", rec('"v": [0], "pi": [1], "anchor": ["0"]'), id="v-d1"),
         pytest.param("kind", "[]", id="not-an-object"),
         pytest.param("anchor", rec('"v": [0, 0], "pi": [1, 2]'), id="anchor-missing"),
         pytest.param("v", rec('"pi": [1, 2], "anchor": ["0", "0"]'), id="v-missing"),
@@ -154,7 +168,8 @@ def test_witness_out_of_domain(capsys):
 
 
 def test_witness_parse_errors_exit_2(capsys):
-    for point in ("1/2", "a,b", "1/2,1/2,1/2"):
+    long_point = (f"{LONG}/{LONG},0",) if DIGIT_LIMIT else ()
+    for point in ("1/2", "a,b", "1/2,1/2,1/2", *long_point):
         with pytest.raises(SystemExit) as exc:
             cli.main(["witness", "--d", "2", "--n", "2", "--point", point])
         assert exc.value.code == 2

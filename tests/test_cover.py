@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -56,7 +57,7 @@ def test_build_cover_d2_n1_exact():
 def test_build_cover_counts_by_kind():
     for d, n in [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 3), (4, 2), (5, 2)]:
         cover = build_cover(d, n)
-        counts = cover.kind_counts()
+        counts = Counter(el.kind for el in cover.elements)
         assert len(cover.elements) == cover_count(d, n)
         assert counts.get(KIND_TOP, 0) == (n - 1) ** d
         slab = (n + 1) ** d - n**d

@@ -4,15 +4,8 @@ from math import factorial
 
 import pytest
 
-from simplexcover.simplex import (
-    KuhnSimplex,
-    barycentric,
-    contains,
-    contains_oracle,
-    gram_squared_length,
-    unit_volume,
-    vertices,
-)
+from oracles import gram_squared_length, unit_volume
+from simplexcover.simplex import KuhnSimplex, barycentric, contains, contains_oracle, vertices
 
 F = Fraction
 

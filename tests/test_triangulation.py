@@ -4,15 +4,14 @@ from itertools import permutations
 
 import pytest
 
+from oracles import enumerate_cube_triangulation, tie_respecting_perms_filtered
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.triangulation import (
     check_dn,
     enumerate_base_slab,
-    enumerate_cube_triangulation,
     enumerate_simplex_triangulation,
     is_admissible,
     tie_respecting_perms,
-    tie_respecting_perms_filtered,
     weakly_decreasing_vectors,
 )
 from simplexcover.witness import in_domain

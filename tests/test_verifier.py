@@ -4,22 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from simplexcover.cover import KIND_BASE_A, build_cover
-from simplexcover.simplex import KuhnSimplex, contains
-from simplexcover.triangulation import (
-    enumerate_base_slab,
-    enumerate_cube_triangulation,
-    enumerate_simplex_triangulation,
-)
-from simplexcover.verifier import (
-    boundary_suite,
+from oracles import (
     bruteforce_containing,
-    coverage_report,
-    format_points,
+    enumerate_cube_triangulation,
     generic_interior_cube_samples,
     generic_interior_simplex_samples,
-    lattice_samples,
     partition_check,
+)
+from simplexcover.cover import KIND_BASE_A, build_cover
+from simplexcover.simplex import KuhnSimplex, contains
+from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
+from simplexcover.verifier import (
+    boundary_suite,
+    coverage_report,
+    format_points,
+    lattice_samples,
     random_samples,
 )
 from simplexcover.witness import in_domain, witness
@@ -252,6 +251,6 @@ def test_format_points_truncates():
         report,
         failures=tuple((F(k), F(0)) for k in range(8)),
     )
-    text = format_points(fake.failures, limit=3)
-    assert "(+5 more)" in text
+    text = format_points(fake.failures)
+    assert "(+3 more)" in text
     assert text.count(",") >= 3
