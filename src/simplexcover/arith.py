@@ -1,8 +1,10 @@
 """Exact rational scalars, points, and permutations.
 
-Everything geometric in this package is decided over arbitrary-precision
-rationals (``fractions.Fraction``), so predicates are exact and there are no
-tolerances anywhere.  Floating point exists only in the SVG renderer.
+Everything geometric in this package is decided exactly, with no tolerances
+anywhere: points and anchors are arbitrary-precision rationals
+(``fractions.Fraction``), and point location decides its predicates on Python
+ints over one common denominator.  Floating point exists only in the SVG
+renderer.
 
 Points are plain tuples of Fractions; permutations are tuples of 1-based
 images ``(pi(1), ..., pi(d))``.  Both are immutable and freely shareable.
@@ -73,7 +75,7 @@ def is_permutation(perm: Sequence[int], d: int) -> bool:
     return len(perm) == d and sorted(perm) == list(range(1, d + 1))
 
 
-def rank_descending(values: Sequence[Fraction]) -> Permutation:
+def rank_descending(values: Sequence[Fraction] | Sequence[int]) -> Permutation:
     """Indices 1..d ordered by value, largest first; ties keep ascending index.
 
     This is the canonical ordering permutation used throughout: sorting is

@@ -165,7 +165,9 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if report.failures:
             print(f"uncovered points: {format_points(report.failures)}", file=sys.stderr)
         if report.routes.get("fallback", 0):
-            print(f"fallback witnesses: {report.routes['fallback']}", file=sys.stderr)
+            why = ", ".join(f"{reason} {k}" for reason, k in report.fallback_reasons.items())
+            why = f" ({why})" if why else ""
+            print(f"fallback witnesses: {report.routes['fallback']}{why}", file=sys.stderr)
         if report.sliver_violations:
             print(f"sliver violations: {format_points(report.sliver_violations)}", file=sys.stderr)
         return 1

@@ -9,9 +9,12 @@ With ``delta = 1/(n+2)`` the target splits at the seam ``x_d = 1 + delta``:
   ``(1-delta)v`` ("base_a"), any other cell gets ``(1-delta)v + delta*e``
   ("base_b").
 
-``make_element`` is the only place that states this kind rule and the three
-anchor formulas; ``iter_cover`` streams the elements through it in canonical
-order, and ``witness`` checks its routing result against it.
+Every anchor lies on the grid ``Z/(n+2)``.  ``element_kind`` states the kind
+rule and ``anchor_numerators`` the three anchor formulas, once, as integer
+numerators over n+2: ``(v_j+1)(n+2)+1`` (top), ``(n+1)v_j`` (base_a) and
+``(n+1)v_j+1`` (base_b).  ``make_element`` wraps them as ``Fraction(num, n+2)``
+and ``iter_cover`` streams the elements through it in canonical order;
+``witness`` matches its routing result against the same numerators directly.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -93,15 +96,29 @@ def cover_count(d: int, n: int) -> int:
     return sum(cover_split(d, n))
 
 
-def make_element(top: bool, v: IntVector, perm: Permutation, dl: Fraction) -> CoverElement:
-    """The element on Kuhn cell (v, perm): top above the seam, else base_a
-    exactly when perm ends with d, each kind with its anchor formula."""
+def element_kind(top: bool, perm: Permutation) -> str:
+    """Top above the seam, else base_a exactly when perm ends with d."""
     if top:
-        return CoverElement(KIND_TOP, v, perm, tuple(v_j + 1 + dl for v_j in v))
-    shrink = 1 - dl
-    if perm[-1] == len(perm):
-        return CoverElement(KIND_BASE_A, v, perm, tuple(shrink * v_j for v_j in v))
-    return CoverElement(KIND_BASE_B, v, perm, tuple(shrink * v_j + dl for v_j in v))
+        return KIND_TOP
+    return KIND_BASE_A if perm[-1] == len(perm) else KIND_BASE_B
+
+
+def anchor_numerators(kind: str, v: IntVector, n: int) -> IntVector:
+    """The anchor of the kind-``kind`` element on v, as numerators over n+2:
+    ``v + (1+delta)e`` (top), ``(1-delta)v`` (base_a), ``(1-delta)v + delta*e``
+    (base_b)."""
+    if kind == KIND_TOP:
+        return tuple((v_j + 1) * (n + 2) + 1 for v_j in v)
+    if kind == KIND_BASE_A:
+        return tuple((n + 1) * v_j for v_j in v)
+    return tuple((n + 1) * v_j + 1 for v_j in v)
+
+
+def make_element(top: bool, v: IntVector, perm: Permutation, n: int) -> CoverElement:
+    """The element on Kuhn cell (v, perm), its anchor over n+2 made exact."""
+    kind = element_kind(top, perm)
+    anchor = tuple(Fraction(a, n + 2) for a in anchor_numerators(kind, v, n))
+    return CoverElement(kind, v, perm, anchor)
 
 
 def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
@@ -110,11 +127,10 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
     (d, n) is checked on the call, before the first element is made.
     """
     check_dn(d, n)
-    dl = delta(n)
     top = enumerate_simplex_triangulation(d, n - 1) if n >= 2 else ()
     return chain(
-        (make_element(True, v, perm, dl) for v, perm in top),
-        (make_element(False, v, perm, dl) for v, perm in enumerate_base_slab(d, n + 1)),
+        (make_element(True, v, perm, n) for v, perm in top),
+        (make_element(False, v, perm, n) for v, perm in enumerate_base_slab(d, n + 1)),
     )
 
 

@@ -4,16 +4,21 @@ A unit right simplex ``k(u, pi)`` is the convex hull of the path
 ``u, u + e^{pi(1)}, u + e^{pi(1)} + e^{pi(2)}, ..., u + e``.  Membership has a
 closed form as a chain of coordinate inequalities; an independent barycentric
 oracle (exact linear solve) is kept alongside it for cross-checking.
+
+That chain, ``top >= s_1 >= ... >= s_d >= 0``, is written once, in
+``_descends``: ``contains`` runs it on Fraction residuals, ``witness.in_domain``
+on the coordinates themselves, and ``witness`` on integer numerators over a
+common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .arith import Permutation, Point, is_permutation
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -43,6 +48,19 @@ def vertices(simplex: KuhnSimplex) -> tuple[Point, ...]:
     return tuple(pts)
 
 
+def _descends(
+    top: Fraction | int, values: Iterable[Fraction] | Iterable[int], strict: bool = False
+) -> bool:
+    """The chain ``top >= s_1 >= ... >= s_d >= 0`` over ``values`` (Fractions or
+    ints alike); with ``strict`` every inequality must be strict."""
+    prev = top
+    for c in values:
+        if c > prev or (strict and c == prev):
+            return False
+        prev = c
+    return prev > 0 if strict else prev >= 0
+
+
 def contains(simplex: KuhnSimplex, x: Point, strict: bool = False) -> bool:
     """Exact membership: 1 >= (x-u)_{pi(1)} >= ... >= (x-u)_{pi(d)} >= 0.
 
@@ -51,15 +69,7 @@ def contains(simplex: KuhnSimplex, x: Point, strict: bool = False) -> bool:
     if len(x) != simplex.dim:
         raise ValueError(f"point has dimension {len(x)}, simplex has {simplex.dim}")
     u = simplex.anchor
-    prev = ONE
-    for j in simplex.perm:
-        c = x[j - 1] - u[j - 1]
-        if c > prev or (strict and c == prev):
-            return False
-        prev = c
-    if strict:
-        return prev > ZERO
-    return prev >= ZERO
+    return _descends(ONE, (x[j - 1] - u[j - 1] for j in simplex.perm), strict)
 
 
 def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -2,13 +2,16 @@
 
 Coverage of the target is certified by sampling (exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere) with
-per-point exact witness verification.
+per-point exact witness verification.  A lattice point reuses one table of
+the ``kmax + 1`` distinct coordinate values ``k * delta/q`` instead of making
+a Fraction per coordinate.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -30,6 +33,7 @@ class CoverageReport:
     failures: tuple[Point, ...]
     elapsed_ms: int
     sliver_violations: tuple[Point, ...] = field(default=())
+    fallback_reasons: dict[str, int] = field(default_factory=dict)  # not serialized
 
     @property
     def success(self) -> bool:
@@ -67,7 +71,8 @@ def lattice_samples(d: int, n: int, eps: Fraction, q: int) -> Iterator[Point]:
         raise ValueError(f"lattice resolution must be at least 1, got {q}")
     step = delta(n) / q
     kmax = rat_floor((n + eps) / step)
-    return (tuple(step * ki for ki in k) for k in weakly_decreasing_vectors(d, kmax))
+    values = [step * k for k in range(kmax + 1)]
+    return (tuple(values[ki] for ki in k) for k in weakly_decreasing_vectors(d, kmax))
 
 
 def random_samples(d: int, n: int, eps: Fraction, count: int, seed: int) -> Iterator[Point]:
@@ -123,8 +128,9 @@ def coverage_report(
 
     The run succeeds iff every sample is covered, no witness fell back to
     exhaustive search, and every point at or below the sliver plane came back
-    on the base_a route.  Sliver violations fail the run but are not
-    serialized: the report stays on the pinned wire schema.
+    on the base_a route.  Sliver violations fail the run, and fallbacks are
+    counted by ``fallback_reason``; neither is serialized: the report stays on
+    the pinned wire schema.
     Passing ``eps`` asserts the caller's sampling contract — every sample must
     lie in S^{n+eps} — before any witness runs.
     """
@@ -138,6 +144,7 @@ def coverage_report(
     routes = {route: 0 for route in ROUTES}
     failures: list[Point] = []
     slivers: list[Point] = []
+    reasons: Counter[str] = Counter()
     total = covered = 0
     dl = cover.delta
     for x in samples:
@@ -149,6 +156,8 @@ def coverage_report(
             continue
         routes[result.route] += 1
         covered += 1
+        if result.fallback_reason is not None:
+            reasons[result.fallback_reason] += 1
         if x[-1] <= dl and result.route != "base_a":
             slivers.append(x)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
@@ -159,6 +168,7 @@ def coverage_report(
         failures=tuple(failures),
         elapsed_ms=elapsed_ms,
         sliver_violations=tuple(slivers),
+        fallback_reasons=dict(sorted(reasons.items())),
     )
 
 

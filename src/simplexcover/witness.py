@@ -1,33 +1,51 @@
 """Deterministic point location: find a cover element containing a given point.
 
-For x in S^{n+delta} one pass of floor arithmetic plus one descending sort
-reads off the containing Kuhn cell ``(v, perm)``, whether it lies above the
-seam, and the residual ``w`` whose order gives ``perm``.  Above the seam
-(``x_d >= 1 + delta``, possible only for n >= 2) it floors ``x - (1+delta)e``.
-Below it, it tries the type-(a) anchor ``v_j = floor(x_j / (1-delta))``,
-decremented once when that leaves a residual at or below delta (so positive
-anchors always keep their residual above delta).  If ``x_d`` then exceeds 1 or
-some residual, index d cannot sort last, and the type-(b) anchor
-``v_j = floor((x_j - delta)/(1-delta))`` is used instead; it lands every
-residual in [delta, 1).  The kind and anchor are not decided here:
-``cover.make_element`` turns the cell into the formula element, the same
-function the cover is built with.
+Every predicate of point location is the sign of an affine form on the grid
+``Z/(n+2)`` the anchors live on, so it is decided on plain ints.  The point is
+scaled once to numerators ``X_j = x_j * L`` over ``L = lcm(n+2, denominators
+of x)``; with ``D = L/(n+2)``, delta is ``D``, ``1-delta`` is ``(n+1)D``, the
+seam ``1+delta`` is ``L+D`` and the target side ``n+delta`` is ``nL+D``.
+``Fraction`` appears only where x comes in and the result goes out.
 
-The formula element is then checked: a base anchor must have ``v_1 <= n``,
-the cover must hold an element equal to it (same key and same anchor), and
-that element must exactly contain x.  Any failed check (an implementation
-defect, never observed) falls back to an exhaustive scan of the cover so the
-function stays total, and the result is flagged as ``fallback``.
+One pass of floor divisions plus one descending sort reads off the containing
+Kuhn cell ``(v, perm)`` and whether it lies above the seam, from the residual
+``w`` whose order gives ``perm``.  Above the seam (``x_d >= 1 + delta``,
+possible only for n >= 2) it floors ``x - (1+delta)e``.  Below it, it tries the
+type-(a) anchor ``v_j = floor(x_j / (1-delta))``, decremented once when that
+leaves a residual at or below delta (so positive anchors always keep their
+residual above delta).  If ``x_d`` then exceeds 1 or some residual, index d
+cannot sort last, and the type-(b) anchor ``v_j = floor((x_j - delta)/(1-delta))``
+is used instead; it lands every residual in [delta, 1).  The kind and the
+anchor numerators come from ``cover.element_kind`` and
+``cover.anchor_numerators``, the rule the cover is built with.
+
+The formula element is then checked: a base anchor must have ``v_1 <= n``
+(``v1_bound``), the cover must hold an element with its key (``missing``) whose
+anchor equals the formula (``anchor``, compared by cross-multiplying), and that
+element must exactly contain x (``not_contained``).  A failed check (an
+implementation defect, never observed) falls back to an exhaustive scan of the
+cover so the function stays total; the result is flagged as ``fallback`` and
+names the check in ``fallback_reason``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .arith import IntVector, Permutation, Point, rank_descending, rat_floor
-from .cover import KIND_BASE_A, KIND_BASE_B, KIND_TOP, CoverElement, CoverSpec, make_element
-from .simplex import contains
+from .arith import IntVector, Permutation, Point, rank_descending
+from .cover import (
+    KIND_BASE_A,
+    KIND_BASE_B,
+    KIND_TOP,
+    CoverElement,
+    CoverSpec,
+    anchor_numerators,
+    element_kind,
+)
+from .simplex import _descends, contains
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
@@ -42,49 +60,52 @@ class UncoveredPointError(RuntimeError):
 class WitnessResult:
     element: CoverElement
     route: str
-    w: Point  # residual x - (1-delta)v (base) or x - anchor (top); diagnostic only
+    x: Point
+    delta: Fraction
+    # on the fallback route, the failed check: v1_bound, missing, anchor or not_contained
+    fallback_reason: str | None = None
+
+    @cached_property
+    def w(self) -> Point:
+        """The residual x - anchor (top) or x - (1-delta)v (base); diagnostic only."""
+        el = self.element
+        if el.kind == KIND_TOP:
+            return tuple(xj - aj for xj, aj in zip(self.x, el.anchor))
+        shrink = 1 - self.delta
+        return tuple(xj - shrink * vj for xj, vj in zip(self.x, el.v))
 
 
 def in_domain(x: Point, n: int, eps: Fraction) -> bool:
     """Exact test for n+eps >= x_1 >= ... >= x_d >= 0."""
-    prev = n + eps
-    for xi in x:
-        if xi > prev:
-            return False
-        prev = xi
-    return prev >= 0
+    return _descends(n + eps, x)
 
 
-def _locate(
-    x: Point, d: int, n: int, dl: Fraction
-) -> tuple[bool, IntVector, Permutation, Point]:
-    """The single routing pass: ``(above_seam, v, perm, w)`` for an in-domain x."""
-    xd = x[d - 1]
-    if n >= 2 and xd >= 1 + dl:
+def _locate(X: list[int], n: int, big: int, unit: int) -> tuple[bool, IntVector, Permutation]:
+    """The single routing pass: ``(above_seam, v, perm)`` for an in-domain x
+    given as numerators X over ``big`` (L above), with ``unit`` = D = big/(n+2)."""
+    xd = X[-1]
+    seam = big + unit
+    if n >= 2 and xd >= seam:
         # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
         # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
-        u = [xj - (1 + dl) for xj in x]
-        v = tuple(min(rat_floor(uj), n - 2) for uj in u)
-        w = tuple(uj - vj for uj, vj in zip(u, v))
-        return True, v, rank_descending(w), w
-    shrink = 1 - dl
+        u = [xj - seam for xj in X]
+        v = tuple(min(uj // big, n - 2) for uj in u)
+        return True, v, rank_descending([uj - vj * big for uj, vj in zip(u, v)])
+    shrink = (n + 1) * unit
     va: list[int] = []
-    wa: list[Fraction] = []
-    for xj in x[: d - 1]:
-        vj = rat_floor(xj / shrink)
-        wj = xj - shrink * vj
-        if vj > 0 and wj <= dl:
+    wa: list[int] = []
+    for xj in X[:-1]:
+        vj, wj = divmod(xj, shrink)
+        if vj > 0 and wj <= unit:
             # one decrement restores the residual to [1-delta, 1]
             vj -= 1
             wj += shrink
         va.append(vj)
         wa.append(wj)
-    if xd > 1 or any(xd > wj for wj in wa):
-        va = [rat_floor((xj - dl) / shrink) for xj in x[: d - 1]]
-        wa = [xj - shrink * vj for xj, vj in zip(x, va)]
-    v = (*va, 0)
-    w = (*wa, xd)
-    return False, v, rank_descending(w), w
+    if xd > big or any(xd > wj for wj in wa):
+        va = [(xj - unit) // shrink for xj in X[:-1]]
+        wa = [xj - shrink * vj for xj, vj in zip(X, va)]
+    return False, (*va, 0), rank_descending((*wa, xd))
 
 
 def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
@@ -96,19 +117,29 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     """
     if len(x) != d or cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
-    dl = cover.delta
-    if not in_domain(x, n, dl):
+    m = n + 2
+    big = math.lcm(m, *(c.denominator for c in x))
+    unit = big // m
+    X = [c.numerator * (big // c.denominator) for c in x]
+    if not _descends(n * big + unit, X):
         raise ValueError(f"{x} is outside the target simplex")
-    above, v, perm, w = _locate(x, d, n, dl)
-    formula = make_element(above, v, perm, dl)
-    known = cover.element_index.get(formula.key)
-    if (above or v[0] <= n) and known == formula and contains(known.simplex, x):
-        return WitnessResult(element=known, route=known.kind, w=w)
+    above, v, perm = _locate(X, n, big, unit)
+    kind = element_kind(above, perm)
+    nums = anchor_numerators(kind, v, n)
+    known = cover.element_index.get((kind, v, perm))
+    if not above and v[0] > n:
+        reason = "v1_bound"
+    elif known is None:
+        reason = "missing"
+    elif len(known.anchor) != d or any(
+        a.numerator * m != num * a.denominator for a, num in zip(known.anchor, nums)
+    ):
+        reason = "anchor"
+    elif not _descends(big, (X[j - 1] - nums[j - 1] * unit for j in perm)):
+        reason = "not_contained"
+    else:
+        return WitnessResult(known, known.kind, x, cover.delta)
     for el in cover.elements:
         if contains(el.simplex, x):
-            if el.kind == KIND_TOP:
-                w = tuple(xj - aj for xj, aj in zip(x, el.anchor))
-            else:
-                w = tuple(xj - (1 - dl) * vj for xj, vj in zip(x, el.v))
-            return WitnessResult(element=el, route=ROUTE_FALLBACK, w=w)
+            return WitnessResult(el, ROUTE_FALLBACK, x, cover.delta, reason)
     raise UncoveredPointError(f"no cover element contains in-domain point {x}")

@@ -11,10 +11,11 @@ from math import factorial
 from typing import Iterable, Iterator
 
 from simplexcover.arith import IntVector, Permutation, Point, rank_descending, rat_floor
-from simplexcover.cover import CoverElement, CoverSpec
+from simplexcover.cover import KIND_TOP, CoverElement, CoverSpec, make_element
 from simplexcover.simplex import KuhnSimplex, contains, contains_oracle
 from simplexcover.triangulation import Cell, check_dn, is_admissible
 from simplexcover.verifier import RANDOM_GRID
+from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain
 
 
 def unit_volume(d: int) -> Fraction:
@@ -162,3 +163,70 @@ def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
             continue
         out.append(tuple(Fraction(a, RANDOM_GRID) for a in draws))
     return out
+
+
+def _locate(
+    x: Point, d: int, n: int, dl: Fraction
+) -> tuple[bool, IntVector, Permutation, Point]:
+    """The single routing pass: ``(above_seam, v, perm, w)`` for an in-domain x."""
+    xd = x[d - 1]
+    if n >= 2 and xd >= 1 + dl:
+        # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
+        # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
+        u = [xj - (1 + dl) for xj in x]
+        v = tuple(min(rat_floor(uj), n - 2) for uj in u)
+        w = tuple(uj - vj for uj, vj in zip(u, v))
+        return True, v, rank_descending(w), w
+    shrink = 1 - dl
+    va: list[int] = []
+    wa: list[Fraction] = []
+    for xj in x[: d - 1]:
+        vj = rat_floor(xj / shrink)
+        wj = xj - shrink * vj
+        if vj > 0 and wj <= dl:
+            # one decrement restores the residual to [1-delta, 1]
+            vj -= 1
+            wj += shrink
+        va.append(vj)
+        wa.append(wj)
+    if xd > 1 or any(xd > wj for wj in wa):
+        va = [rat_floor((xj - dl) / shrink) for xj in x[: d - 1]]
+        wa = [xj - shrink * vj for xj, vj in zip(x, va)]
+    v = (*va, 0)
+    w = (*wa, xd)
+    return False, v, rank_descending(w), w
+
+
+def fraction_witness(
+    x: Point, d: int, n: int, cover: CoverSpec
+) -> tuple[str, CoverElement, Point, str | None]:
+    """Point location entirely on Fractions, the way ``witness`` decided it
+    before its integer kernel: ``(route, element, w, fallback_reason)``, with
+    ``w`` computed by the routing pass (or by the fallback) rather than derived.
+    Raises ValueError and UncoveredPointError where ``witness`` does."""
+    if len(x) != d or cover.d != d or cover.n != n:
+        raise ValueError("point/cover dimension or scale mismatch")
+    dl = cover.delta
+    if not in_domain(x, n, dl):
+        raise ValueError(f"{x} is outside the target simplex")
+    above, v, perm, w = _locate(x, d, n, dl)
+    formula = make_element(above, v, perm, n)
+    known = cover.element_index.get(formula.key)
+    if not (above or v[0] <= n):
+        reason = "v1_bound"
+    elif known is None:
+        reason = "missing"
+    elif known != formula:
+        reason = "anchor"
+    elif not contains(known.simplex, x):
+        reason = "not_contained"
+    else:
+        return known.kind, known, w, None
+    for el in cover.elements:
+        if contains(el.simplex, x):
+            if el.kind == KIND_TOP:
+                w = tuple(xj - aj for xj, aj in zip(x, el.anchor))
+            else:
+                w = tuple(xj - (1 - dl) * vj for xj, vj in zip(x, el.v))
+            return ROUTE_FALLBACK, el, w, reason
+    raise UncoveredPointError(f"no cover element contains in-domain point {x}")

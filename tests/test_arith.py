@@ -90,9 +90,18 @@ def test_rank_descending_breaks_ties_by_index():
     w = [Fraction(1, 2), Fraction(3, 4), Fraction(1, 2)]
     assert rank_descending(w) == (2, 1, 3)
     assert rank_descending([Fraction(0)] * 4 ) == (1, 2, 3, 4)
+    # the integer witness sorts numerators over a common denominator
+    assert rank_descending([2, 3, 2]) == (2, 1, 3)
+    assert rank_descending([0] * 4) == (1, 2, 3, 4)
 
 
-@given(st.lists(st.fractions(max_denominator=20), min_size=1, max_size=7))
+@given(
+    st.one_of(
+        st.lists(st.fractions(max_denominator=20), min_size=1, max_size=7),
+        st.lists(st.integers(-(10**40), 10**40), min_size=1, max_size=7),
+        st.lists(st.integers(0, 3), min_size=1, max_size=7),
+    )
+)
 def test_rank_descending_sorts(values):
     perm = rank_descending(values)
     ordered = [values[j - 1] for j in perm]

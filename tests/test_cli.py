@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -266,6 +267,29 @@ def test_verify_sliver_violation_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == json.dumps(report.to_json()) + "\n"
     assert err == "sliver violations: 1/3,1/3\n"
+
+
+def test_verify_names_fallback_reasons(capsys, monkeypatch):
+    # (2, 1) without its base_a element at the origin and with the base_b
+    # anchor lowered by 1/3: stdout keeps the wire schema, stderr says why.
+    cover = build_cover(2, 1)
+    key = ("base_b", (1, 0), (2, 1))
+    moved = replace(cover.element_index[key], anchor=(Fraction(1), Fraction(0)))
+    broken = replace(
+        cover,
+        elements=tuple(
+            moved if el.key == key else el
+            for el in cover.elements
+            if el.key != ("base_a", (0, 0), (1, 2))
+        ),
+    )
+    monkeypatch.setattr(cli, "build_cover", lambda d, n: broken)
+    code, out, err = run(capsys, "verify", "--d", "2", "--n", "1", "--mode", "lattice", "--q", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert list(report) == ["total", "covered", "routes", "failures", "elapsed_ms"]
+    assert report["routes"] == {"top": 0, "base_a": 9, "base_b": 0, "fallback": 15}
+    assert "fallback witnesses: 15 (anchor 5, missing 10)" in err.splitlines()
 
 
 def test_render_cli(tmp_path, capsys):

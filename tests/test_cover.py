@@ -9,6 +9,7 @@ from simplexcover.cover import (
     KIND_BASE_B,
     KIND_TOP,
     CoverElement,
+    anchor_numerators,
     build_cover,
     cover_count,
     delta,
@@ -94,6 +95,15 @@ def test_base_elements_mirror_slab():
         else:
             assert el.kind == KIND_BASE_B
             assert el.anchor == tuple(c + dl for c in squeezed)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3), (4, 2)])
+def test_anchors_are_numerators_over_n_plus_2(d, n):
+    # Every anchor lies on Z/(n+2); its numerators are what witness matches.
+    for el in build_cover(d, n).elements:
+        nums = anchor_numerators(el.kind, el.v, n)
+        assert el.anchor == tuple(F(a, n + 2) for a in nums)
+        assert all((n + 2) % c.denominator == 0 for c in el.anchor)
 
 
 def test_base_a_iff_last_leg_is_dth_direction():

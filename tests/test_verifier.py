@@ -129,6 +129,29 @@ def test_coverage_report_sliver_violation_fails():
     assert bad.to_json() == report.to_json()
 
 
+def test_coverage_report_counts_fallback_reasons():
+    # Drop the base_a element at the origin of (2, 1) and lower the base_b
+    # anchor by 1/3: the scan takes over for the points routed to either.
+    cover = build_cover(2, 1)
+    key = ("base_b", (1, 0), (2, 1))
+    moved = replace(cover.element_index[key], anchor=(F(1), F(0)))
+    broken = replace(
+        cover,
+        elements=tuple(
+            moved if el.key == key else el
+            for el in cover.elements
+            if el.key != (KIND_BASE_A, (0, 0), (1, 2))
+        ),
+    )
+    report = coverage_report(broken, lattice_samples(2, 1, cover.delta, 2))
+    assert report.routes == {"top": 0, "base_a": 9, "base_b": 0, "fallback": 15}
+    assert report.fallback_reasons == {"anchor": 5, "missing": 10}
+    assert not report.success
+    assert "fallback_reasons" not in report.to_json()
+    clean = coverage_report(cover, lattice_samples(2, 1, cover.delta, 2))
+    assert clean.fallback_reasons == {}
+
+
 def test_coverage_report_json_schema():
     cover = build_cover(2, 1)
     report = coverage_report(cover, lattice_samples(2, 1, cover.delta, 1))

@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from simplexcover.verifier import random_samples
 from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain, witness
 
 F = Fraction
+# the package's ``witness`` attribute is the function, so fetch the module by name
+witness_module = importlib.import_module("simplexcover.witness")
 
 
 def pt(*coords):
@@ -94,6 +97,7 @@ def test_witness_route_selection():
     res = witness(pt(F(9, 8), F(9, 8)), 2, 2, cover)
     assert res.route == KIND_BASE_B
     assert res.w == pt(F(3, 8), F(9, 8))
+    assert res.fallback_reason is None
 
 
 def test_witness_seam_policy():
@@ -157,6 +161,7 @@ def test_witness_fallback_on_incomplete_cover():
     broken = pruned(cover, (KIND_BASE_A, (0, 0), (1, 2)))
     res = witness(x, 2, 1, broken)
     assert res.route == ROUTE_FALLBACK
+    assert res.fallback_reason == "missing"
     assert res.element.key == (KIND_BASE_A, (1, 0), (1, 2))
     assert contains(res.element.simplex, x)
 
@@ -174,7 +179,30 @@ def test_witness_fallback_on_altered_anchor():
     )
     res = witness(x, 2, 1, broken)
     assert res.route == ROUTE_FALLBACK
+    assert res.fallback_reason == "anchor"
     assert res.element is broken.elements[0] is broken.element_index[key]
+
+
+@pytest.mark.parametrize(
+    "cell,reason",
+    [
+        # a base anchor past v_1 <= n (here n = 1)
+        ((False, (2, 0), (1, 2)), "v1_bound"),
+        # a cover element, with the formula anchor, that does not contain x
+        ((False, (1, 0), (2, 1)), "not_contained"),
+    ],
+)
+def test_witness_fallback_names_the_failed_check(monkeypatch, cell, reason):
+    # The routing pass is replaced by one that returns a wrong cell, so the
+    # check that catches it is named and the scan still finds the element.
+    cover = build_cover(2, 1)
+    x = pt(F(1, 8), F(1, 8))
+    expected = witness(x, 2, 1, cover).element
+    monkeypatch.setattr(witness_module, "_locate", lambda *args: cell)
+    res = witness(x, 2, 1, cover)
+    assert res.route == ROUTE_FALLBACK
+    assert res.fallback_reason == reason
+    assert res.element is expected
 
 
 def test_witness_uncovered_error_on_incomplete_cover():
