@@ -148,6 +148,27 @@ def test_cover_unwritable_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_cover_replaces_an_existing_file(tmp_path, capsys):
+    """A regular file at --out is replaced by a new one, not truncated: a hard
+    link to the old file keeps the old bytes."""
+    fresh, out, link = tmp_path / "fresh.jsonl", tmp_path / "out.jsonl", tmp_path / "link"
+    assert run(capsys, "cover", "--d", "2", "--n", "2", "--out", str(fresh))[0] == 0
+    out.write_text("stale\n" * 1000)
+    link.hardlink_to(out)
+    assert run(capsys, "cover", "--d", "2", "--n", "2", "--out", str(out))[0] == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert link.read_text() == "stale\n" * 1000
+
+
+def test_render_writes_through_a_symlink(tmp_path, capsys):
+    target, out = tmp_path / "target.svg", tmp_path / "fig.svg"
+    target.write_text("stale")
+    out.symlink_to(target)
+    assert run(capsys, "render", "--n", "1", "--out", str(out))[0] == 0
+    assert out.is_symlink()
+    assert target.read_text(encoding="utf-8").startswith("<svg ")
+
+
 def test_witness_examples(capsys):
     code, out, _ = run(capsys, "witness", "--d", "2", "--n", "2", "--point", "9/8,9/8")
     assert code == 0
