@@ -28,11 +28,12 @@ from .arith import (
 from .cover import (
     KINDS,
     CoverElement,
+    anchor_coordinate,
     build_cover,
     cover_count,
+    cover_rows,
     cover_split,
     delta,
-    iter_cover,
 )
 from .render import render_svg
 from .triangulation import check_dn
@@ -129,10 +130,23 @@ def _open_output(path: str) -> TextIO:
 
 
 def _cmd_cover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    # Each line is json.dumps(cover_record(el)) + "\n", written from the ints:
+    # the kinds are plain ASCII words, a list of ints prints as its JSON text,
+    # and each distinct anchor numerator is formatted once.
+    quoted: dict[int, str] = {}
     try:
         with _open_output(args.out) as fh:
-            for el in iter_cover(args.d, args.n):
-                fh.write(json.dumps(cover_record(el)) + "\n")
+            for kind, v, perm, nums in cover_rows(args.d, args.n):
+                anchor = []
+                for num in nums:
+                    text = quoted.get(num)
+                    if text is None:
+                        text = quoted[num] = json.dumps(rat_format(anchor_coordinate(num, args.n)))
+                    anchor.append(text)
+                fh.write(
+                    f'{{"kind": "{kind}", "v": {list(v)}, "pi": {list(perm)}, '
+                    f'"anchor": [{", ".join(anchor)}]}}\n'
+                )
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1

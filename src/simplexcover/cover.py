@@ -12,9 +12,13 @@ With ``delta = 1/(n+2)`` the target splits at the seam ``x_d = 1 + delta``:
 Every anchor lies on the grid ``Z/(n+2)``.  ``element_kind`` states the kind
 rule and ``anchor_numerators`` the three anchor formulas, once, as integer
 numerators over n+2: ``(v_j+1)(n+2)+1`` (top), ``(n+1)v_j`` (base_a) and
-``(n+1)v_j+1`` (base_b).  ``make_element`` wraps them as ``Fraction(num, n+2)``
-and ``iter_cover`` streams the elements through it in canonical order;
-``witness`` matches its routing result against the same numerators directly.
+``(n+1)v_j+1`` (base_b).  ``cover_rows`` streams each element as the ints
+``(kind, v, perm, numerators)`` in canonical order; ``cover`` writes its lines
+from them.  ``iter_cover`` makes the elements from the rows, one ``Fraction``
+per distinct numerator shared by every anchor that has it: a cover at d=5,
+n=10 has 600,500 anchor coordinates but only 31 distinct values.
+``make_element`` makes one element alone.  ``witness`` matches its routing
+result against the same numerators directly.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -36,6 +40,8 @@ KIND_TOP = "top"
 KIND_BASE_A = "base_a"
 KIND_BASE_B = "base_b"
 KINDS = (KIND_TOP, KIND_BASE_A, KIND_BASE_B)
+
+Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators
 
 
 @dataclass(frozen=True)
@@ -114,11 +120,46 @@ def anchor_numerators(kind: str, v: IntVector, n: int) -> IntVector:
     return tuple((n + 1) * v_j + 1 for v_j in v)
 
 
+def anchor_coordinate(num: int, n: int) -> Fraction:
+    """The anchor coordinate with numerator ``num`` over n+2, made exact."""
+    return Fraction(num, n + 2)
+
+
+def _anchor(nums: IntVector, n: int, coordinates: dict[int, Fraction]) -> Point:
+    """The anchor with numerators ``nums`` over n+2.  ``coordinates`` maps each
+    numerator to its Fraction; missing ones are made and added."""
+    anchor = []
+    for num in nums:
+        c = coordinates.get(num)
+        if c is None:
+            c = coordinates[num] = anchor_coordinate(num, n)
+        anchor.append(c)
+    return tuple(anchor)
+
+
+def _row(top: bool, v: IntVector, perm: Permutation, n: int) -> Row:
+    kind = element_kind(top, perm)
+    return kind, v, perm, anchor_numerators(kind, v, n)
+
+
 def make_element(top: bool, v: IntVector, perm: Permutation, n: int) -> CoverElement:
     """The element on Kuhn cell (v, perm), its anchor over n+2 made exact."""
-    kind = element_kind(top, perm)
-    anchor = tuple(Fraction(a, n + 2) for a in anchor_numerators(kind, v, n))
-    return CoverElement(kind, v, perm, anchor)
+    kind, v, perm, nums = _row(top, v, perm, n)
+    return CoverElement(kind, v, perm, _anchor(nums, n, {}))
+
+
+def cover_rows(d: int, n: int) -> Iterator[Row]:
+    """``(kind, v, perm, anchor numerators over n+2)`` of each element, in
+    canonical order (top, then base).
+
+    (d, n) is checked on the call, before the first row is made.
+    """
+    check_dn(d, n)
+    top = enumerate_simplex_triangulation(d, n - 1) if n >= 2 else ()
+    return chain(
+        (_row(True, v, perm, n) for v, perm in top),
+        (_row(False, v, perm, n) for v, perm in enumerate_base_slab(d, n + 1)),
+    )
 
 
 def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
@@ -126,11 +167,10 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
 
     (d, n) is checked on the call, before the first element is made.
     """
-    check_dn(d, n)
-    top = enumerate_simplex_triangulation(d, n - 1) if n >= 2 else ()
-    return chain(
-        (make_element(True, v, perm, n) for v, perm in top),
-        (make_element(False, v, perm, n) for v, perm in enumerate_base_slab(d, n + 1)),
+    coordinates: dict[int, Fraction] = {}
+    return (
+        CoverElement(kind, v, perm, _anchor(nums, n, coordinates))
+        for kind, v, perm, nums in cover_rows(d, n)
     )
 
 

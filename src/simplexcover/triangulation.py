@@ -8,8 +8,11 @@ index j precedes j+1 in pi.  There are exactly n^d such cells.  Restricting to
 
 A cell is the plain tuple ``(v, perm)``.  ``tie_respecting_perms`` reads the tie
 rule directly, placing images left to right and admitting j only after j-1 when
-the two are tied.  ``check_dn`` is the one (d, n) check of the package; each
-enumerator calls it when called, before the first cell is made.
+the two are tied.  Its result depends on v only through the tie pattern (which
+``v_j = v_{j+1}``), of which there are 2^(d-1), so an enumeration computes the
+permutations once per tie pattern, in a table local to the call, and pairs each
+anchor with its pattern's tuple.  ``check_dn`` is the one (d, n) check of the
+package; each enumerator calls it when called, before the first cell is made.
 
 Enumeration order is canonical everywhere: anchors in ascending lexicographic
 order, then permutations in ascending lexicographic order of their image
@@ -18,6 +21,7 @@ sequences.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator
 
 from .arith import IntVector, Permutation, is_permutation
@@ -100,4 +104,11 @@ def enumerate_base_slab(d: int, m: int) -> Iterator[Cell]:
 
 
 def _cells(anchors: Iterator[IntVector]) -> Iterator[Cell]:
-    return ((v, perm) for v in anchors for perm in tie_respecting_perms(v))
+    perms_by_ties: dict[tuple[bool, ...], tuple[Permutation, ...]] = {}
+    for v in anchors:
+        ties = tuple(map(operator.eq, v, v[1:]))
+        perms = perms_by_ties.get(ties)
+        if perms is None:
+            perms = perms_by_ties[ties] = tuple(tie_respecting_perms(v))
+        for perm in perms:
+            yield v, perm

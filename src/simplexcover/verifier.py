@@ -146,7 +146,7 @@ def coverage_report(
     slivers: list[Point] = []
     reasons: Counter[str] = Counter()
     total = covered = 0
-    dl = cover.delta
+    m = cover.n + 2  # x_d <= delta = 1/m, decided on ints
     for x in samples:
         total += 1
         try:
@@ -158,7 +158,7 @@ def coverage_report(
         covered += 1
         if result.fallback_reason is not None:
             reasons[result.fallback_reason] += 1
-        if x[-1] <= dl and result.route != "base_a":
+        if result.route != "base_a" and x[-1].numerator * m <= x[-1].denominator:
             slivers.append(x)
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return CoverageReport(

@@ -1,20 +1,23 @@
 import hashlib
 import json
+import runpy
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from fractions import Fraction
 
 from simplexcover import cli
-from simplexcover.cover import build_cover, cover_count
+from simplexcover.cover import build_cover, cover_count, iter_cover
 from simplexcover.verifier import CoverageReport
 
 # A literal one digit past the interpreter's int() digit limit (0 or absent:
 # no limit, and the cases using it are skipped).
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG = "1" * (DIGIT_LIMIT + 1)
+BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "benchmarks" / "config.py"
 
 
 def run(capsys, *argv):
@@ -82,6 +85,25 @@ def test_cover_streams_without_building_the_cover(tmp_path, capsys, monkeypatch)
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
         "2f7408a05b9a22755eed80b3ebfc5f66549eae533ab9575afe292a2addd0865f"
     )
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 3), (4, 2), (5, 2)])
+def test_cover_lines_are_json_of_cover_record(tmp_path, capsys, d, n):
+    out_path = tmp_path / "cover.jsonl"
+    assert run(capsys, "cover", "--d", str(d), "--n", str(n), "--out", str(out_path))[0] == 0
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    elements = list(iter_cover(d, n))
+    assert lines == [json.dumps(cli.cover_record(el)) + "\n" for el in elements]
+    assert [cli.parse_cover_record(line) for line in lines] == elements
+
+
+def test_cover_matches_the_benchmark_pinned_digest(tmp_path, capsys):
+    # the benchmark's own size: two-digit numerators and anchors in lowest terms
+    pinned = runpy.run_path(str(BENCHMARK_CONFIG))["DIGESTS"]["cover-d5-n10.jsonl"]
+    out_path = tmp_path / "cover-d5-n10.jsonl"
+    assert run(capsys, "cover", "--d", "5", "--n", "10", "--out", str(out_path))[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == pinned
 
 
 def rec(body):

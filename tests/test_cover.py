@@ -106,6 +106,13 @@ def test_anchors_are_numerators_over_n_plus_2(d, n):
         assert all((n + 2) % c.denominator == 0 for c in el.anchor)
 
 
+def test_build_cover_shares_one_fraction_per_numerator():
+    n = 3
+    elements = build_cover(4, n).elements
+    numerators = {num for el in elements for num in anchor_numerators(el.kind, el.v, n)}
+    assert len({id(c) for el in elements for c in el.anchor}) == len(numerators)
+
+
 def test_base_a_iff_last_leg_is_dth_direction():
     for d, n in [(2, 2), (3, 1), (3, 2), (4, 1)]:
         for el in build_cover(d, n).elements:

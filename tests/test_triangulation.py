@@ -106,6 +106,19 @@ def test_small_trivial_enumerations():
     assert len(list(enumerate_base_slab(2, 1))) == 1
 
 
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 6) for n in range(1, 5)])
+def test_enumerators_pair_each_anchor_with_its_tie_respecting_perms(d, n):
+    # the enumerators share one permutation tuple per tie pattern; the cells
+    # and their order are those of calling tie_respecting_perms per anchor
+    whole = list(weakly_decreasing_vectors(d, n - 1))
+    slab = [(*prefix, 0) for prefix in weakly_decreasing_vectors(d - 1, n - 1)]
+    for cells, anchors in (
+        (enumerate_simplex_triangulation(d, n), whole),
+        (enumerate_base_slab(d, n), slab),
+    ):
+        assert list(cells) == [(v, p) for v in anchors for p in tie_respecting_perms(v)]
+
+
 @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_base_slab_counts_and_filter(d, m):
     slab = list(enumerate_base_slab(d, m))

@@ -129,6 +129,25 @@ def test_coverage_report_sliver_violation_fails():
     assert bad.to_json() == report.to_json()
 
 
+def test_coverage_report_records_real_sliver_violations():
+    # Without the base_a element at the origin of (2, 2), points routed to it
+    # come back on the fallback route: on or below the sliver plane
+    # x_d = delta = 1/4 that breaks the rule, just above it it does not.
+    cover = build_cover(2, 2)
+    dropped = replace(
+        cover,
+        elements=tuple(el for el in cover.elements if el.key != (KIND_BASE_A, (0, 0), (1, 2))),
+    )
+    below, at, above = (F(1), F(1, 5)), (F(1), F(1, 4)), (F(1), F(1, 4) + F(1, 10**6))
+    report = coverage_report(dropped, [below, at, above])
+    assert report.covered == report.total == 3
+    assert report.routes["fallback"] == 3
+    assert report.fallback_reasons == {"missing": 3}
+    assert report.sliver_violations == (below, at)
+    assert not report.success
+    assert coverage_report(cover, [below, at, above]).sliver_violations == ()
+
+
 def test_coverage_report_counts_fallback_reasons():
     # Drop the base_a element at the origin of (2, 1) and lower the base_b
     # anchor by 1/3: the scan takes over for the points routed to either.
