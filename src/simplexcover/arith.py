@@ -79,6 +79,7 @@ def rank_descending(values: Sequence[Fraction] | Sequence[int]) -> Permutation:
     """Indices 1..d ordered by value, largest first; ties keep ascending index.
 
     This is the canonical ordering permutation used throughout: sorting is
-    stable, so equal values come out in ascending original-index order.
+    stable, also in reverse, so equal values come out in ascending
+    original-index order.
     """
-    return tuple(sorted(range(1, len(values) + 1), key=lambda j: -values[j - 1]))
+    return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__, reverse=True))

@@ -37,13 +37,7 @@ from .cover import (
 )
 from .render import render_svg
 from .triangulation import check_dn
-from .verifier import (
-    boundary_suite,
-    coverage_report,
-    format_points,
-    lattice_samples,
-    random_samples,
-)
+from .verifier import boundary_rows, format_points, lattice_rows, random_rows, tally
 from .witness import UncoveredPointError, in_domain, witness
 
 
@@ -186,16 +180,15 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     try:
         eps = delta(args.n) if args.eps is None else rat_parse(args.eps)
         streams = {
-            "lattice": lattice_samples(args.d, args.n, eps, args.q),
-            "random": random_samples(args.d, args.n, eps, args.samples, args.seed),
-            "boundary": boundary_suite(args.d, args.n, eps),
+            "lattice": lattice_rows(args.d, args.n, eps, args.q),
+            "random": random_rows(args.d, args.n, eps, args.samples, args.seed),
+            "boundary": boundary_rows(args.d, args.n, eps),
         }
     except ValueError as exc:
         parser.error(str(exc))
     modes = streams if args.mode == "all" else (args.mode,)
-    samples = (x for mode in modes for x in streams[mode])
     spec = build_cover(args.d, args.n)
-    report = coverage_report(spec, samples)
+    report = tally(spec, [streams[mode] for mode in modes])
     print(json.dumps(report.to_json()))
     if not report.success:
         if report.failures:

@@ -26,6 +26,16 @@ element must exactly contain x (``not_contained``).  A failed check (an
 implementation defect, never observed) falls back to an exhaustive scan of the
 cover so the function stays total; the result is flagged as ``fallback`` and
 names the check in ``fallback_reason``.
+
+One private core, ``_route``, takes a point already scaled to an integer row
+``X`` over ``L`` and does all of the above short of the scan.  The first three
+checks depend on the key ``(kind, v, perm)`` alone, so ``_route`` remembers
+each key that passed them in a dict the caller owns, with the element and its
+anchor numerators; a key that failed is not remembered and is checked again.
+``witness`` scales x, routes it with an empty dict and builds the result;
+``verifier.tally`` routes a whole campaign's rows through one dict, so each
+element is checked once per campaign, and makes no ``Fraction`` unless a point
+must be scanned or shown.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import Sequence
 
 from .arith import IntVector, Permutation, Point, rank_descending
 from .cover import (
@@ -49,6 +60,9 @@ from .simplex import _descends, contains
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
+
+Key = tuple[str, IntVector, Permutation]
+Checked = tuple[CoverElement, IntVector]  # an element that passed, its anchor numerators
 
 
 class UncoveredPointError(RuntimeError):
@@ -80,7 +94,7 @@ def in_domain(x: Point, n: int, eps: Fraction) -> bool:
     return _descends(n + eps, x)
 
 
-def _locate(X: list[int], n: int, big: int, unit: int) -> tuple[bool, IntVector, Permutation]:
+def _locate(X: Sequence[int], n: int, big: int, unit: int) -> tuple[bool, IntVector, Permutation]:
     """The single routing pass: ``(above_seam, v, perm)`` for an in-domain x
     given as numerators X over ``big`` (L above), with ``unit`` = D = big/(n+2)."""
     xd = X[-1]
@@ -108,6 +122,65 @@ def _locate(X: list[int], n: int, big: int, unit: int) -> tuple[bool, IntVector,
     return False, (*va, 0), rank_descending((*wa, xd))
 
 
+def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
+    """The points as integer rows over one common denominator
+    ``L = lcm(n+2, denominators of the points)``: ``(L, [X, ...])``."""
+    big = math.lcm(n + 2, *(c.denominator for x in points for c in x))
+    return big, [[c.numerator * (big // c.denominator) for c in x] for x in points]
+
+
+def _point(X: Sequence[int], big: int) -> Point:
+    """The point with numerators X over ``big``, made exact for showing."""
+    return tuple(Fraction(c, big) for c in X)
+
+
+def _route(
+    X: Sequence[int], big: int, n: int, cover: CoverSpec, checked: dict[Key, Checked]
+) -> tuple[CoverElement | None, str | None]:
+    """Route the point with numerators X over ``big`` (a multiple of n+2):
+    ``(element, None)`` when the formula element passes every check, else
+    ``(None, the failed check)``.
+
+    ``checked`` belongs to the caller and serves this one (frozen) cover.  It
+    remembers each key that passed ``v1_bound``, ``missing`` and ``anchor``,
+    with its element and anchor numerators: those checks depend on the key
+    alone, so they run once per key.  A key that failed is not stored and is
+    checked again on its next point.  ``not_contained`` runs for every point.
+    Raises ValueError for a point outside the target simplex.
+    """
+    m = n + 2
+    unit = big // m
+    if not _descends(n * big + unit, X):
+        raise ValueError(f"{_point(X, big)} is outside the target simplex")
+    above, v, perm = _locate(X, n, big, unit)
+    key = (element_kind(above, perm), v, perm)
+    hit = checked.get(key)
+    if hit is None:
+        if not above and v[0] > n:
+            return None, "v1_bound"
+        known = cover.element_index.get(key)
+        if known is None:
+            return None, "missing"
+        nums = anchor_numerators(key[0], v, n)
+        if len(known.anchor) != len(X) or any(
+            a.numerator * m != num * a.denominator for a, num in zip(known.anchor, nums)
+        ):
+            return None, "anchor"
+        hit = checked[key] = (known, nums)
+    known, nums = hit
+    if not _descends(big, (X[j - 1] - nums[j - 1] * unit for j in perm)):
+        return None, "not_contained"
+    return known, None
+
+
+def _scan(cover: CoverSpec, x: Point) -> CoverElement:
+    """The first cover element that exactly contains x, by exhaustive search."""
+    for el in cover.elements:
+        if contains(el.simplex, x):
+            return el
+    raise UncoveredPointError(f"no cover element contains in-domain point {x}")
+
+
 def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     """Produce a cover element exactly containing x, with its route.
 
@@ -117,29 +190,8 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     """
     if len(x) != d or cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
-    m = n + 2
-    big = math.lcm(m, *(c.denominator for c in x))
-    unit = big // m
-    X = [c.numerator * (big // c.denominator) for c in x]
-    if not _descends(n * big + unit, X):
-        raise ValueError(f"{x} is outside the target simplex")
-    above, v, perm = _locate(X, n, big, unit)
-    kind = element_kind(above, perm)
-    nums = anchor_numerators(kind, v, n)
-    known = cover.element_index.get((kind, v, perm))
-    if not above and v[0] > n:
-        reason = "v1_bound"
-    elif known is None:
-        reason = "missing"
-    elif len(known.anchor) != d or any(
-        a.numerator * m != num * a.denominator for a, num in zip(known.anchor, nums)
-    ):
-        reason = "anchor"
-    elif not _descends(big, (X[j - 1] - nums[j - 1] * unit for j in perm)):
-        reason = "not_contained"
-    else:
-        return WitnessResult(known, known.kind, x, cover.delta)
-    for el in cover.elements:
-        if contains(el.simplex, x):
-            return WitnessResult(el, ROUTE_FALLBACK, x, cover.delta, reason)
-    raise UncoveredPointError(f"no cover element contains in-domain point {x}")
+    big, (X,) = _scale((x,), n)
+    element, reason = _route(X, big, n, cover, {})
+    if element is not None:
+        return WitnessResult(element, element.kind, x, cover.delta)
+    return WitnessResult(_scan(cover, x), ROUTE_FALLBACK, x, cover.delta, reason)

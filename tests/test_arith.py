@@ -109,3 +109,24 @@ def test_rank_descending_sorts(values):
     for a, b in zip(perm, perm[1:]):
         if values[a - 1] == values[b - 1]:
             assert a < b
+
+
+def _rank_descending_negated(values):
+    """The earlier definition: a stable ascending sort on the negated values."""
+    return tuple(sorted(range(1, len(values) + 1), key=lambda j: -values[j - 1]))
+
+
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 2), min_size=1, max_size=9),
+        st.lists(st.integers(-1, 1).map(lambda k: k * 10**30), min_size=1, max_size=9),
+        st.lists(
+            st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(2, 6), Fraction(-1, 2)]),
+            min_size=1,
+            max_size=9,
+        ),
+    )
+)
+def test_rank_descending_matches_the_negated_sort(values):
+    # heavily tied vectors: a reverse sort must keep ties in ascending index order
+    assert rank_descending(values) == _rank_descending_negated(values)

@@ -305,7 +305,7 @@ def test_verify_sliver_violation_exits_1(capsys, monkeypatch):
         elapsed_ms=0,
         sliver_violations=(sliver,),
     )
-    monkeypatch.setattr(cli, "coverage_report", lambda spec, samples: report)
+    monkeypatch.setattr(cli, "tally", lambda spec, samples: report)
     code, out, err = run(capsys, "verify", "--d", "2", "--n", "1", "--mode", "boundary")
     assert code == 1
     assert out == json.dumps(report.to_json()) + "\n"

@@ -1,6 +1,9 @@
+import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -11,17 +14,23 @@ from oracles import (
     generic_interior_simplex_samples,
     partition_check,
 )
-from simplexcover.cover import KIND_BASE_A, build_cover
+from simplexcover import cli
+from simplexcover.arith import point_format
+from simplexcover.cover import KIND_BASE_A, build_cover, delta
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
 from simplexcover.verifier import (
+    boundary_rows,
     boundary_suite,
     coverage_report,
     format_points,
+    lattice_rows,
     lattice_samples,
+    random_rows,
     random_samples,
+    tally,
 )
-from simplexcover.witness import in_domain, witness
+from simplexcover.witness import ROUTES, UncoveredPointError, in_domain, witness
 
 F = Fraction
 
@@ -129,15 +138,37 @@ def test_coverage_report_sliver_violation_fails():
     assert bad.to_json() == report.to_json()
 
 
+def _without_origin_base_a():
+    """(2, 2) without its base_a element at the origin."""
+    cover = build_cover(2, 2)
+    return replace(
+        cover,
+        elements=tuple(el for el in cover.elements if el.key != (KIND_BASE_A, (0, 0), (1, 2))),
+    )
+
+
+def _with_moved_anchor():
+    """(2, 1) without its base_a element at the origin, and with the base_b
+    anchor on (1, 0), (2, 1) lowered by 1/3."""
+    cover = build_cover(2, 1)
+    key = ("base_b", (1, 0), (2, 1))
+    moved = replace(cover.element_index[key], anchor=(F(1), F(0)))
+    return replace(
+        cover,
+        elements=tuple(
+            moved if el.key == key else el
+            for el in cover.elements
+            if el.key != (KIND_BASE_A, (0, 0), (1, 2))
+        ),
+    )
+
+
 def test_coverage_report_records_real_sliver_violations():
     # Without the base_a element at the origin of (2, 2), points routed to it
     # come back on the fallback route: on or below the sliver plane
     # x_d = delta = 1/4 that breaks the rule, just above it it does not.
     cover = build_cover(2, 2)
-    dropped = replace(
-        cover,
-        elements=tuple(el for el in cover.elements if el.key != (KIND_BASE_A, (0, 0), (1, 2))),
-    )
+    dropped = _without_origin_base_a()
     below, at, above = (F(1), F(1, 5)), (F(1), F(1, 4)), (F(1), F(1, 4) + F(1, 10**6))
     report = coverage_report(dropped, [below, at, above])
     assert report.covered == report.total == 3
@@ -152,16 +183,7 @@ def test_coverage_report_counts_fallback_reasons():
     # Drop the base_a element at the origin of (2, 1) and lower the base_b
     # anchor by 1/3: the scan takes over for the points routed to either.
     cover = build_cover(2, 1)
-    key = ("base_b", (1, 0), (2, 1))
-    moved = replace(cover.element_index[key], anchor=(F(1), F(0)))
-    broken = replace(
-        cover,
-        elements=tuple(
-            moved if el.key == key else el
-            for el in cover.elements
-            if el.key != (KIND_BASE_A, (0, 0), (1, 2))
-        ),
-    )
+    broken = _with_moved_anchor()
     report = coverage_report(broken, lattice_samples(2, 1, cover.delta, 2))
     assert report.routes == {"top": 0, "base_a": 9, "base_b": 0, "fallback": 15}
     assert report.fallback_reasons == {"anchor": 5, "missing": 10}
@@ -169,6 +191,97 @@ def test_coverage_report_counts_fallback_reasons():
     assert "fallback_reasons" not in report.to_json()
     clean = coverage_report(cover, lattice_samples(2, 1, cover.delta, 2))
     assert clean.fallback_reasons == {}
+
+
+def _campaign(d, n, eps, q, count, seed):
+    """The three row streams of ``verify --mode all`` and the same points made
+    exact by the Point samplers."""
+    rows = [
+        lattice_rows(d, n, eps, q),
+        random_rows(d, n, eps, count, seed),
+        boundary_rows(d, n, eps),
+    ]
+    points = chain(
+        lattice_samples(d, n, eps, q),
+        random_samples(d, n, eps, count, seed),
+        boundary_suite(d, n, eps),
+    )
+    return rows, points
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("eps_of", ["delta", "zero", "delta/3"])
+def test_verify_rows_match_the_point_path(capsys, d, n, q, eps_of):
+    eps = {"delta": delta(n), "zero": F(0), "delta/3": delta(n) / 3}[eps_of]
+    seed = 10 * d + n + q
+    argv = ["verify", "--d", str(d), "--n", str(n), "--mode", "all", "--eps", str(eps)]
+    assert cli.main(argv + ["--q", str(q), "--samples", "100", "--seed", str(seed)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    wire = json.loads(out)
+    _, points = _campaign(d, n, eps, q, 100, seed)
+    expected = coverage_report(build_cover(d, n), points).to_json()
+    wire.pop("elapsed_ms")
+    expected.pop("elapsed_ms")
+    assert wire == expected
+
+
+@pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a])
+def test_row_path_rechecks_every_point_of_a_failed_key(make):
+    # The campaign remembers only keys that passed their checks, so each point
+    # routed to a missing element or a moved anchor falls back on its own, as
+    # it does in a witness call with nothing remembered.
+    cover = make()
+    d, n = cover.d, cover.n
+    rows, points = _campaign(d, n, cover.delta, 4, 300, 5)
+    points = list(points)
+    by_rows = tally(cover, rows)
+    by_points = coverage_report(cover, points)
+    routes, reasons, slivers = Counter({route: 0 for route in ROUTES}), Counter(), []
+    failures = []
+    for x in points:
+        try:
+            result = witness(x, d, n, cover)
+        except UncoveredPointError:
+            failures.append(x)
+            continue
+        routes[result.route] += 1
+        if result.fallback_reason is not None:
+            reasons[result.fallback_reason] += 1
+        if result.route != KIND_BASE_A and x[-1] <= cover.delta:
+            slivers.append(x)
+    for report in (by_rows, by_points):
+        assert report.total == len(points)
+        assert report.failures == tuple(failures)
+        assert report.routes == dict(routes)
+        assert report.fallback_reasons == dict(sorted(reasons.items()))
+        assert report.sliver_violations == tuple(slivers)
+    assert max(reasons.values()) > 1
+    assert by_rows.routes["fallback"] == sum(reasons.values()) > 0
+
+
+# SHA-256 of the point_format lines, one per point, pinned before the samplers
+# were written as integer rows.
+SAMPLER_DIGESTS = [
+    ("lattice", F(1, 4), 2, 1330, "e1554bdf56eb010b8790089d4bee877113fabfa3d23383d1a0c0eba397ec6473"),
+    ("lattice", F(1, 9), 3, 3276, "4198b13ef5fe22d123c76e8b8849b566a70013fe3aea1ec8aaed58eb5b45f2a6"),
+    ("random", F(1, 4), 11, 500, "615df835e200eac7becdebbed4c24e616be84c9d65fd7ee5a144955dc0f3822d"),
+    ("random", F(0), 12, 500, "a36e52cabfca5726305b12826b5c2ceb3b4dcf4ac6a0783e96ed604a9b101843"),
+    ("random", F(1, 9), 13, 500, "e5257681a283325bda9ead6c113099498b042fd05bfb2a95b441e0ad8ac8fcbd"),
+]
+
+
+@pytest.mark.parametrize("sampler,eps,arg,count,digest", SAMPLER_DIGESTS)
+def test_samplers_are_pinned(sampler, eps, arg, count, digest):
+    # arg is the lattice resolution q, or the random seed
+    if sampler == "lattice":
+        pts = list(lattice_samples(3, 2, eps, arg))
+    else:
+        pts = list(random_samples(3, 2, eps, count, arg))
+    text = "".join(point_format(p) + "\n" for p in pts)
+    assert len(pts) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_coverage_report_json_schema():
