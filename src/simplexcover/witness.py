@@ -130,7 +130,7 @@ def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
 
 
 def _point(X: Sequence[int], big: int) -> Point:
-    """The point with numerators X over ``big``, made exact for showing."""
+    """The point with numerators X over ``big``, made exact."""
     return tuple(Fraction(c, big) for c in X)
 
 
