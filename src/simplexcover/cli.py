@@ -19,6 +19,7 @@ from typing import TextIO
 from .arith import (
     IntVector,
     ParseError,
+    Permutation,
     is_permutation,
     point_format,
     point_parse,
@@ -29,11 +30,13 @@ from .cover import (
     KINDS,
     CoverElement,
     anchor_coordinate,
+    anchor_numerators,
     build_cover,
     cover_count,
-    cover_rows,
+    cover_groups,
     cover_split,
     delta,
+    element_kind,
 )
 from .render import render_svg
 from .triangulation import check_dn
@@ -124,27 +127,54 @@ def _open_output(path: str) -> TextIO:
 
 
 def _cmd_cover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    # Each line is json.dumps(cover_record(el)) + "\n", written from the ints:
-    # the kinds are plain ASCII words, a list of ints prints as its JSON text,
-    # and each distinct anchor numerator is formatted once.
+    # Each line is json.dumps(cover_record(el)) + "\n", written from the ints one
+    # anchor at a time: the kinds are plain ASCII words and a list of ints
+    # prints as its JSON text, so a line is its kind's head and tail on that
+    # anchor around the text of its perm.  An anchor's lines are one template,
+    # filled with the head and tail of each kind present, and written at once.
+    n = args.n
     quoted: dict[int, str] = {}
+    # anchors with the same tie pattern share their perms, and so their template
+    templates: dict[tuple[bool, tuple[Permutation, ...]], tuple[str, tuple[str, ...]]] = {}
     try:
         with _open_output(args.out) as fh:
-            for kind, v, perm, nums in cover_rows(args.d, args.n):
-                anchor = []
-                for num in nums:
-                    text = quoted.get(num)
-                    if text is None:
-                        text = quoted[num] = json.dumps(rat_format(anchor_coordinate(num, args.n)))
-                    anchor.append(text)
-                fh.write(
-                    f'{{"kind": "{kind}", "v": {list(v)}, "pi": {list(perm)}, '
-                    f'"anchor": [{", ".join(anchor)}]}}\n'
-                )
+            for top, v, perms in cover_groups(args.d, n):
+                entry = templates.get((top, perms))
+                if entry is None:
+                    entry = templates[top, perms] = _group_template(top, perms)
+                template, kinds = entry
+                ends = [text for kind in kinds for text in _line_ends(kind, v, n, quoted)]
+                fh.write(template.format(*ends))
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return 1
     return 0
+
+
+def _group_template(top: bool, perms: tuple[Permutation, ...]) -> tuple[str, tuple[str, ...]]:
+    """The ``cover`` lines of an anchor with these perms, each kind's head and
+    tail left as the fields ``{2i}`` and ``{2i+1}``, and the kinds in field order."""
+    kinds: list[str] = []
+    lines = []
+    for perm in perms:
+        kind = element_kind(top, perm)
+        if kind not in kinds:
+            kinds.append(kind)
+        i = 2 * kinds.index(kind)
+        lines.append(f"{{{i}}}{list(perm)}{{{i + 1}}}")
+    return "".join(lines), tuple(kinds)
+
+
+def _line_ends(kind: str, v: IntVector, n: int, quoted: dict[int, str]) -> tuple[str, str]:
+    """The text of a ``cover`` line before and after its perm, for the kind-``kind``
+    element on v; ``quoted`` maps each anchor numerator to its JSON text."""
+    anchor = []
+    for num in anchor_numerators(kind, v, n):
+        text = quoted.get(num)
+        if text is None:
+            text = quoted[num] = json.dumps(rat_format(anchor_coordinate(num, n)))
+        anchor.append(text)
+    return f'{{"kind": "{kind}", "v": {list(v)}, "pi": ', f', "anchor": [{", ".join(anchor)}]}}\n'
 
 
 def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -12,13 +12,15 @@ With ``delta = 1/(n+2)`` the target splits at the seam ``x_d = 1 + delta``:
 Every anchor lies on the grid ``Z/(n+2)``.  ``element_kind`` states the kind
 rule and ``anchor_numerators`` the three anchor formulas, once, as integer
 numerators over n+2: ``(v_j+1)(n+2)+1`` (top), ``(n+1)v_j`` (base_a) and
-``(n+1)v_j+1`` (base_b).  ``cover_rows`` streams each element as the ints
-``(kind, v, perm, numerators)`` in canonical order; ``cover`` writes its lines
-from them.  ``iter_cover`` makes the elements from the rows, one ``Fraction``
-per distinct numerator shared by every anchor that has it: a cover at d=5,
-n=10 has 600,500 anchor coordinates but only 31 distinct values.
-``make_element`` makes one element alone.  ``witness`` matches its routing
-result against the same numerators directly.
+``(n+1)v_j+1`` (base_b).  ``cover_groups`` streams the cover one lattice
+anchor at a time, as ``(top, v, perms)``: the elements on v, in canonical
+order.  An element's kind depends on (top, perm) and its anchor on (kind, v)
+only, so ``iter_cover`` makes each anchor tuple once per (kind, v) and shares
+it between those elements, with one ``Fraction`` per distinct numerator: a
+cover at d=5, n=10 has 120,100 elements on 2,288 anchors, and 31 distinct
+numerators.  ``cover`` formats each anchor's line text once per kind from the
+same stream.  ``make_element`` makes one element alone.  ``witness`` matches
+its routing result against the same numerators directly.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -34,14 +36,14 @@ from typing import Iterator
 
 from .arith import IntVector, Permutation, Point
 from .simplex import KuhnSimplex
-from .triangulation import check_dn, enumerate_base_slab, enumerate_simplex_triangulation
+from .triangulation import base_slab_groups, check_dn, simplex_groups
 
 KIND_TOP = "top"
 KIND_BASE_A = "base_a"
 KIND_BASE_B = "base_b"
 KINDS = (KIND_TOP, KIND_BASE_A, KIND_BASE_B)
 
-Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators
+AnchorGroup = tuple[bool, IntVector, tuple[Permutation, ...]]  # top, v, perms
 
 
 @dataclass(frozen=True)
@@ -137,28 +139,24 @@ def _anchor(nums: IntVector, n: int, coordinates: dict[int, Fraction]) -> Point:
     return tuple(anchor)
 
 
-def _row(top: bool, v: IntVector, perm: Permutation, n: int) -> Row:
-    kind = element_kind(top, perm)
-    return kind, v, perm, anchor_numerators(kind, v, n)
-
-
 def make_element(top: bool, v: IntVector, perm: Permutation, n: int) -> CoverElement:
     """The element on Kuhn cell (v, perm), its anchor over n+2 made exact."""
-    kind, v, perm, nums = _row(top, v, perm, n)
-    return CoverElement(kind, v, perm, _anchor(nums, n, {}))
+    kind = element_kind(top, perm)
+    return CoverElement(kind, v, perm, _anchor(anchor_numerators(kind, v, n), n, {}))
 
 
-def cover_rows(d: int, n: int) -> Iterator[Row]:
-    """``(kind, v, perm, anchor numerators over n+2)`` of each element, in
-    canonical order (top, then base).
+def cover_groups(d: int, n: int) -> Iterator[AnchorGroup]:
+    """``(top, v, perms)`` for each lattice anchor v of the cover, in canonical
+    order (top, then base).  Its elements are ``make_element(top, v, perm, n)``
+    for each perm in order; base_a and base_b elements interleave in it.
 
-    (d, n) is checked on the call, before the first row is made.
+    (d, n) is checked on the call, before the first group is made.
     """
     check_dn(d, n)
-    top = enumerate_simplex_triangulation(d, n - 1) if n >= 2 else ()
+    top = simplex_groups(d, n - 1) if n >= 2 else ()
     return chain(
-        (_row(True, v, perm, n) for v, perm in top),
-        (_row(False, v, perm, n) for v, perm in enumerate_base_slab(d, n + 1)),
+        ((True, v, perms) for v, perms in top),
+        ((False, v, perms) for v, perms in base_slab_groups(d, n + 1)),
     )
 
 
@@ -167,11 +165,20 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
 
     (d, n) is checked on the call, before the first element is made.
     """
+    return _elements(cover_groups(d, n), n)
+
+
+def _elements(groups: Iterator[AnchorGroup], n: int) -> Iterator[CoverElement]:
+    # the elements of one kind on one anchor share a single anchor tuple
     coordinates: dict[int, Fraction] = {}
-    return (
-        CoverElement(kind, v, perm, _anchor(nums, n, coordinates))
-        for kind, v, perm, nums in cover_rows(d, n)
-    )
+    for top, v, perms in groups:
+        anchors: dict[str, Point] = {}
+        for perm in perms:
+            kind = element_kind(top, perm)
+            anchor = anchors.get(kind)
+            if anchor is None:
+                anchor = anchors[kind] = _anchor(anchor_numerators(kind, v, n), n, coordinates)
+            yield CoverElement(kind, v, perm, anchor)
 
 
 def build_cover(d: int, n: int) -> CoverSpec:

@@ -10,9 +10,12 @@ A cell is the plain tuple ``(v, perm)``.  ``tie_respecting_perms`` reads the tie
 rule directly, placing images left to right and admitting j only after j-1 when
 the two are tied.  Its result depends on v only through the tie pattern (which
 ``v_j = v_{j+1}``), of which there are 2^(d-1), so an enumeration computes the
-permutations once per tie pattern, in a table local to the call, and pairs each
-anchor with its pattern's tuple.  ``check_dn`` is the one (d, n) check of the
-package; each enumerator calls it when called, before the first cell is made.
+permutations once per tie pattern, in a table local to the call.  The anchor
+streams ``simplex_groups`` and ``base_slab_groups`` yield each anchor once with
+its pattern's tuple, ``(v, perms)``; the cell enumerators flatten them, and the
+cover is built from them one anchor at a time.  ``check_dn`` is the one (d, n)
+check of the package; each enumerator calls it when called, before the first
+cell is made.
 
 Enumeration order is canonical everywhere: anchors in ascending lexicographic
 order, then permutations in ascending lexicographic order of their image
@@ -27,6 +30,7 @@ from typing import Iterator
 from .arith import IntVector, Permutation, is_permutation
 
 Cell = tuple[IntVector, Permutation]
+Group = tuple[IntVector, tuple[Permutation, ...]]  # an anchor and all its cells' perms
 
 
 def check_dn(d: int, n: int) -> None:
@@ -55,13 +59,27 @@ def is_admissible(v: IntVector, perm: Permutation, n: int) -> bool:
 
 
 def weakly_decreasing_vectors(d: int, bound: int) -> Iterator[IntVector]:
-    """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex."""
+    """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex.
+
+    Iterative: the last entry runs over 0..v_{d-1} for each prefix, and the
+    next prefix raises the rightmost entry that is below its left neighbour
+    (below ``bound`` for the first) and zeroes the entries after it.
+    """
     if d == 0:
         yield ()
         return
-    for first in range(bound + 1):
-        for rest in weakly_decreasing_vectors(d - 1, first):
-            yield (first, *rest)
+    lasts = [(k,) for k in range(bound + 1)]
+    prefix = [0] * (d - 1)
+    while True:
+        head = tuple(prefix)
+        yield from map(head.__add__, lasts[: (prefix[-1] if prefix else bound) + 1])
+        j = d - 2
+        while j >= 0 and prefix[j] == (prefix[j - 1] if j else bound):
+            j -= 1
+        if j < 0:
+            return
+        prefix[j] += 1
+        prefix[j + 1 :] = [0] * (d - 2 - j)
 
 
 def tie_respecting_perms(v: IntVector) -> Iterator[Permutation]:
@@ -90,25 +108,40 @@ def tie_respecting_perms(v: IntVector) -> Iterator[Permutation]:
     return extend()
 
 
+def simplex_groups(d: int, n: int) -> Iterator[Group]:
+    """``(v, perms)`` for each anchor of the S^n triangulation, in canonical
+    order; flattened, these are the cells of ``enumerate_simplex_triangulation``."""
+    check_dn(d, n)
+    return _groups(weakly_decreasing_vectors(d, n - 1))
+
+
+def base_slab_groups(d: int, m: int) -> Iterator[Group]:
+    """``(v, perms)`` for each anchor of the base slab of S^m, in canonical
+    order; flattened, these are the cells of ``enumerate_base_slab``."""
+    check_dn(d, m)
+    return _groups((*prefix, 0) for prefix in weakly_decreasing_vectors(d - 1, m - 1))
+
+
 def enumerate_simplex_triangulation(d: int, n: int) -> Iterator[Cell]:
     """The n^d cells partitioning S^n, in canonical order."""
-    check_dn(d, n)
-    return _cells(weakly_decreasing_vectors(d, n - 1))
+    return _cells(simplex_groups(d, n))
 
 
 def enumerate_base_slab(d: int, m: int) -> Iterator[Cell]:
     """The m^d - (m-1)^d cells of S^m with v_d = 0, partitioning the slab
     ``0 <= x_d <= 1`` of S^m."""
-    check_dn(d, m)
-    return _cells((*prefix, 0) for prefix in weakly_decreasing_vectors(d - 1, m - 1))
+    return _cells(base_slab_groups(d, m))
 
 
-def _cells(anchors: Iterator[IntVector]) -> Iterator[Cell]:
+def _groups(anchors: Iterator[IntVector]) -> Iterator[Group]:
     perms_by_ties: dict[tuple[bool, ...], tuple[Permutation, ...]] = {}
     for v in anchors:
         ties = tuple(map(operator.eq, v, v[1:]))
         perms = perms_by_ties.get(ties)
         if perms is None:
             perms = perms_by_ties[ties] = tuple(tie_respecting_perms(v))
-        for perm in perms:
-            yield v, perm
+        yield v, perms
+
+
+def _cells(groups: Iterator[Group]) -> Iterator[Cell]:
+    return ((v, perm) for v, perms in groups for perm in perms)

@@ -47,6 +47,17 @@ def tie_respecting_perms_filtered(v: IntVector, n: int) -> list[Permutation]:
     return [p for p in itertools.permutations(range(1, d + 1)) if is_admissible(v, p, n)]
 
 
+def weakly_decreasing_vectors_recursive(d: int, bound: int) -> Iterator[IntVector]:
+    """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex,
+    by recursion on the first entry; cross-checks the iterative enumerator."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in weakly_decreasing_vectors_recursive(d - 1, first):
+            yield (first, *rest)
+
+
 def enumerate_cube_triangulation(d: int) -> Iterator[Cell]:
     """The d! cells (0, pi) partitioning the unit cube."""
     check_dn(d, 1)  # the cube is the unit-scale case: only d is checked

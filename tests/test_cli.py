@@ -98,6 +98,18 @@ def test_cover_lines_are_json_of_cover_record(tmp_path, capsys, d, n):
     assert [cli.parse_cover_record(line) for line in lines] == elements
 
 
+@pytest.mark.parametrize("d,n", [(6, 2), (4, 1)])
+def test_cover_lines_match_cover_record_per_anchor_group(tmp_path, capsys, d, n):
+    # (6, 2): anchors with up to 720 lines, base_a and base_b interleaved;
+    # (4, 1): base anchors only, since n = 1 has no top part
+    out_path = tmp_path / "cover.jsonl"
+    assert run(capsys, "cover", "--d", str(d), "--n", str(n), "--out", str(out_path))[0] == 0
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    assert len(lines) == cover_count(d, n)
+    assert lines == [json.dumps(cli.cover_record(el)) + "\n" for el in build_cover(d, n).elements]
+
+
 def test_cover_matches_the_benchmark_pinned_digest(tmp_path, capsys):
     # the benchmark's own size: two-digit numerators and anchors in lowest terms
     pinned = runpy.run_path(str(BENCHMARK_CONFIG))["DIGESTS"]["cover-d5-n10.jsonl"]

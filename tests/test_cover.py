@@ -12,7 +12,9 @@ from simplexcover.cover import (
     anchor_numerators,
     build_cover,
     cover_count,
+    cover_groups,
     delta,
+    element_kind,
     iter_cover,
 )
 from simplexcover.simplex import contains_oracle, vertices
@@ -113,6 +115,36 @@ def test_build_cover_shares_one_fraction_per_numerator():
     assert len({id(c) for el in elements for c in el.anchor}) == len(numerators)
 
 
+def test_build_cover_shares_one_anchor_per_kind_and_lattice_anchor():
+    elements = build_cover(4, 3).elements
+    first = {}
+    for el in elements:
+        assert first.setdefault((el.kind, el.v), el.anchor) is el.anchor
+    assert len({id(el.anchor) for el in elements}) == len(first)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 7) for n in range(1, 5)])
+def test_cover_groups_flatten_to_the_per_cell_rows(d, n):
+    # one group per lattice anchor, top then base; flattened, the rows of
+    # the per-cell definition, and the elements iter_cover makes from them
+    cells = [(True, v, p) for v, p in enumerate_simplex_triangulation(d, n - 1)] if n > 1 else []
+    cells += [(False, v, p) for v, p in enumerate_base_slab(d, n + 1)]
+    rows = [
+        (kind, v, perm, anchor_numerators(kind, v, n))
+        for top, v, perm in cells
+        for kind in [element_kind(top, perm)]
+    ]
+    groups = list(cover_groups(d, n))
+    assert len({(top, v) for top, v, _ in groups}) == len(groups)
+    flat = [(top, v, perm) for top, v, perms in groups for perm in perms]
+    assert flat == cells
+    built = [
+        (el.kind, el.v, el.perm, tuple(c * (n + 2) for c in el.anchor))
+        for el in iter_cover(d, n)
+    ]
+    assert built == rows
+
+
 def test_base_a_iff_last_leg_is_dth_direction():
     for d, n in [(2, 2), (3, 1), (3, 2), (4, 1)]:
         for el in build_cover(d, n).elements:
@@ -175,6 +207,13 @@ def test_invalid_args_rejected():
         cover_count(2, 0)
     with pytest.raises(ValueError):
         delta(0)
+
+
+def test_cover_groups_check_dn_on_call():
+    with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+        cover_groups(1, 2)
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        cover_groups(2, 0)
 
 
 def test_cover_element_requires_known_kind():

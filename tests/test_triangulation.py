@@ -4,13 +4,19 @@ from itertools import permutations
 
 import pytest
 
-from oracles import enumerate_cube_triangulation, tie_respecting_perms_filtered
+from oracles import (
+    enumerate_cube_triangulation,
+    tie_respecting_perms_filtered,
+    weakly_decreasing_vectors_recursive,
+)
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.triangulation import (
+    base_slab_groups,
     check_dn,
     enumerate_base_slab,
     enumerate_simplex_triangulation,
     is_admissible,
+    simplex_groups,
     tie_respecting_perms,
     weakly_decreasing_vectors,
 )
@@ -26,6 +32,15 @@ def test_weakly_decreasing_vectors_small():
     assert vecs == sorted(vecs)
     assert all(a >= b >= c >= 0 for a, b, c in vecs)
     assert all(v[0] <= 2 for v in vecs)
+
+
+@pytest.mark.parametrize("d", range(7))
+def test_weakly_decreasing_vectors_matches_recursion(d):
+    for bound in range(6):
+        assert list(weakly_decreasing_vectors(d, bound)) == list(
+            weakly_decreasing_vectors_recursive(d, bound)
+        )
+    assert list(weakly_decreasing_vectors(0, 3)) == [()]
 
 
 def test_tie_respecting_perms_examples():
@@ -117,6 +132,25 @@ def test_enumerators_pair_each_anchor_with_its_tie_respecting_perms(d, n):
         (enumerate_base_slab(d, n), slab),
     ):
         assert list(cells) == [(v, p) for v in anchors for p in tie_respecting_perms(v)]
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 3)])
+def test_groups_hold_each_anchor_once_and_share_perms_per_tie_pattern(d, n):
+    for groups in (simplex_groups(d, n), base_slab_groups(d, n)):
+        groups = list(groups)
+        anchors = [v for v, _ in groups]
+        assert anchors == sorted(set(anchors))
+        by_ties = {}
+        for v, perms in groups:
+            ties = tuple(a == b for a, b in zip(v, v[1:]))
+            assert by_ties.setdefault(ties, perms) is perms
+
+
+def test_group_streams_check_dn_on_call():
+    with pytest.raises(ValueError, match="d must be at least 2, got 1"):
+        simplex_groups(1, 2)
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
+        base_slab_groups(2, 0)
 
 
 @pytest.mark.parametrize("d,m", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
