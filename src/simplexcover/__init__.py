@@ -10,7 +10,6 @@ from .arith import (
     Point,
     point_format,
     point_parse,
-    rat_floor,
     rat_format,
     rat_parse,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "point_format",
     "point_parse",
     "random_samples",
-    "rat_floor",
     "rat_format",
     "rat_parse",
     "vertices",

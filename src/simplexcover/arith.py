@@ -12,7 +12,6 @@ images ``(pi(1), ..., pi(d))``.  Both are immutable and freely shareable.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -52,11 +51,6 @@ def rat_parse(s: str) -> Fraction:
 def rat_format(r: Fraction) -> str:
     """Canonical rendering: ``"p/q"`` in lowest terms, or ``"p"`` when q = 1."""
     return str(r)
-
-
-def rat_floor(r: Fraction) -> int:
-    """Greatest integer <= r."""
-    return math.floor(r)
 
 
 def point_parse(s: str, d: int) -> Point:

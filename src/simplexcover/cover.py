@@ -19,8 +19,8 @@ only, so ``iter_cover`` makes each anchor tuple once per (kind, v) and shares
 it between those elements, with one ``Fraction`` per distinct numerator: a
 cover at d=5, n=10 has 120,100 elements on 2,288 anchors, and 31 distinct
 numerators.  ``cover`` formats each anchor's line text once per kind from the
-same stream.  ``make_element`` makes one element alone.  ``witness`` matches
-its routing result against the same numerators directly.
+same stream.  ``witness`` matches its routing result against the same
+numerators directly.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -139,16 +139,11 @@ def _anchor(nums: IntVector, n: int, coordinates: dict[int, Fraction]) -> Point:
     return tuple(anchor)
 
 
-def make_element(top: bool, v: IntVector, perm: Permutation, n: int) -> CoverElement:
-    """The element on Kuhn cell (v, perm), its anchor over n+2 made exact."""
-    kind = element_kind(top, perm)
-    return CoverElement(kind, v, perm, _anchor(anchor_numerators(kind, v, n), n, {}))
-
-
 def cover_groups(d: int, n: int) -> Iterator[AnchorGroup]:
     """``(top, v, perms)`` for each lattice anchor v of the cover, in canonical
-    order (top, then base).  Its elements are ``make_element(top, v, perm, n)``
-    for each perm in order; base_a and base_b elements interleave in it.
+    order (top, then base).  Its elements are, for each perm in order, the
+    ``element_kind(top, perm)`` element on (v, perm); base_a and base_b
+    elements interleave in it.
 
     (d, n) is checked on the call, before the first group is made.
     """

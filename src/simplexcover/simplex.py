@@ -48,28 +48,23 @@ def vertices(simplex: KuhnSimplex) -> tuple[Point, ...]:
     return tuple(pts)
 
 
-def _descends(
-    top: Fraction | int, values: Iterable[Fraction] | Iterable[int], strict: bool = False
-) -> bool:
+def _descends(top: Fraction | int, values: Iterable[Fraction] | Iterable[int]) -> bool:
     """The chain ``top >= s_1 >= ... >= s_d >= 0`` over ``values`` (Fractions or
-    ints alike); with ``strict`` every inequality must be strict."""
+    ints alike)."""
     prev = top
     for c in values:
-        if c > prev or (strict and c == prev):
+        if c > prev:
             return False
         prev = c
-    return prev > 0 if strict else prev >= 0
+    return prev >= 0
 
 
-def contains(simplex: KuhnSimplex, x: Point, strict: bool = False) -> bool:
-    """Exact membership: 1 >= (x-u)_{pi(1)} >= ... >= (x-u)_{pi(d)} >= 0.
-
-    With ``strict`` every inequality must be strict (interior test).
-    """
+def contains(simplex: KuhnSimplex, x: Point) -> bool:
+    """Exact membership: 1 >= (x-u)_{pi(1)} >= ... >= (x-u)_{pi(d)} >= 0."""
     if len(x) != simplex.dim:
         raise ValueError(f"point has dimension {len(x)}, simplex has {simplex.dim}")
     u = simplex.anchor
-    return _descends(ONE, (x[j - 1] - u[j - 1] for j in simplex.perm), strict)
+    return _descends(ONE, (x[j - 1] - u[j - 1] for j in simplex.perm))
 
 
 def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

@@ -68,6 +68,8 @@ def weakly_decreasing_vectors(d: int, bound: int) -> Iterator[IntVector]:
     if d == 0:
         yield ()
         return
+    if bound < 0:
+        return
     lasts = [(k,) for k in range(bound + 1)]
     prefix = [0] * (d - 1)
     while True:

@@ -10,7 +10,7 @@ weakly decreasing vectors over ``L = q(n+2)``; a random point ``a * (n+eps)/10^6
 is ``a`` times a fixed integer over ``L = lcm(n+2, denominator of the step)``;
 the boundary suite is scaled once over its common denominator.
 ``lattice_samples`` and ``random_samples`` make the same rows exact, in the
-same order (a lattice point from one table of the ``kmax + 1`` coordinates).
+same order.
 ``tally`` routes the rows through ``witness._route`` with one memo of checked
 keys per campaign and aggregates the report; ``coverage_report`` scales each
 Fraction point to its own row and feeds the same loop.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .arith import IntVector, Point, point_format, rat_floor
+from .arith import IntVector, Point, point_format
 from .cover import KIND_BASE_A, CoverSpec, delta
 from .triangulation import check_dn, weakly_decreasing_vectors
 from .witness import (
@@ -85,33 +85,24 @@ def _check_plan(d: int, n: int, eps: Fraction) -> None:
         raise ValueError(f"eps={eps} exceeds the margin 1/(n+2)={delta(n)}")
 
 
-def _lattice(d: int, n: int, eps: Fraction, q: int) -> tuple[int, int]:
-    """``(L, kmax)`` of the step-delta/q grid in S^{n+eps}: ``L = q(n+2)``, and
-    every grid coordinate is k/L with ``0 <= k <= kmax``.  Checks the plan."""
-    _check_plan(d, n, eps)
-    if q < 1:
-        raise ValueError(f"lattice resolution must be at least 1, got {q}")
-    big = q * (n + 2)
-    return big, rat_floor((n + eps) * big)
-
-
 def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:
     """Every point of the step-delta/q grid inside S^{n+eps}, ascending lex, as
     integer rows over ``L = q(n+2)``: ``(L, rows)``.
 
     The plan is checked on the call, before the first row."""
-    big, kmax = _lattice(d, n, eps, q)
-    return big, weakly_decreasing_vectors(d, kmax)
+    _check_plan(d, n, eps)
+    if q < 1:
+        raise ValueError(f"lattice resolution must be at least 1, got {q}")
+    big = q * (n + 2)
+    return big, weakly_decreasing_vectors(d, math.floor((n + eps) * big))
 
 
 def lattice_samples(d: int, n: int, eps: Fraction, q: int) -> Iterator[Point]:
-    """The points of ``lattice_rows``, made exact from one table of the
-    ``kmax + 1`` distinct coordinates k/L.
+    """The points of ``lattice_rows``, made exact.
 
     The plan is checked on the call, before the first point."""
-    big, kmax = _lattice(d, n, eps, q)
-    values = [Fraction(k, big) for k in range(kmax + 1)]
-    return (tuple(values[k] for k in row) for row in weakly_decreasing_vectors(d, kmax))
+    big, rows = lattice_rows(d, n, eps, q)
+    return (_point(X, big) for X in rows)
 
 
 def random_rows(d: int, n: int, eps: Fraction, count: int, seed: int) -> Stream:
@@ -202,7 +193,7 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     for big, rows in streams:
         for X in rows:
             total += 1
-            element, reason = _route(X, big, n, cover, checked)
+            element, reason = _route(X, big, cover, checked)
             if element is not None:
                 route = element.kind
             else:

@@ -135,9 +135,10 @@ def _point(X: Sequence[int], big: int) -> Point:
 
 
 def _route(
-    X: Sequence[int], big: int, n: int, cover: CoverSpec, checked: dict[Key, Checked]
+    X: Sequence[int], big: int, cover: CoverSpec, checked: dict[Key, Checked]
 ) -> tuple[CoverElement | None, str | None]:
-    """Route the point with numerators X over ``big`` (a multiple of n+2):
+    """Route the point with numerators X over ``big`` (a multiple of
+    ``cover.n + 2``):
     ``(element, None)`` when the formula element passes every check, else
     ``(None, the failed check)``.
 
@@ -148,6 +149,7 @@ def _route(
     checked again on its next point.  ``not_contained`` runs for every point.
     Raises ValueError for a point outside the target simplex.
     """
+    n = cover.n
     m = n + 2
     unit = big // m
     if not _descends(n * big + unit, X):
@@ -191,7 +193,7 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     if len(x) != d or cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
-    element, reason = _route(X, big, n, cover, {})
+    element, reason = _route(X, big, cover, {})
     if element is not None:
         return WitnessResult(element, element.kind, x, cover.delta)
     return WitnessResult(_scan(cover, x), ROUTE_FALLBACK, x, cover.delta, reason)

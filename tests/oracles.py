@@ -7,11 +7,18 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 from typing import Iterable, Iterator
 
-from simplexcover.arith import IntVector, Permutation, Point, rank_descending, rat_floor
-from simplexcover.cover import KIND_TOP, CoverElement, CoverSpec, make_element
+from simplexcover.arith import IntVector, Permutation, Point, rank_descending
+from simplexcover.cover import (
+    KIND_TOP,
+    CoverElement,
+    CoverSpec,
+    anchor_coordinate,
+    anchor_numerators,
+    element_kind,
+)
 from simplexcover.simplex import KuhnSimplex, contains, contains_oracle
 from simplexcover.triangulation import Cell, check_dn, is_admissible
 from simplexcover.verifier import RANDOM_GRID
@@ -36,6 +43,26 @@ def gram_squared_length(u: Point) -> Fraction:
         raise ValueError(f"expected a 2-dimensional vector, got dimension {len(u)}")
     a, b = u
     return a * a - a * b + b * b
+
+
+def strictly_contains(simplex: KuhnSimplex, x: Point) -> bool:
+    """Interior membership: 1 > (x-u)_{pi(1)} > ... > (x-u)_{pi(d)} > 0."""
+    if len(x) != simplex.dim:
+        raise ValueError(f"point has dimension {len(x)}, simplex has {simplex.dim}")
+    prev = Fraction(1)
+    for j in simplex.perm:
+        c = x[j - 1] - simplex.anchor[j - 1]
+        if c >= prev:
+            return False
+        prev = c
+    return prev > 0
+
+
+def make_element(top: bool, v: IntVector, perm: Permutation, n: int) -> CoverElement:
+    """The element on Kuhn cell (v, perm), its anchor over n+2 made exact."""
+    kind = element_kind(top, perm)
+    anchor = tuple(anchor_coordinate(num, n) for num in anchor_numerators(kind, v, n))
+    return CoverElement(kind, v, perm, anchor)
 
 
 def tie_respecting_perms_filtered(v: IntVector, n: int) -> list[Permutation]:
@@ -90,7 +117,7 @@ def _generic_candidate(x: Point) -> tuple[tuple[int, ...], tuple[int, ...]]:
     v: list[int] = []
     fracs: list[Fraction] = []
     for xi in x:
-        fi = rat_floor(xi)
+        fi = floor(xi)
         frac = xi - fi
         if frac == 0:
             raise ValueError(f"non-generic sample (integer coordinate): {x}")
@@ -123,7 +150,7 @@ def partition_check(
         multiplicity = 0
         if (v, perm) in keys:
             cell = KuhnSimplex(tuple(Fraction(c) for c in v), perm)
-            if contains(cell, x, strict=True):
+            if strictly_contains(cell, x):
                 multiplicity = 1
         if multiplicity != 1:
             bad.append((x, multiplicity))
@@ -185,14 +212,14 @@ def _locate(
         # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
         # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
         u = [xj - (1 + dl) for xj in x]
-        v = tuple(min(rat_floor(uj), n - 2) for uj in u)
+        v = tuple(min(floor(uj), n - 2) for uj in u)
         w = tuple(uj - vj for uj, vj in zip(u, v))
         return True, v, rank_descending(w), w
     shrink = 1 - dl
     va: list[int] = []
     wa: list[Fraction] = []
     for xj in x[: d - 1]:
-        vj = rat_floor(xj / shrink)
+        vj = floor(xj / shrink)
         wj = xj - shrink * vj
         if vj > 0 and wj <= dl:
             # one decrement restores the residual to [1-delta, 1]
@@ -201,7 +228,7 @@ def _locate(
         va.append(vj)
         wa.append(wj)
     if xd > 1 or any(xd > wj for wj in wa):
-        va = [rat_floor((xj - dl) / shrink) for xj in x[: d - 1]]
+        va = [floor((xj - dl) / shrink) for xj in x[: d - 1]]
         wa = [xj - shrink * vj for xj, vj in zip(x, va)]
     v = (*va, 0)
     w = (*wa, xd)

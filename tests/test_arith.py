@@ -11,7 +11,6 @@ from simplexcover.arith import (
     point_format,
     point_parse,
     rank_descending,
-    rat_floor,
     rat_format,
     rat_parse,
 )
@@ -43,18 +42,6 @@ DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 def test_rat_parse_rejects(bad):
     with pytest.raises(ParseError):
         rat_parse(bad)
-
-
-def test_rat_floor_examples():
-    assert rat_floor(Fraction(7, 6)) == 1
-    assert rat_floor(Fraction(-1, 2)) == -1
-    assert rat_floor(Fraction(3)) == 3
-
-
-@given(st.fractions())
-def test_rat_floor_bound(r):
-    f = rat_floor(r)
-    assert f <= r < f + 1
 
 
 @given(st.fractions(), st.fractions())

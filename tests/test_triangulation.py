@@ -36,7 +36,7 @@ def test_weakly_decreasing_vectors_small():
 
 @pytest.mark.parametrize("d", range(7))
 def test_weakly_decreasing_vectors_matches_recursion(d):
-    for bound in range(6):
+    for bound in range(-2, 6):
         assert list(weakly_decreasing_vectors(d, bound)) == list(
             weakly_decreasing_vectors_recursive(d, bound)
         )

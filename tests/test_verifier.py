@@ -13,11 +13,12 @@ from oracles import (
     generic_interior_cube_samples,
     generic_interior_simplex_samples,
     partition_check,
+    strictly_contains,
 )
 from simplexcover import cli
 from simplexcover.arith import point_format
 from simplexcover.cover import KIND_BASE_A, build_cover, delta
-from simplexcover.simplex import KuhnSimplex, contains
+from simplexcover.simplex import KuhnSimplex
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
 from simplexcover.verifier import (
     boundary_rows,
@@ -315,7 +316,7 @@ def naive_strict_multiplicity(pairs, x):
     count = 0
     for v, perm in pairs:
         cell = KuhnSimplex(tuple(F(c) for c in v), perm)
-        if contains(cell, x, strict=True):
+        if strictly_contains(cell, x):
             count += 1
     return count
 
