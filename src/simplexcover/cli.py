@@ -264,12 +264,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_witness = sub.add_parser("witness", help="locate a point in the cover")
     _add_dn(p_witness)
-    p_witness.add_argument("--point", required=True, help="comma-separated rationals")
+    p_witness.add_argument(
+        "--point",
+        required=True,
+        help="comma-separated rationals; a value starting with '-' needs '=' (--point=-0,0)",
+    )
     p_witness.set_defaults(func=_cmd_witness)
 
     p_verify = sub.add_parser("verify", help="run a coverage campaign, print a JSON report")
     _add_dn(p_verify)
-    p_verify.add_argument("--eps", default=None, help="margin (rational, <= 1/(n+2); default 1/(n+2))")
+    p_verify.add_argument(
+        "--eps",
+        default=None,
+        help="margin (rational, <= 1/(n+2); default 1/(n+2)); "
+        "a value starting with '-' needs '=' (--eps=-1/9)",
+    )
     p_verify.add_argument(
         "--mode", choices=("lattice", "random", "boundary", "all"), default="all"
     )

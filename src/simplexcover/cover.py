@@ -20,7 +20,7 @@ it between those elements, with one ``Fraction`` per distinct numerator: a
 cover at d=5, n=10 has 120,100 elements on 2,288 anchors, and 31 distinct
 numerators.  ``cover`` formats each anchor's line text once per kind from the
 same stream.  ``witness`` matches its routing result against the same
-numerators directly.
+numerators directly, and keeps its verdict on each key on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -44,6 +44,7 @@ KIND_BASE_B = "base_b"
 KINDS = (KIND_TOP, KIND_BASE_A, KIND_BASE_B)
 
 AnchorGroup = tuple[bool, IntVector, tuple[Permutation, ...]]  # top, v, perms
+Key = tuple[str, IntVector, Permutation]  # kind, v, perm
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,13 @@ class CoverElement:
         return KuhnSimplex(self.anchor, self.perm)
 
     @property
-    def key(self) -> tuple[str, IntVector, Permutation]:
+    def key(self) -> Key:
         return (self.kind, self.v, self.perm)
+
+
+# witness._check_key's verdict on a key: the element and its anchor numerators,
+# or None and the failed check
+Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,15 @@ class CoverSpec:
         return delta(self.n)
 
     @cached_property
-    def element_index(self) -> dict[tuple[str, IntVector, Permutation], CoverElement]:
+    def element_index(self) -> dict[Key, CoverElement]:
         return {el.key: el for el in self.elements}
+
+    @cached_property
+    def _verdicts(self) -> dict[Key, Verdict]:
+        """``witness._check_key``'s verdict per key, filled as points are routed.
+        A verdict depends on this frozen cover and the key alone, so a failed
+        one is kept too; ``replace(cover, ...)`` starts with none."""
+        return {}
 
 
 def delta(n: int) -> Fraction:

@@ -6,16 +6,16 @@ the unit simplices ``k(v, pi)`` whose integer anchor v is weakly decreasing with
 index j precedes j+1 in pi.  There are exactly n^d such cells.  Restricting to
 ``v_d = 0`` triangulates the slab ``0 <= x_d <= 1`` with n^d - (n-1)^d cells.
 
-A cell is the plain tuple ``(v, perm)``.  ``tie_respecting_perms`` reads the tie
-rule directly, placing images left to right and admitting j only after j-1 when
-the two are tied.  Its result depends on v only through the tie pattern (which
-``v_j = v_{j+1}``), of which there are 2^(d-1), so an enumeration computes the
-permutations once per tie pattern, in a table local to the call.  The anchor
-streams ``simplex_groups`` and ``base_slab_groups`` yield each anchor once with
-its pattern's tuple, ``(v, perms)``; the cell enumerators flatten them, and the
-cover is built from them one anchor at a time.  ``check_dn`` is the one (d, n)
-check of the package; each enumerator calls it when called, before the first
-cell is made.
+A cell is the plain tuple ``(v, perm)``.  ``tie_respecting_perms`` builds the
+permutations by insertion: index j goes into each permutation of 1..j-1 at any
+place, or only after j-1 when the two are tied; it then sorts them.  Its result
+depends on v only through the tie pattern (which ``v_j = v_{j+1}``), of which
+there are 2^(d-1), so an enumeration computes the permutations once per tie
+pattern, in a table local to the call.  The anchor streams ``simplex_groups``
+and ``base_slab_groups`` yield each anchor once with its pattern's tuple,
+``(v, perms)``; the cell enumerators flatten them, and the cover is built from
+them one anchor at a time.  ``check_dn`` is the one (d, n) check of the
+package; each enumerator calls it when called, before the first cell is made.
 
 Enumeration order is canonical everywhere: anchors in ascending lexicographic
 order, then permutations in ascending lexicographic order of their image
@@ -87,27 +87,18 @@ def weakly_decreasing_vectors(d: int, bound: int) -> Iterator[IntVector]:
 def tie_respecting_perms(v: IntVector) -> Iterator[Permutation]:
     """All permutations satisfying the tie rule for v, in lexicographic order.
 
-    The tie rule is read directly: images are placed left to right, smallest
-    first, and index j is admitted only once j-1 is placed whenever
-    ``v_{j-1} = v_j``.
+    The tie rule is read as insertion: index j goes into each permutation of
+    1..j-1 at every place, or only after j-1 when ``v_{j-1} = v_j``.
     """
-    d = len(v)
-    placed = [False] * (d + 1)
-    images: list[int] = []
-
-    def extend() -> Iterator[Permutation]:
-        if len(images) == d:
-            yield tuple(images)
-            return
-        for j in range(1, d + 1):
-            if not placed[j] and (j == 1 or placed[j - 1] or v[j - 2] != v[j - 1]):
-                placed[j] = True
-                images.append(j)
-                yield from extend()
-                images.pop()
-                placed[j] = False
-
-    return extend()
+    perms: list[Permutation] = [()]
+    for j in range(1, len(v) + 1):
+        tied = j > 1 and v[j - 2] == v[j - 1]
+        perms = [
+            p[:i] + (j,) + p[i:]
+            for p in perms
+            for i in range(p.index(j - 1) + 1 if tied else 0, j)
+        ]
+    return iter(sorted(perms))
 
 
 def simplex_groups(d: int, n: int) -> Iterator[Group]:

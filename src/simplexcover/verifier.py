@@ -11,9 +11,9 @@ is ``a`` times a fixed integer over ``L = lcm(n+2, denominator of the step)``;
 the boundary suite is scaled once over its common denominator.
 ``lattice_samples`` and ``random_samples`` make the same rows exact, in the
 same order.
-``tally`` routes the rows through ``witness._route`` with one memo of checked
-keys per campaign and aggregates the report; ``coverage_report`` scales each
-Fraction point to its own row and feeds the same loop.
+``tally`` routes the rows through ``witness._route``, the one point-location
+step of ``witness`` too, and aggregates the report; ``coverage_report`` scales
+each Fraction point to its own row and feeds the same loop.
 """
 
 from __future__ import annotations
@@ -29,18 +29,7 @@ from typing import Iterable, Iterator, Sequence
 from .arith import IntVector, Point, point_format
 from .cover import KIND_BASE_A, CoverSpec, delta
 from .triangulation import check_dn, weakly_decreasing_vectors
-from .witness import (
-    ROUTE_FALLBACK,
-    ROUTES,
-    Checked,
-    Key,
-    UncoveredPointError,
-    _point,
-    _route,
-    _scale,
-    _scan,
-    in_domain,
-)
+from .witness import ROUTES, UncoveredPointError, _point, _route, _scale, in_domain
 
 RANDOM_GRID = 10**6
 FORMAT_POINTS_LIMIT = 5  # points shown before "(+k more)"
@@ -178,8 +167,8 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     the run, and fallbacks are counted by their failed check; neither is
     serialized: the report stays on the pinned wire schema.  A point is made
     exact only to be scanned (a fallback) or shown (a failure, a sliver
-    violation).  The key checks of ``witness._route`` run once per key for the
-    whole campaign; containment runs for every point.
+    violation).  ``witness._route`` checks each key once per cover, and
+    containment for every point.
     """
     t0 = time.perf_counter()
     n = cover.n
@@ -188,25 +177,19 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     failures: list[Point] = []
     slivers: list[Point] = []
     reasons: Counter[str] = Counter()
-    checked: dict[Key, Checked] = {}
     total = covered = 0
     for big, rows in streams:
         for X in rows:
             total += 1
-            element, reason = _route(X, big, cover, checked)
-            if element is not None:
-                route = element.kind
-            else:
-                x = _point(X, big)
-                try:
-                    _scan(cover, x)
-                except UncoveredPointError:
-                    failures.append(x)
-                    continue
-                route = ROUTE_FALLBACK
-                reasons[reason] += 1
+            try:
+                _, route, reason = _route(X, big, cover)
+            except UncoveredPointError:
+                failures.append(_point(X, big))
+                continue
             routes[route] += 1
             covered += 1
+            if reason is not None:
+                reasons[reason] += 1
             if route != KIND_BASE_A and X[-1] * m <= big:
                 slivers.append(_point(X, big))
     elapsed_ms = int((time.perf_counter() - t0) * 1000)

@@ -27,15 +27,13 @@ implementation defect, never observed) falls back to an exhaustive scan of the
 cover so the function stays total; the result is flagged as ``fallback`` and
 names the check in ``fallback_reason``.
 
-One private core, ``_route``, takes a point already scaled to an integer row
-``X`` over ``L`` and does all of the above short of the scan.  The first three
-checks depend on the key ``(kind, v, perm)`` alone, so ``_route`` remembers
-each key that passed them in a dict the caller owns, with the element and its
-anchor numerators; a key that failed is not remembered and is checked again.
-``witness`` scales x, routes it with an empty dict and builds the result;
-``verifier.tally`` routes a whole campaign's rows through one dict, so each
-element is checked once per campaign, and makes no ``Fraction`` unless a point
-must be scanned or shown.
+One private step, ``_route``, takes a point already scaled to an integer row
+``X`` over ``L`` and does all of the above, the scan included.  The first
+three checks depend on the key ``(kind, v, perm)`` alone: ``_check_key`` makes
+that verdict once per key and cover, and it is kept on the cover, failed or
+not.  Containment runs for every point.  ``witness`` scales x and builds the
+result; ``verifier.tally`` routes a whole campaign's rows and makes no
+``Fraction`` unless a point must be scanned or shown.
 """
 
 from __future__ import annotations
@@ -53,6 +51,8 @@ from .cover import (
     KIND_TOP,
     CoverElement,
     CoverSpec,
+    Key,
+    Verdict,
     anchor_numerators,
     element_kind,
 )
@@ -60,9 +60,6 @@ from .simplex import _descends, contains
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
-
-Key = tuple[str, IntVector, Permutation]
-Checked = tuple[CoverElement, IntVector]  # an element that passed, its anchor numerators
 
 
 class UncoveredPointError(RuntimeError):
@@ -134,52 +131,54 @@ def _point(X: Sequence[int], big: int) -> Point:
     return tuple(Fraction(c, big) for c in X)
 
 
-def _route(
-    X: Sequence[int], big: int, cover: CoverSpec, checked: dict[Key, Checked]
-) -> tuple[CoverElement | None, str | None]:
-    """Route the point with numerators X over ``big`` (a multiple of
-    ``cover.n + 2``):
-    ``(element, None)`` when the formula element passes every check, else
-    ``(None, the failed check)``.
+def _check_key(cover: CoverSpec, key: Key) -> Verdict:
+    """The checks that depend on the key alone: ``(element, anchor numerators)``
+    when the key passes ``v1_bound``, ``missing`` and ``anchor``, else
+    ``(None, the failed check)``."""
+    kind, v, _ = key
+    n = cover.n
+    if kind != KIND_TOP and v[0] > n:
+        return None, "v1_bound"
+    known = cover.element_index.get(key)
+    if known is None:
+        return None, "missing"
+    nums = anchor_numerators(kind, v, n)
+    if len(known.anchor) != len(v) or any(
+        a.numerator * (n + 2) != num * a.denominator for a, num in zip(known.anchor, nums)
+    ):
+        return None, "anchor"
+    return known, nums
 
-    ``checked`` belongs to the caller and serves this one (frozen) cover.  It
-    remembers each key that passed ``v1_bound``, ``missing`` and ``anchor``,
-    with its element and anchor numerators: those checks depend on the key
-    alone, so they run once per key.  A key that failed is not stored and is
-    checked again on its next point.  ``not_contained`` runs for every point.
-    Raises ValueError for a point outside the target simplex.
+
+def _route(X: Sequence[int], big: int, cover: CoverSpec) -> tuple[CoverElement, str, str | None]:
+    """Locate the point with numerators X over ``big`` (a multiple of
+    ``cover.n + 2``) in the cover: ``(element, route, fallback_reason)``.
+
+    The formula element is returned on its kind's route when its key's
+    verdict (``_check_key``, made once per key and kept on the cover) and
+    exact containment pass.  Otherwise the exhaustive scan finds the element,
+    on the ``fallback`` route with the failed check as its reason.  Raises
+    UncoveredPointError when no element contains the point, and ValueError
+    for a point outside the target simplex.
     """
     n = cover.n
-    m = n + 2
-    unit = big // m
+    unit = big // (n + 2)
     if not _descends(n * big + unit, X):
         raise ValueError(f"{_point(X, big)} is outside the target simplex")
     above, v, perm = _locate(X, n, big, unit)
     key = (element_kind(above, perm), v, perm)
-    hit = checked.get(key)
-    if hit is None:
-        if not above and v[0] > n:
-            return None, "v1_bound"
-        known = cover.element_index.get(key)
-        if known is None:
-            return None, "missing"
-        nums = anchor_numerators(key[0], v, n)
-        if len(known.anchor) != len(X) or any(
-            a.numerator * m != num * a.denominator for a, num in zip(known.anchor, nums)
-        ):
-            return None, "anchor"
-        hit = checked[key] = (known, nums)
-    known, nums = hit
-    if not _descends(big, (X[j - 1] - nums[j - 1] * unit for j in perm)):
-        return None, "not_contained"
-    return known, None
-
-
-def _scan(cover: CoverSpec, x: Point) -> CoverElement:
-    """The first cover element that exactly contains x, by exhaustive search."""
+    verdicts = cover._verdicts
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = _check_key(cover, key)
+    known, nums = verdict  # a failed verdict holds its check in place of nums
+    if known is not None and _descends(big, (X[j - 1] - nums[j - 1] * unit for j in perm)):
+        return known, known.kind, None
+    reason = nums if known is None else "not_contained"
+    x = _point(X, big)
     for el in cover.elements:
         if contains(el.simplex, x):
-            return el
+            return el, ROUTE_FALLBACK, reason
     raise UncoveredPointError(f"no cover element contains in-domain point {x}")
 
 
@@ -193,7 +192,5 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     if len(x) != d or cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
-    element, reason = _route(X, big, cover, {})
-    if element is not None:
-        return WitnessResult(element, element.kind, x, cover.delta)
-    return WitnessResult(_scan(cover, x), ROUTE_FALLBACK, x, cover.delta, reason)
+    element, route, reason = _route(X, big, cover)
+    return WitnessResult(element, route, x, cover.delta, reason)

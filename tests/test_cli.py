@@ -216,6 +216,17 @@ def test_witness_examples(capsys):
     assert json.loads(out)["route"] == "top"
 
 
+def test_values_starting_with_minus_are_passed_with_equals(capsys):
+    # argparse reads "--point -0,0" as a missing value followed by an option
+    code, out, _ = run(capsys, "witness", "--d", "2", "--n", "1", "--point=-0,0")
+    assert code == 0
+    assert json.loads(out)["element"]["anchor"] == ["0", "0"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--d", "2", "--n", "1", "--eps=-1/9"])
+    assert exc.value.code == 2
+    assert "eps must be nonnegative" in capsys.readouterr().err
+
+
 def test_witness_out_of_domain(capsys):
     code, out, err = run(capsys, "witness", "--d", "2", "--n", "2", "--point", "3,0")
     assert code == 1

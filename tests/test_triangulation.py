@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -56,12 +56,23 @@ def test_tie_respecting_perms_examples():
 TIE_CASES = [(0, 0), (1, 0), (2, 2, 1), (3, 1, 1, 0), (2, 2, 2, 1), (1, 1, 0, 0), (4, 3, 2, 1)]
 
 
+def one_v_per_tie_pattern(d):
+    """For each of the 2^(d-1) tie patterns, the smallest v with it."""
+    for ties in product((False, True), repeat=d - 1):
+        v = [0]
+        for tied in reversed(ties):
+            v.append(v[-1] + (not tied))
+        yield tuple(reversed(v))
+
+
 # the hand-picked cases first, then every weakly decreasing v with entries <= 3
-# for 2 <= d <= 6; the order is compared, not just the set
+# for 2 <= d <= 6, then one v per tie pattern at d = 7; the order is compared,
+# not just the set
 @pytest.mark.parametrize(
     "v",
     TIE_CASES
-    + [v for d in range(2, 7) for v in weakly_decreasing_vectors(d, 3) if v not in TIE_CASES],
+    + [v for d in range(2, 7) for v in weakly_decreasing_vectors(d, 3) if v not in TIE_CASES]
+    + list(one_v_per_tie_pattern(7)),
 )
 def test_tie_respecting_perms_matches_filter(v):
     constructive = list(tie_respecting_perms(v))

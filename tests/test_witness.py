@@ -6,7 +6,7 @@ import pytest
 
 from simplexcover.cover import KIND_BASE_A, KIND_BASE_B, KIND_TOP, build_cover
 from simplexcover.simplex import contains, contains_oracle
-from simplexcover.verifier import random_samples
+from simplexcover.verifier import lattice_rows, random_samples, tally
 from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain, witness
 
 F = Fraction
@@ -210,3 +210,57 @@ def test_witness_uncovered_error_on_incomplete_cover():
     broken = pruned(cover, (KIND_BASE_A, (0, 0), (1, 2)))
     with pytest.raises(UncoveredPointError):
         witness(pt(F(1, 8), F(1, 8)), 2, 1, broken)
+
+
+def counted_check_key(monkeypatch):
+    """Wrap ``witness._check_key``; the list it returns collects each key it checks."""
+    calls = []
+    check_key = witness_module._check_key
+
+    def counted(cover, key):
+        calls.append(key)
+        return check_key(cover, key)
+
+    monkeypatch.setattr(witness_module, "_check_key", counted)
+    return calls
+
+
+def test_each_key_is_checked_once_per_cover(monkeypatch):
+    calls = counted_check_key(monkeypatch)
+    cover = build_cover(3, 2)
+    x = pt(F(9, 8), F(9, 8), F(1, 8))
+    first, second = witness(x, 3, 2, cover), witness(x, 3, 2, cover)
+    assert first == second
+    assert first.route == KIND_BASE_A
+    assert calls == [first.element.key]
+    # a campaign whose rows share keys: one verdict per key, and a second
+    # campaign on the same cover makes none
+    report = tally(cover, [lattice_rows(3, 2, cover.delta, 2)])
+    assert report.success
+    assert len(set(calls)) == len(calls) < report.total
+    made = len(calls)
+    assert tally(cover, [lattice_rows(3, 2, cover.delta, 2)]).routes == report.routes
+    assert len(calls) == made
+
+
+def test_a_failed_verdict_is_kept(monkeypatch):
+    # Both points route to the dropped element: its key is found missing once,
+    # and both still fall back with that reason.
+    key = (KIND_BASE_A, (0, 0), (1, 2))
+    broken = pruned(build_cover(2, 1), key)
+    calls = counted_check_key(monkeypatch)
+    for x in (pt(F(9, 10), F(1, 10)), pt(F(4, 5), F(1, 10))):
+        res = witness(x, 2, 1, broken)
+        assert res.route == ROUTE_FALLBACK
+        assert res.fallback_reason == "missing"
+    assert calls == [key]
+
+
+def test_a_replaced_cover_starts_without_verdicts(monkeypatch):
+    cover = build_cover(2, 1)
+    x = pt(F(9, 10), F(1, 10))
+    witness(x, 2, 1, cover)
+    calls = counted_check_key(monkeypatch)
+    copy = replace(cover, elements=cover.elements)
+    assert witness(x, 2, 1, copy) == witness(x, 2, 1, cover)
+    assert calls == [(KIND_BASE_A, (0, 0), (1, 2))]
