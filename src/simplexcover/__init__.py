@@ -22,15 +22,13 @@ from .triangulation import (
 )
 from .verifier import (
     CoverageReport,
-    boundary_suite,
-    coverage_report,
-    lattice_samples,
-    random_samples,
-)
-from .witness import (
     UncoveredPointError,
     WitnessResult,
+    boundary_suite,
+    coverage_report,
     in_domain,
+    lattice_samples,
+    random_samples,
     witness,
 )
 

@@ -40,8 +40,17 @@ from .cover import (
 )
 from .render import render_svg
 from .triangulation import check_dn
-from .verifier import boundary_rows, format_points, lattice_rows, random_rows, tally
-from .witness import UncoveredPointError, in_domain, witness
+from .verifier import (
+    ROUTE_FALLBACK,
+    UncoveredPointError,
+    boundary_rows,
+    format_points,
+    in_domain,
+    lattice_rows,
+    random_rows,
+    tally,
+    witness,
+)
 
 
 def cover_record(el: CoverElement) -> dict:
@@ -101,7 +110,7 @@ def _add_dn(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="target scale (>= 1)")
 
 
-def _cmd_count(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     top, base = cover_split(args.d, args.n)
     print(cover_count(args.d, args.n))
     print(f"top={top} base={base}")
@@ -126,7 +135,7 @@ def _open_output(path: str) -> TextIO:
     return open(path, "w", encoding="utf-8")
 
 
-def _cmd_cover(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_cover(args: argparse.Namespace) -> int:
     # Each line is json.dumps(cover_record(el)) + "\n", written from the ints one
     # anchor at a time: the kinds are plain ASCII words and a list of ints
     # prints as its JSON text, so a line is its kind's head and tail on that
@@ -177,11 +186,11 @@ def _line_ends(kind: str, v: IntVector, n: int, quoted: dict[int, str]) -> tuple
     return f'{{"kind": "{kind}", "v": {list(v)}, "pi": ', f', "anchor": [{", ".join(anchor)}]}}\n'
 
 
-def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_witness(args: argparse.Namespace) -> int:
     try:
         x = point_parse(args.point, args.d)
     except ParseError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     dl = delta(args.n)
     if not in_domain(x, args.n, dl):
         print(f"error: point {point_format(x)} is outside the target simplex", file=sys.stderr)
@@ -204,7 +213,7 @@ def _cmd_witness(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     # The samplers check the plan on the call; every stream is made, whatever
     # the mode, so a bad --q or --samples is a usage error in every mode.
     try:
@@ -215,7 +224,7 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
             "boundary": boundary_rows(args.d, args.n, eps),
         }
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     modes = streams if args.mode == "all" else (args.mode,)
     spec = build_cover(args.d, args.n)
     report = tally(spec, [streams[mode] for mode in modes])
@@ -223,17 +232,17 @@ def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     if not report.success:
         if report.failures:
             print(f"uncovered points: {format_points(report.failures)}", file=sys.stderr)
-        if report.routes.get("fallback", 0):
+        if report.routes.get(ROUTE_FALLBACK, 0):
             why = ", ".join(f"{reason} {k}" for reason, k in report.fallback_reasons.items())
             why = f" ({why})" if why else ""
-            print(f"fallback witnesses: {report.routes['fallback']}{why}", file=sys.stderr)
+            print(f"fallback witnesses: {report.routes[ROUTE_FALLBACK]}{why}", file=sys.stderr)
         if report.sliver_violations:
             print(f"sliver violations: {format_points(report.sliver_violations)}", file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_render(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_render(args: argparse.Namespace) -> int:
     spec = build_cover(args.d, args.n)
     svg = render_svg(spec, equilateral=args.equilateral, labels=args.labels)
     try:
@@ -255,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="print the cover size and kind breakdown")
     _add_dn(p_count)
-    p_count.set_defaults(func=_cmd_count)
+    p_count.set_defaults(func=_cmd_count, parser=p_count)
 
     p_cover = sub.add_parser("cover", help="write the cover as JSON-lines")
     _add_dn(p_cover)
     p_cover.add_argument("--out", required=True, help="output path")
-    p_cover.set_defaults(func=_cmd_cover)
+    p_cover.set_defaults(func=_cmd_cover, parser=p_cover)
 
     p_witness = sub.add_parser("witness", help="locate a point in the cover")
     _add_dn(p_witness)
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated rationals; a value starting with '-' needs '=' (--point=-0,0)",
     )
-    p_witness.set_defaults(func=_cmd_witness)
+    p_witness.set_defaults(func=_cmd_witness, parser=p_witness)
 
     p_verify = sub.add_parser("verify", help="run a coverage campaign, print a JSON report")
     _add_dn(p_verify)
@@ -285,25 +294,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--q", type=int, default=2, help="lattice resolution (step = delta/q)")
     p_verify.add_argument("--samples", type=int, default=10_000, help="random sample count")
     p_verify.add_argument("--seed", type=int, default=0, help="random seed")
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
 
     p_render = sub.add_parser("render", help="write an SVG figure (d = 2)")
     p_render.add_argument("--n", type=int, required=True, help="target scale (>= 1)")
     p_render.add_argument("--out", required=True, help="output path")
     p_render.add_argument("--equilateral", action="store_true", help="shear to equilateral triangles")
     p_render.add_argument("--labels", action="store_true", help="label each element")
-    p_render.set_defaults(func=_cmd_render, d=2)
+    p_render.set_defaults(func=_cmd_render, parser=p_render, d=2)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Each subcommand's parser rides on args as args.parser: an error found
+    # after parsing is reported under that subcommand's usage, as argparse
+    # reports its own.
+    args = build_parser().parse_args(argv)
     try:
         check_dn(args.d, args.n)
     except ValueError as exc:
-        parser.error(str(exc))
-    return args.func(args, parser)
+        args.parser.error(str(exc))
+    return args.func(args)
 
 
 if __name__ == "__main__":

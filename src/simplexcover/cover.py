@@ -19,8 +19,9 @@ only, so ``iter_cover`` makes each anchor tuple once per (kind, v) and shares
 it between those elements, with one ``Fraction`` per distinct numerator: a
 cover at d=5, n=10 has 120,100 elements on 2,288 anchors, and 31 distinct
 numerators.  ``cover`` formats each anchor's line text once per kind from the
-same stream.  ``witness`` matches its routing result against the same
-numerators directly, and keeps its verdict on each key on the cover.
+same stream.  Point location (``verifier._route``, for ``witness`` and
+``verify`` alike) matches its result against the same numerators directly, and
+keeps its verdict on each key on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -69,7 +70,7 @@ class CoverElement:
         return (self.kind, self.v, self.perm)
 
 
-# witness._check_key's verdict on a key: the element and its anchor numerators,
+# verifier._check_key's verdict on a key: the element and its anchor numerators,
 # or None and the failed check
 Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 
@@ -93,7 +94,7 @@ class CoverSpec:
 
     @cached_property
     def _verdicts(self) -> dict[Key, Verdict]:
-        """``witness._check_key``'s verdict per key, filled as points are routed.
+        """``verifier._check_key``'s verdict per key, filled as points are routed.
         A verdict depends on this frozen cover and the key alone, so a failed
         one is kept too; ``replace(cover, ...)`` starts with none."""
         return {}

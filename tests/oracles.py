@@ -21,8 +21,7 @@ from simplexcover.cover import (
 )
 from simplexcover.simplex import KuhnSimplex, contains, contains_oracle
 from simplexcover.triangulation import Cell, check_dn, is_admissible
-from simplexcover.verifier import RANDOM_GRID
-from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain
+from simplexcover.verifier import RANDOM_GRID, ROUTE_FALLBACK, UncoveredPointError, in_domain
 
 
 def unit_volume(d: int) -> Fraction:

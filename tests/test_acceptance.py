@@ -24,8 +24,7 @@ from simplexcover import cli
 from simplexcover.cover import KIND_BASE_A, KIND_TOP, build_cover, cover_count, delta
 from simplexcover.simplex import contains, contains_oracle
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import boundary_suite, coverage_report, random_samples
-from simplexcover.witness import witness
+from simplexcover.verifier import boundary_suite, coverage_report, random_samples, witness
 
 F = Fraction
 

@@ -367,6 +367,30 @@ def test_render_cli(tmp_path, capsys):
     assert svg.startswith("<svg ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "1", "--n", "2"],
+        ["render", "--n", "0", "--out", "fig.svg"],
+        ["witness", "--d", "2", "--n", "1", "--point", "1,2,3"],
+        ["verify", "--d", "2", "--n", "1", "--eps=-1/9"],
+        ["verify", "--d", "2", "--n", "1", "--q", "0"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_name_their_subcommand(tmp_path, capsys, monkeypatch, argv):
+    # errors found after parsing print the subcommand's usage, as argparse's own do
+    monkeypatch.chdir(tmp_path)
+    command = argv[0]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: simplexcover {command} [-h]")
+    assert f"\nsimplexcover {command}: error: " in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_render_rejects_bad_n(capsys):
     for argv in (["render", "--n", "0", "--out", "unused.svg"], ["verify", "--d", "2", "--n", "0"]):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ from simplexcover.cover import (
 )
 from simplexcover.simplex import contains_oracle, vertices
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.witness import in_domain
+from simplexcover.verifier import in_domain
 
 F = Fraction
 

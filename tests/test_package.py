@@ -87,3 +87,11 @@ def test_package_surface():
         timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_each_submodule_attribute_is_the_module():
+    # a package name that shadows a submodule (a function re-exported under the
+    # module's name) makes ``import simplexcover.<name> as m`` bind the wrong object
+    for info in pkgutil.iter_modules(simplexcover.__path__):
+        module = importlib.import_module(f"simplexcover.{info.name}")
+        assert getattr(simplexcover, info.name) is module, info.name

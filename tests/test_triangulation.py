@@ -20,7 +20,7 @@ from simplexcover.triangulation import (
     tie_respecting_perms,
     weakly_decreasing_vectors,
 )
-from simplexcover.witness import in_domain
+from simplexcover.verifier import in_domain
 
 F = Fraction
 

@@ -21,17 +21,20 @@ from simplexcover.cover import KIND_BASE_A, build_cover, delta
 from simplexcover.simplex import KuhnSimplex
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
 from simplexcover.verifier import (
+    ROUTES,
+    UncoveredPointError,
     boundary_rows,
     boundary_suite,
     coverage_report,
     format_points,
+    in_domain,
     lattice_rows,
     lattice_samples,
     random_rows,
     random_samples,
     tally,
+    witness,
 )
-from simplexcover.witness import ROUTES, UncoveredPointError, in_domain, witness
 
 F = Fraction
 

@@ -1,17 +1,22 @@
-import importlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from simplexcover import verifier
 from simplexcover.cover import KIND_BASE_A, KIND_BASE_B, KIND_TOP, build_cover
 from simplexcover.simplex import contains, contains_oracle
-from simplexcover.verifier import lattice_rows, random_samples, tally
-from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain, witness
+from simplexcover.verifier import (
+    ROUTE_FALLBACK,
+    UncoveredPointError,
+    in_domain,
+    lattice_rows,
+    random_samples,
+    tally,
+    witness,
+)
 
 F = Fraction
-# the package's ``witness`` attribute is the function, so fetch the module by name
-witness_module = importlib.import_module("simplexcover.witness")
 
 
 def pt(*coords):
@@ -198,7 +203,7 @@ def test_witness_fallback_names_the_failed_check(monkeypatch, cell, reason):
     cover = build_cover(2, 1)
     x = pt(F(1, 8), F(1, 8))
     expected = witness(x, 2, 1, cover).element
-    monkeypatch.setattr(witness_module, "_locate", lambda *args: cell)
+    monkeypatch.setattr(verifier, "_locate", lambda *args: cell)
     res = witness(x, 2, 1, cover)
     assert res.route == ROUTE_FALLBACK
     assert res.fallback_reason == reason
@@ -213,15 +218,15 @@ def test_witness_uncovered_error_on_incomplete_cover():
 
 
 def counted_check_key(monkeypatch):
-    """Wrap ``witness._check_key``; the list it returns collects each key it checks."""
+    """Wrap ``verifier._check_key``; the list it returns collects each key it checks."""
     calls = []
-    check_key = witness_module._check_key
+    check_key = verifier._check_key
 
     def counted(cover, key):
         calls.append(key)
         return check_key(cover, key)
 
-    monkeypatch.setattr(witness_module, "_check_key", counted)
+    monkeypatch.setattr(verifier, "_check_key", counted)
     return calls
 
 

@@ -14,8 +14,15 @@ from hypothesis import strategies as st
 from oracles import fraction_witness
 
 from simplexcover.cover import build_cover, delta
-from simplexcover.verifier import boundary_suite, lattice_samples, random_samples
-from simplexcover.witness import ROUTE_FALLBACK, UncoveredPointError, in_domain, witness
+from simplexcover.verifier import (
+    ROUTE_FALLBACK,
+    UncoveredPointError,
+    boundary_suite,
+    in_domain,
+    lattice_samples,
+    random_samples,
+    witness,
+)
 
 GRID = [(2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 DROP_GRID = [(2, 1), (2, 2), (3, 1)]
