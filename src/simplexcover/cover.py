@@ -19,9 +19,19 @@ only, so ``iter_cover`` makes each anchor tuple once per (kind, v) and shares
 it between those elements, with one ``Fraction`` per distinct numerator: a
 cover at d=5, n=10 has 120,100 elements on 2,288 anchors, and 31 distinct
 numerators.  ``cover`` formats each anchor's line text once per kind from the
-same stream.  Point location (``verifier._route``, for ``witness`` and
-``verify`` alike) matches its result against the same numerators directly, and
-keeps its verdict on each key on the cover.
+same stream.
+
+A ``CoverSpec`` is canonical or explicit.  ``build_cover(d, n)`` returns the
+canonical cover of (d, n), which makes no element until ``elements`` is read:
+``CoverSpec.member`` decides a key ``(kind, v, perm)`` by the construction's
+rule instead (the kind is ``element_kind``, a top key is a cell of the S^{n-1}
+triangulation, a base key a cell of the base slab of S^{n+1}) and makes that
+one element from ``anchor_numerators``.  An explicit cover, ``CoverSpec(d, n,
+elements)`` or ``replace(cover, elements=...)``, holds the tuple it was given,
+and ``member`` looks keys up in it, so a dropped or altered element is caught.
+Point location (``verifier._route``, for ``witness`` and ``verify`` alike)
+asks ``member`` once per key, matches the element against the same
+numerators, and keeps its verdict on each key on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -37,7 +47,7 @@ from typing import Iterator
 
 from .arith import IntVector, Permutation, Point
 from .simplex import KuhnSimplex
-from .triangulation import base_slab_groups, check_dn, simplex_groups
+from .triangulation import base_slab_groups, check_dn, is_admissible, simplex_groups
 
 KIND_TOP = "top"
 KIND_BASE_A = "base_a"
@@ -75,13 +85,37 @@ class CoverElement:
 Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 
 
+class _Elements:
+    """``CoverSpec.elements``: the tuple an explicit cover was given, or the
+    canonical cover's elements, made on first read and kept."""
+
+    def __get__(
+        self, cover: CoverSpec | None, owner: type | None = None
+    ) -> tuple[CoverElement, ...] | None:
+        if cover is None:
+            return None  # the field's default: a canonical cover
+        elements = cover.__dict__["elements"]
+        if elements is None:
+            elements = cover.__dict__["elements"] = cover._canonical_elements()
+        return elements
+
+    def __set__(self, cover: CoverSpec, elements: tuple[CoverElement, ...] | None) -> None:
+        cover.__dict__["elements"] = elements
+
+
 @dataclass(frozen=True)
 class CoverSpec:
-    """A full cover of S^{n+delta}, elements in canonical order (top, then base)."""
+    """A cover of S^{n+delta}: canonical (``elements`` not given, made from
+    the construction when first read) or explicit (the ``elements`` given).
+    Either way ``elements`` reads as a tuple; a canonical cover's is in
+    canonical order (top, then base)."""
 
     d: int
     n: int
-    elements: tuple[CoverElement, ...]
+    elements: tuple[CoverElement, ...] = _Elements()  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        check_dn(self.d, self.n)
 
     @cached_property
     def delta(self) -> Fraction:
@@ -91,6 +125,54 @@ class CoverSpec:
     @cached_property
     def element_index(self) -> dict[Key, CoverElement]:
         return {el.key: el for el in self.elements}
+
+    def member(self, key: Key) -> CoverElement | None:
+        """The cover's element with this key, or None if it has none.
+
+        Once ``elements`` exists (an explicit cover, or a canonical one that
+        was read) this is the ``element_index`` lookup.  Before that, a
+        canonical cover decides by the construction's rule and makes the
+        element, with the anchor tuple and Fractions ``elements`` will share;
+        ``verifier._check_key`` asks once per key and keeps the element in
+        its verdict, and ``elements`` reuses it.
+        """
+        if self.__dict__["elements"] is not None:
+            return self.element_index.get(key)
+        kind, v, perm = key
+        n = self.n
+        top = kind == KIND_TOP
+        if (
+            len(v) != self.d
+            or not (
+                is_admissible(v, perm, n - 1)
+                if top
+                else v[-1] == 0 and is_admissible(v, perm, n + 1)
+            )
+            or kind != element_kind(top, perm)
+        ):
+            return None
+        anchor = self._anchors.get((kind, v))
+        if anchor is None:
+            nums = anchor_numerators(kind, v, n)
+            anchor = self._anchors[kind, v] = _anchor(nums, n, self._coordinates)
+        return CoverElement(kind, v, perm, anchor)
+
+    def _canonical_elements(self) -> tuple[CoverElement, ...]:
+        # the elements ``member`` made for routed keys stay the cover's own;
+        # with none made, no element's key is built
+        made = {el.key: el for el, _ in self._verdicts.values() if el is not None}
+        elements = _elements(cover_groups(self.d, self.n), self.n, self._coordinates, self._anchors)
+        return tuple(made.get(el.key, el) for el in elements) if made else tuple(elements)
+
+    @cached_property
+    def _coordinates(self) -> dict[int, Fraction]:
+        """A canonical cover's anchor coordinates, by numerator over n+2."""
+        return {}
+
+    @cached_property
+    def _anchors(self) -> dict[tuple[str, IntVector], Point]:
+        """The anchor tuples ``member`` made, by (kind, v)."""
+        return {}
 
     @cached_property
     def _verdicts(self) -> dict[Key, Verdict]:
@@ -174,23 +256,32 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
 
     (d, n) is checked on the call, before the first element is made.
     """
-    return _elements(cover_groups(d, n), n)
+    return _elements(cover_groups(d, n), n, {}, {})
 
 
-def _elements(groups: Iterator[AnchorGroup], n: int) -> Iterator[CoverElement]:
-    # the elements of one kind on one anchor share a single anchor tuple
-    coordinates: dict[int, Fraction] = {}
+def _elements(
+    groups: Iterator[AnchorGroup],
+    n: int,
+    coordinates: dict[int, Fraction],
+    shared: dict[tuple[str, IntVector], Point],
+) -> Iterator[CoverElement]:
+    # the elements of one kind on one anchor share a single anchor tuple: the
+    # one in ``shared`` for that (kind, v), if any; ``coordinates`` is _anchor's
     for top, v, perms in groups:
         anchors: dict[str, Point] = {}
         for perm in perms:
             kind = element_kind(top, perm)
             anchor = anchors.get(kind)
             if anchor is None:
-                anchor = anchors[kind] = _anchor(anchor_numerators(kind, v, n), n, coordinates)
+                anchor = anchors[kind] = shared.get((kind, v)) or _anchor(
+                    anchor_numerators(kind, v, n), n, coordinates
+                )
             yield CoverElement(kind, v, perm, anchor)
 
 
 def build_cover(d: int, n: int) -> CoverSpec:
-    """Construct the cover, invariant-complete and canonically ordered."""
-    elements = tuple(iter_cover(d, n))
-    return CoverSpec(d=d, n=n, elements=elements)
+    """The canonical cover of (d, n).  It makes no element until ``elements``
+    is read; point location asks ``CoverSpec.member`` per key instead.
+
+    (d, n) is checked on the call."""
+    return CoverSpec(d, n)

@@ -23,12 +23,14 @@ anchor numerators come from ``cover.element_kind`` and
 ``cover.anchor_numerators``, the rule the cover is built with.
 
 The formula element is then checked: a base anchor must have ``v_1 <= n``
-(``v1_bound``), the cover must hold an element with its key (``missing``) whose
-anchor equals the formula (``anchor``, compared by cross-multiplying), and that
-element must exactly contain x (``not_contained``).  A failed check (an
-implementation defect, never observed) falls back to an exhaustive scan of the
-cover so location stays total; the result is flagged as ``fallback`` and
-names the check in ``fallback_reason``.
+(``v1_bound``), the cover must hold an element with its key (``missing``:
+``CoverSpec.member``, the construction's rule for a canonical cover, a lookup
+for an explicit one) whose anchor equals the formula (``anchor``, compared by
+cross-multiplying), and that element must exactly contain x
+(``not_contained``).  A failed check (an implementation defect, never
+observed) falls back to an exhaustive scan of the cover so location stays
+total; the result is flagged as ``fallback`` and names the check in
+``fallback_reason``.
 
 One private step, ``_route``, takes a row and does all of the above, the scan
 included.  The first three checks depend on the key ``(kind, v, perm)`` alone:
@@ -161,7 +163,7 @@ def _check_key(cover: CoverSpec, key: Key) -> Verdict:
     n = cover.n
     if kind != KIND_TOP and v[0] > n:
         return None, "v1_bound"
-    known = cover.element_index.get(key)
+    known = cover.member(key)
     if known is None:
         return None, "missing"
     nums = anchor_numerators(kind, v, n)

@@ -1,14 +1,18 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
+from simplexcover import cover as cover_module
 from simplexcover.cover import (
     KIND_BASE_A,
     KIND_BASE_B,
     KIND_TOP,
+    KINDS,
     CoverElement,
+    CoverSpec,
     anchor_numerators,
     build_cover,
     cover_count,
@@ -19,7 +23,7 @@ from simplexcover.cover import (
 )
 from simplexcover.simplex import contains_oracle, vertices
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import in_domain
+from simplexcover.verifier import _check_key, in_domain, random_samples, witness
 
 F = Fraction
 
@@ -187,6 +191,53 @@ def test_interior_of_each_element_is_covered_only_within_target():
         )
         assert in_domain(centroid, n, cover.delta)
         assert contains_oracle(el.simplex, centroid)
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 5) for n in range(1, 5)] + [(5, 2)])
+def test_canonical_membership_is_the_explicit_covers(monkeypatch, d, n):
+    # Every key of a box around the cover (each kind, every v in {0..n+1}^d,
+    # not only weakly decreasing ones, every permutation) gets the same
+    # verdict and an equal element from the construction's rule as from the
+    # explicit tuple; the rule enumerates nothing.
+    explicit = CoverSpec(d, n, tuple(iter_cover(d, n)))
+    canonical = build_cover(d, n)
+
+    def refuse(*args):
+        raise AssertionError("the canonical cover was enumerated")
+
+    monkeypatch.setattr(cover_module, "cover_groups", refuse)
+    perms = list(permutations(range(1, d + 1)))
+    verdicts = Counter()
+    for kind, v, perm in product(KINDS, product(range(n + 2), repeat=d), perms):
+        key = (kind, v, perm)
+        verdict = _check_key(canonical, key)
+        assert verdict == _check_key(explicit, key), key
+        verdicts[verdict[1] if verdict[0] is None else "member"] += 1
+    assert verdicts["member"] == cover_count(d, n)
+    assert verdicts["missing"] > 0 and verdicts["v1_bound"] > 0
+
+
+def test_elements_read_after_routing_keep_the_routed_instances():
+    # Route first, then read elements: the routed elements are the cover's
+    # own instances, and anchors and Fractions are still shared as
+    # build_cover(...).elements shares them.
+    d, n = 4, 3
+    cover = build_cover(d, n)
+    samples = list(random_samples(d, n, cover.delta, count=300, seed=31))
+    routed = [witness(x, d, n, cover).element for x in samples[:200]]
+    assert len({(el.kind, el.v) for el in routed}) < len({el.key for el in routed})
+    elements = cover.elements
+    assert elements == tuple(iter_cover(d, n))
+    for el in routed:
+        assert cover.element_index[el.key] is el
+    for x in samples[200:]:
+        el = witness(x, d, n, cover).element
+        assert cover.element_index[el.key] is el
+    numerators = {num for el in elements for num in anchor_numerators(el.kind, el.v, n)}
+    assert len({id(c) for el in elements for c in el.anchor}) == len(numerators)
+    first = {}
+    for el in elements:
+        assert first.setdefault((el.kind, el.v), el.anchor) is el.anchor
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (4, 2)])

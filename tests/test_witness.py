@@ -1,14 +1,26 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from simplexcover import cover as cover_module
 from simplexcover import verifier
-from simplexcover.cover import KIND_BASE_A, KIND_BASE_B, KIND_TOP, build_cover
+from simplexcover.arith import point_parse
+from simplexcover.cover import (
+    KIND_BASE_A,
+    KIND_BASE_B,
+    KIND_TOP,
+    CoverElement,
+    build_cover,
+    delta,
+    element_kind,
+)
 from simplexcover.simplex import contains, contains_oracle
 from simplexcover.verifier import (
     ROUTE_FALLBACK,
     UncoveredPointError,
+    boundary_rows,
     in_domain,
     lattice_rows,
     random_samples,
@@ -269,3 +281,48 @@ def test_a_replaced_cover_starts_without_verdicts(monkeypatch):
     copy = replace(cover, elements=cover.elements)
     assert witness(x, 2, 1, copy) == witness(x, 2, 1, cover)
     assert calls == [(KIND_BASE_A, (0, 0), (1, 2))]
+
+
+def counted_construction(monkeypatch):
+    """Count the ``CoverElement``s made; the Counter it returns holds them as
+    ``elements``.  Enumerating the cover (``cover_groups``) fails the test at
+    once, so a cover too large to build cannot hang it."""
+    counts = Counter()
+    post_init = CoverElement.__post_init__
+
+    def counted(el):
+        counts["elements"] += 1
+        post_init(el)
+
+    def refuse(*args):
+        raise AssertionError("the cover was enumerated")
+
+    monkeypatch.setattr(CoverElement, "__post_init__", counted)
+    monkeypatch.setattr(cover_module, "cover_groups", refuse)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "d,n,point", [(5, 10, "7/2,3,2,1,1/3"), (8, 40, "30,20,10,5,4,3,2,1/2")]
+)
+def test_witness_makes_one_element(monkeypatch, d, n, point):
+    # (8, 40) has about 8 * 10^12 elements
+    counts = counted_construction(monkeypatch)
+    cover = build_cover(d, n)
+    res = witness(point_parse(point, d), d, n, cover)
+    assert res.route == res.element.kind
+    assert counts == {"elements": 1}
+
+
+def test_tally_makes_one_element_per_routed_key(monkeypatch):
+    d, n = 5, 2
+    big, rows = boundary_rows(d, n, delta(n))
+    keys = set()
+    for X in rows:
+        above, v, perm = verifier._locate(X, n, big, big // (n + 2))
+        keys.add((element_kind(above, perm), v, perm))
+    assert len(keys) < len(rows)
+    counts = counted_construction(monkeypatch)
+    report = tally(build_cover(d, n), [(big, rows)])
+    assert report.success and report.total == len(rows)
+    assert counts == {"elements": len(keys)}
