@@ -29,8 +29,8 @@ triangulation, a base key a cell of the base slab of S^{n+1}) and makes that
 one element from ``anchor_numerators``.  An explicit cover, ``CoverSpec(d, n,
 elements)`` or ``replace(cover, elements=...)``, holds the tuple it was given,
 and ``member`` looks keys up in it, so a dropped or altered element is caught.
-Point location (``verifier._route``, for ``witness`` and ``verify`` alike)
-asks ``member`` once per key, matches the element against the same
+Point location (``verifier._router``'s step, for ``witness`` and ``verify``
+alike) asks ``member`` once per key, matches the element against the same
 numerators, and keeps its verdict on each key on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the

@@ -32,13 +32,18 @@ observed) falls back to an exhaustive scan of the cover so location stays
 total; the result is flagged as ``fallback`` and names the check in
 ``fallback_reason``.
 
-One private step, ``_route``, takes a row and does all of the above, the scan
-included.  The first three checks depend on the key ``(kind, v, perm)`` alone:
-``_check_key`` makes that verdict once per key and cover, and it is kept on the
-cover, failed or not.  Containment runs for every point.  ``_route`` has two
-callers: ``witness`` scales one point and builds its ``WitnessResult``;
-``tally`` routes a whole campaign's rows, aggregates the ``CoverageReport`` and
-makes no ``Fraction`` unless a point must be scanned or shown.
+One private step does all of the above for a row, the scan included:
+``_router(cover, L)`` makes it for one stream of rows over ``L`` and sets up
+what the stream fixes (D, the seam, the target side, ``1-delta``) once.  The
+first three checks depend on the key ``(kind, v, perm)`` alone: ``_check_key``
+makes that verdict once per key and cover, and it is kept on the cover, failed
+or not.  On a key's first point in a stream, the step turns the verdict into
+that stream's containment check (the perm's order of X and the anchor
+numerators over L in that order), which every point of the key then runs.
+The step has two callers: ``witness`` makes one for its one scaled point and
+builds its ``WitnessResult``; ``tally`` makes one per stream, aggregates the
+``CoverageReport`` and makes no ``Fraction`` unless a point must be scanned or
+shown.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.  Every
@@ -60,9 +65,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from operator import itemgetter, sub
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .arith import IntVector, Permutation, Point, point_format, rank_descending
+from .arith import IntVector, Permutation, Point, point_format
 from .cover import (
     KIND_BASE_A,
     KIND_BASE_B,
@@ -129,7 +136,10 @@ def _point(X: Sequence[int], big: int) -> Point:
 
 def _locate(X: Sequence[int], n: int, big: int, unit: int) -> tuple[bool, IntVector, Permutation]:
     """The single routing pass: ``(above_seam, v, perm)`` for an in-domain x
-    given as numerators X over ``big`` (L above), with ``unit`` = D = big/(n+2)."""
+    given as numerators X over ``big`` (L above), with ``unit`` = D = big/(n+2).
+
+    The residuals ``w`` sit behind a leading 0, so ``w[j]`` is index j's; the
+    sort is stable, also in reverse, so ties keep ascending index."""
     xd = X[-1]
     seam = big + unit
     if n >= 2 and xd >= seam:
@@ -137,22 +147,30 @@ def _locate(X: Sequence[int], n: int, big: int, unit: int) -> tuple[bool, IntVec
         # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
         u = [xj - seam for xj in X]
         v = tuple(min(uj // big, n - 2) for uj in u)
-        return True, v, rank_descending([uj - vj * big for uj, vj in zip(u, v)])
-    shrink = (n + 1) * unit
-    va: list[int] = []
-    wa: list[int] = []
-    for xj in X[:-1]:
-        vj, wj = divmod(xj, shrink)
-        if vj > 0 and wj <= unit:
-            # one decrement restores the residual to [1-delta, 1]
-            vj -= 1
-            wj += shrink
-        va.append(vj)
-        wa.append(wj)
-    if xd > big or any(xd > wj for wj in wa):
-        va = [(xj - unit) // shrink for xj in X[:-1]]
-        wa = [xj - shrink * vj for xj, vj in zip(X, va)]
-    return False, (*va, 0), rank_descending((*wa, xd))
+        w = [0, *(uj - vj * big for uj, vj in zip(u, v))]
+        above = True
+    else:
+        shrink = (n + 1) * unit
+        va: list[int] = []
+        w = [0]
+        if xd <= big:  # type (a), unless x_d exceeds some residual
+            for xj in X[:-1]:
+                vj, wj = divmod(xj, shrink)
+                if vj > 0 and wj <= unit:
+                    # one decrement restores the residual to [1-delta, 1]
+                    vj -= 1
+                    wj += shrink
+                if xd > wj:
+                    break
+                va.append(vj)
+                w.append(wj)
+        if len(w) < len(X):  # x_d exceeds 1 or a residual: type (b)
+            va = [(xj - unit) // shrink for xj in X[:-1]]
+            w = [0, *(xj - shrink * vj for xj, vj in zip(X, va))]
+        w.append(xd)
+        v = (*va, 0)
+        above = False
+    return above, v, tuple(sorted(range(1, len(w)), key=w.__getitem__, reverse=True))
 
 
 def _check_key(cover: CoverSpec, key: Key) -> Verdict:
@@ -174,36 +192,61 @@ def _check_key(cover: CoverSpec, key: Key) -> Verdict:
     return known, nums
 
 
-def _route(X: Sequence[int], big: int, cover: CoverSpec) -> tuple[CoverElement, str, str | None]:
-    """Locate the point with numerators X over ``big`` (a multiple of
-    ``cover.n + 2``) in the cover: ``(element, route, fallback_reason)``.
+Routed = tuple[CoverElement, str, str | None]  # element, route, fallback_reason
+
+
+def _router(cover: CoverSpec, big: int) -> Callable[[Sequence[int]], Routed]:
+    """The step that locates a point with numerators X over ``big`` (a
+    multiple of ``cover.n + 2``) in the cover: ``route(X)`` returns
+    ``(element, route, fallback_reason)``.
 
     The formula element is returned on its kind's route when its key's
     verdict (``_check_key``, made once per key and kept on the cover) and
     exact containment pass.  Otherwise the exhaustive scan finds the element,
-    on the ``fallback`` route with the failed check as its reason.  Raises
-    UncoveredPointError when no element contains the point, and ValueError
-    for a point outside the target simplex.
+    on the ``fallback`` route with the failed check as its reason.  ``route``
+    raises UncoveredPointError when no element contains the point, and
+    ValueError for a point outside the target simplex.
+
+    The constants of the stream are set up once here.  On a cell's first
+    visit, ``route`` keeps the cell's containment check: the element, a
+    picker of X in perm order and the anchor numerators over ``big`` in the
+    same order, or, for a failed verdict, None and the failed check.
     """
     n = cover.n
     unit = big // (n + 2)
-    if not _descends(n * big + unit, X):
-        raise ValueError(f"{_point(X, big)} is outside the target simplex")
-    above, v, perm = _locate(X, n, big, unit)
-    key = (element_kind(above, perm), v, perm)
+    side = n * big + unit
     verdicts = cover._verdicts
-    verdict = verdicts.get(key)
-    if verdict is None:
-        verdict = verdicts[key] = _check_key(cover, key)
-    known, nums = verdict  # a failed verdict holds its check in place of nums
-    if known is not None and _descends(big, (X[j - 1] - nums[j - 1] * unit for j in perm)):
-        return known, known.kind, None
-    reason = nums if known is None else "not_contained"
-    x = _point(X, big)
-    for el in cover.elements:
-        if contains(el.simplex, x):
-            return el, ROUTE_FALLBACK, reason
-    raise UncoveredPointError(f"no cover element contains in-domain point {x}")
+    checks: dict[tuple[bool, IntVector, Permutation], tuple] = {}
+
+    def route(X: Sequence[int]) -> Routed:
+        if not _descends(side, X):
+            raise ValueError(f"{_point(X, big)} is outside the target simplex")
+        cell = _locate(X, n, big, unit)
+        check = checks.get(cell)
+        if check is None:
+            above, v, perm = cell
+            key = (element_kind(above, perm), v, perm)
+            verdict = verdicts.get(key)
+            if verdict is None:
+                verdict = verdicts[key] = _check_key(cover, key)
+            known, nums = verdict  # a failed verdict holds its check in place of nums
+            if known is None:
+                check = checks[cell] = (None, nums, None)
+            else:
+                idx = [j - 1 for j in perm]
+                offsets = tuple(nums[i] * unit for i in idx)
+                check = checks[cell] = (known, itemgetter(*idx), offsets)
+        known, pick, offsets = check  # a failed check holds its reason in place of pick
+        if known is not None and _descends(big, map(sub, pick(X), offsets)):
+            return known, known.kind, None
+        reason = pick if known is None else "not_contained"
+        x = _point(X, big)
+        for el in cover.elements:
+            if contains(el.simplex, x):
+                return el, ROUTE_FALLBACK, reason
+        raise UncoveredPointError(f"no cover element contains in-domain point {x}")
+
+    return route
 
 
 def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
@@ -216,7 +259,7 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     if len(x) != d or cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
-    element, route, reason = _route(X, big, cover)
+    element, route, reason = _router(cover, big)(X)
     return WitnessResult(element, route, x, cover.delta, reason)
 
 
@@ -350,8 +393,8 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     the run, and fallbacks are counted by their failed check; neither is
     serialized: the report stays on the pinned wire schema.  A point is made
     exact only to be scanned (a fallback) or shown (a failure, a sliver
-    violation).  ``_route`` checks each key once per cover, and containment
-    for every point.
+    violation).  Each stream gets its own ``_router``; keys are checked once
+    per cover across the streams, and containment for every point.
     """
     t0 = time.perf_counter()
     n = cover.n
@@ -362,10 +405,11 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     reasons: Counter[str] = Counter()
     total = covered = 0
     for big, rows in streams:
+        route_row = _router(cover, big)
         for X in rows:
             total += 1
             try:
-                _, route, reason = _route(X, big, cover)
+                _, route, reason = route_row(X)
             except UncoveredPointError:
                 failures.append(_point(X, big))
                 continue
@@ -390,7 +434,8 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
 def coverage_report(
     cover: CoverSpec, samples: Iterable[Point], eps: Fraction | None = None
 ) -> CoverageReport:
-    """``tally`` over Fraction points, each scaled to its own row.
+    """``tally`` over Fraction points, each scaled to its own row; a run of
+    consecutive rows over one L is one stream, so they share one router.
 
     Passing ``eps`` asserts the caller's sampling contract — every sample must
     lie in S^{n+eps} — before any point is routed.
@@ -402,13 +447,15 @@ def coverage_report(
             if not in_domain(x, cover.n, eps):
                 raise ValueError(f"sample {x} violates the S^(n+eps) precondition")
 
-    def streams() -> Iterator[Stream]:
+    def rows() -> Iterator[tuple[int, list[int]]]:
         for x in samples:
             if len(x) != cover.d:
                 raise ValueError("point/cover dimension or scale mismatch")
-            yield _scale((x,), cover.n)
+            big, (X,) = _scale((x,), cover.n)
+            yield big, X
 
-    return tally(cover, streams())
+    runs = groupby(rows(), key=itemgetter(0))
+    return tally(cover, ((big, (X for _, X in run)) for big, run in runs))
 
 
 def format_points(points: tuple[Point, ...]) -> str:

@@ -8,7 +8,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, floor
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from simplexcover.arith import IntVector, Permutation, Point, rank_descending
 from simplexcover.cover import (
@@ -200,6 +200,38 @@ def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
             continue
         out.append(tuple(Fraction(a, RANDOM_GRID) for a in draws))
     return out
+
+
+def locate_two_pass(
+    X: Sequence[int], n: int, big: int, unit: int
+) -> tuple[bool, IntVector, Permutation]:
+    """``verifier._locate`` in two passes, the reference for its one pass:
+    ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
+    ``big``, with ``unit`` = big/(n+2).  The type-(a) residuals are all made
+    before the type-(b) test, and ``rank_descending`` orders them."""
+    xd = X[-1]
+    seam = big + unit
+    if n >= 2 and xd >= seam:
+        # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
+        # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
+        u = [xj - seam for xj in X]
+        v = tuple(min(uj // big, n - 2) for uj in u)
+        return True, v, rank_descending([uj - vj * big for uj, vj in zip(u, v)])
+    shrink = (n + 1) * unit
+    va: list[int] = []
+    wa: list[int] = []
+    for xj in X[:-1]:
+        vj, wj = divmod(xj, shrink)
+        if vj > 0 and wj <= unit:
+            # one decrement restores the residual to [1-delta, 1]
+            vj -= 1
+            wj += shrink
+        va.append(vj)
+        wa.append(wj)
+    if xd > big or any(xd > wj for wj in wa):
+        va = [(xj - unit) // shrink for xj in X[:-1]]
+        wa = [xj - shrink * vj for xj, vj in zip(X, va)]
+    return False, (*va, 0), rank_descending((*wa, xd))
 
 
 def _locate(

@@ -318,6 +318,18 @@ def test_verify_route_split_pinned(capsys):
     assert report["routes"] == {"top": 514, "base_a": 5342, "base_b": 1976, "fallback": 0}
 
 
+def test_verify_benchmark_campaign_pinned(capsys):
+    # the call the benchmark's campaign workload times
+    code, out, _ = run(
+        capsys, "verify", "--d", "5", "--n", "2", "--mode", "all",
+        "--q", "2", "--samples", "2000", "--seed", "1",
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["total"] == report["covered"] == 35668
+    assert report["routes"] == {"top": 1328, "base_a": 26059, "base_b": 8281, "fallback": 0}
+
+
 def test_verify_sliver_violation_exits_1(capsys, monkeypatch):
     sliver = (Fraction(1, 3), Fraction(1, 3))
     report = CoverageReport(

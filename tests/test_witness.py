@@ -260,6 +260,25 @@ def test_each_key_is_checked_once_per_cover(monkeypatch):
     assert len(calls) == made
 
 
+def test_streams_of_different_denominators_share_the_verdicts(monkeypatch):
+    # Each stream sets up its own containment checks, over its own L, from
+    # the verdicts kept on the cover: one verdict per key across the streams.
+    calls = counted_check_key(monkeypatch)
+    cover = build_cover(3, 2)
+    eps = cover.delta
+
+    def streams():
+        return [lattice_rows(3, 2, eps, 1), lattice_rows(3, 2, eps, 2), boundary_rows(3, 2, eps)]
+
+    assert len({big for big, _ in streams()}) == 3
+    report = tally(cover, streams())
+    assert report.success
+    assert len(set(calls)) == len(calls) < report.total
+    made = len(calls)
+    assert tally(cover, streams()).routes == report.routes
+    assert len(calls) == made
+
+
 def test_a_failed_verdict_is_kept(monkeypatch):
     # Both points route to the dropped element: its key is found missing once,
     # and both still fall back with that reason.

@@ -1,26 +1,37 @@
 """The integer ``witness`` against ``oracles.fraction_witness``, the same point
 location decided on Fractions: route, element (key, anchor and identity), the
 residual ``w`` and the fallback reason must all agree, and so must
-``UncoveredPointError`` on incomplete covers."""
+``UncoveredPointError`` on incomplete covers.  ``tally`` over the streams of
+``verify --mode all`` must agree with a report made point by point from
+``fraction_witness``, and the one-pass ``verifier._locate`` with
+``oracles.locate_two_pass``."""
 
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, floor, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_witness
+from oracles import fraction_witness, locate_two_pass
+from test_verifier import _campaign, _without_origin_base_a
 
-from simplexcover.cover import build_cover, delta
+from simplexcover import verifier
+from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, build_cover, delta, element_kind
 from simplexcover.verifier import (
     ROUTE_FALLBACK,
+    ROUTES,
     UncoveredPointError,
+    boundary_rows,
     boundary_suite,
     in_domain,
+    lattice_rows,
     lattice_samples,
+    random_rows,
     random_samples,
+    tally,
     witness,
 )
 
@@ -150,3 +161,85 @@ def test_witness_matches_reference_on_adversarial_denominators(points, data):
     d, n, x = data.draw(points())
     assert in_domain(x, n, delta(n))
     assert assert_agrees(x, d, n, cover_of(d, n)) != ROUTE_FALLBACK
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_pass_locate_matches_two_passes_on_snapped_points(data):
+    d, n, x = data.draw(snapped_points())
+    assert_locate_agrees(*verifier._scale((x,), n), n)
+
+
+def assert_locate_agrees(big, rows, n):
+    """``verifier._locate`` equals ``locate_two_pass`` on every row; returns
+    the kinds of the cells it found."""
+    unit = big // (n + 2)
+    kinds = set()
+    for X in rows:
+        cell = verifier._locate(X, n, big, unit)
+        assert cell == locate_two_pass(X, n, big, unit), X
+        kinds.add(element_kind(cell[0], cell[2]))
+    return kinds
+
+
+LOCATE_ROWS = 20_000  # larger lattices, up to 2.6 * 10^8 rows at (6, 5), are skipped
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_pass_locate_matches_two_passes(d, n):
+    # Lattices hold ties, the seam and the sliver plane; the type-(b) switch
+    # shows as base_b cells.  Sizes whose lattices are all skipped still get
+    # the random and boundary rows.
+    kinds = set()
+    for eps in (delta(n), delta(n) / 3):
+        for q in (1, 2):
+            big, rows = lattice_rows(d, n, eps, q)
+            if comb(floor((n + eps) * big) + d, d) <= LOCATE_ROWS:
+                kinds |= assert_locate_agrees(big, rows, n)
+        kinds |= assert_locate_agrees(*random_rows(d, n, eps, 200, seed=10 * d + n), n)
+        kinds |= assert_locate_agrees(*boundary_rows(d, n, eps), n)
+    assert kinds == (set(KINDS) if n >= 2 else set(KINDS) - {KIND_TOP})
+
+
+def reference_report(cover, points):
+    """``(routes, fallback_reasons, sliver_violations, failures)`` of the
+    points, each located by ``fraction_witness``."""
+    d, n, dl = cover.d, cover.n, cover.delta
+    routes, reasons = Counter({route: 0 for route in ROUTES}), Counter()
+    slivers, failures = [], []
+    for x in points:
+        try:
+            route, _, _, reason = fraction_witness(x, d, n, cover)
+        except UncoveredPointError:
+            failures.append(x)
+            continue
+        routes[route] += 1
+        if reason is not None:
+            reasons[reason] += 1
+        if route != KIND_BASE_A and x[-1] <= dl:
+            slivers.append(x)
+    return dict(routes), dict(sorted(reasons.items())), tuple(slivers), tuple(failures)
+
+
+@pytest.mark.parametrize(
+    "d,n,q,dropped", [(d, n, 2, False) for d, n in GRID] + [(5, 2, 1, False), (2, 2, 4, True)]
+)
+def test_tally_matches_fraction_reference(d, n, q, dropped):
+    # dropped: (2, 2) without its base_a element at the origin, so failed
+    # verdicts, fallbacks, sliver violations and failures all occur
+    cover = _without_origin_base_a() if dropped else build_cover(d, n)
+    rows, points = _campaign(d, n, cover.delta, q, 200, 7 * d + n)
+    report = tally(cover, rows)  # before the reference reads cover.elements
+    points = list(points)
+    routes, reasons, slivers, failures = reference_report(cover, points)
+    assert report.total == len(points)
+    assert report.covered == len(points) - len(failures)
+    assert report.routes == routes
+    assert report.fallback_reasons == reasons
+    assert report.sliver_violations == slivers
+    assert report.failures == failures
+    if dropped:
+        assert routes[ROUTE_FALLBACK] > 0 and slivers and failures
+    else:
+        assert report.success
