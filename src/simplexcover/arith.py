@@ -68,12 +68,3 @@ def point_format(p: Sequence[Fraction]) -> str:
 def is_permutation(perm: Sequence[int], d: int) -> bool:
     return len(perm) == d and sorted(perm) == list(range(1, d + 1))
 
-
-def rank_descending(values: Sequence[Fraction] | Sequence[int]) -> Permutation:
-    """Indices 1..d ordered by value, largest first; ties keep ascending index.
-
-    This is the canonical ordering permutation used throughout: sorting is
-    stable, also in reverse, so equal values come out in ascending
-    original-index order.
-    """
-    return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__, reverse=True))

@@ -1,17 +1,26 @@
 """Static SVG figures of two-dimensional covers.
 
-The only floating point in the package lives here: exact rational vertices are
-converted to floats at the last step, optionally sheared so right simplices
-draw as equilateral triangles.  Output is deterministic for fixed inputs.
+The only floating point in the package lives here, and it starts from
+integers.  Each element is read as a row: its kind, its permutation and its
+anchor numerators over one denominator ``L``, which is n+2 for a canonical
+cover streamed from ``cover.cover_groups`` and ``lcm(n+2, anchor
+denominators)`` for a cover that holds its elements.  Vertex k of an element
+is its anchor numerators plus ``L`` on the first k indices of its permutation.
+Each distinct vertex is converted once, by ``int / L`` true division (correctly
+rounded, so the float ``float(Fraction(a, L))`` would give), optionally sheared
+so right simplices draw as equilateral triangles, and formatted once; a
+polygon joins its vertices' strings.  No ``Fraction``, ``CoverElement`` or
+``KuhnSimplex`` is made per element.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import Iterator
 
-from .cover import CoverSpec
-from .simplex import vertices
+from .arith import IntVector, Permutation, is_permutation
+from .cover import CoverSpec, anchor_numerators, cover_groups, element_kind
+from .verifier import _scale
 
 FILL = {"top": "#4c72b0", "base_a": "#55a868", "base_b": "#dd8452"}
 STROKE = {"top": "#2b4a76", "base_a": "#2f6b3c", "base_b": "#9c5220"}
@@ -22,30 +31,73 @@ MARGIN = 24.0  # blank border around the drawing, in pixels
 # Shear taking the right-angle coordinate frame to the equilateral one.
 _EQ = (1.0, -0.5, 0.0, math.sqrt(3.0) / 2.0)
 
+Row = tuple[str, Permutation, IntVector]  # kind, perm, anchor numerators over L
 
-def _to_plane(p: tuple[Fraction, Fraction], equilateral: bool) -> tuple[float, float]:
-    x, y = float(p[0]), float(p[1])
-    if equilateral:
-        return (_EQ[0] * x + _EQ[1] * y, _EQ[2] * x + _EQ[3] * y)
-    return (x, y)
+
+def _canonical_rows(n: int) -> Iterator[Row]:
+    # the numerators are made once per (kind, v)
+    for top, v, perms in cover_groups(2, n):
+        anchors: dict[str, IntVector] = {}
+        for perm in perms:
+            kind = element_kind(top, perm)
+            nums = anchors.get(kind)
+            if nums is None:
+                nums = anchors[kind] = anchor_numerators(kind, v, n)
+            yield kind, perm, nums
+
+
+def _rows(cover: CoverSpec) -> tuple[int, Iterator[Row]]:
+    """``(L, rows)``: the cover's elements, in order, as rows over L."""
+    if cover.__dict__["elements"] is None:
+        # a canonical cover whose elements were never read: make none
+        return cover.n + 2, _canonical_rows(cover.n)
+    elements = cover.elements
+    big, anchors = _scale([el.anchor for el in elements], cover.n)
+
+    def rows() -> Iterator[Row]:
+        for el, nums in zip(elements, anchors):
+            if len(nums) != len(el.perm):
+                raise ValueError(f"perm {el.perm} is not a permutation of 1..{len(nums)}")
+            yield el.kind, el.perm, tuple(nums)
+
+    return big, rows()
 
 
 def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> str:
     """Render the target outline and every cover element as translucent polygons."""
     if cover.d != 2:
         raise ValueError(f"rendering supports d = 2 only, got d = {cover.d}")
-    top = cover.n + cover.delta
-    outline = [
-        (Fraction(0), Fraction(0)),
-        (top, Fraction(0)),
-        (top, top),
-    ]
-    polygons = [
-        (el, [_to_plane(p, equilateral) for p in vertices(el.simplex)]) for el in cover.elements
-    ]
-    outline_xy = [_to_plane(p, equilateral) for p in outline]
+    big, rows = _rows(cover)
 
-    all_pts = [pt for _, poly in polygons for pt in poly] + outline_xy
+    def to_plane(p: IntVector) -> tuple[float, float]:
+        x, y = p[0] / big, p[1] / big
+        if equilateral:
+            return (_EQ[0] * x + _EQ[1] * y, _EQ[2] * x + _EQ[3] * y)
+        return (x, y)
+
+    # each distinct vertex, by numerators, gets the next position in ``plane``;
+    # vertex k adds L to the anchor numerators on the first k indices of perm
+    index: dict[IntVector, int] = {}
+    position = index.setdefault
+    perms: set[Permutation] = set()
+    polygons: list[tuple[str, list[int]]] = []
+    for kind, perm, nums in rows:
+        if perm not in perms:
+            if not is_permutation(perm, len(nums)):
+                raise ValueError(f"perm {perm} is not a permutation of 1..{len(nums)}")
+            perms.add(perm)
+        cur = list(nums)
+        poly = [position(nums, len(index))]
+        for j in perm:
+            cur[j - 1] += big
+            poly.append(position(tuple(cur), len(index)))
+        polygons.append((kind, poly))
+    plane = [to_plane(p) for p in index]
+    del index  # the numerators are not needed past here; free them before the lines
+    top = cover.n * big + big // (cover.n + 2)  # n + delta
+    outline_xy = [to_plane(p) for p in ((0, 0), (top, 0), (top, top))]
+
+    all_pts = plane + outline_xy
     min_x = min(p[0] for p in all_pts)
     max_x = max(p[0] for p in all_pts)
     min_y = min(p[1] for p in all_pts)
@@ -58,9 +110,11 @@ def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False
         # y axis flipped: world up is screen up
         return (MARGIN + (pt[0] - min_x) * scale, MARGIN + (max_y - pt[1]) * scale)
 
-    def fmt(poly: list[tuple[float, float]]) -> str:
-        return " ".join(f"{sx:.3f},{sy:.3f}" for sx, sy in map(screen, poly))
-
+    pts = ["%.3f,%.3f" % screen(pt) for pt in plane]
+    ends = {
+        kind: f'" fill="{FILL[kind]}" fill-opacity="0.45" stroke="{STROKE[kind]}" stroke-width="1"/>'
+        for kind in FILL
+    }
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
         f'height="{height:.3f}" viewBox="0 0 {WIDTH:.0f} {height:.3f}">',
@@ -68,23 +122,22 @@ def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False
         f"equilateral={'true' if equilateral else 'false'} -->",
         '<rect width="100%" height="100%" fill="#ffffff"/>',
     ]
-    for el, poly in polygons:
-        lines.append(
-            f'<polygon points="{fmt(poly)}" fill="{FILL[el.kind]}" fill-opacity="0.45" '
-            f'stroke="{STROKE[el.kind]}" stroke-width="1"/>'
-        )
+    for kind, poly in polygons:
+        lines.append('<polygon points="' + " ".join(map(pts.__getitem__, poly)) + ends[kind])
+    outline = " ".join("%.3f,%.3f" % screen(pt) for pt in outline_xy)
     lines.append(
-        f'<polygon points="{fmt(outline_xy)}" fill="none" stroke="#222222" '
+        f'<polygon points="{outline}" fill="none" stroke="#222222" '
         'stroke-width="1.5" stroke-dasharray="6 4"/>'
     )
     if labels:
-        for idx, (el, poly) in enumerate(polygons):
-            cx = sum(p[0] for p in poly) / len(poly)
-            cy = sum(p[1] for p in poly) / len(poly)
+        xs, ys = [p[0] for p in plane], [p[1] for p in plane]
+        for idx, (kind, poly) in enumerate(polygons):
+            cx = sum(map(xs.__getitem__, poly)) / len(poly)
+            cy = sum(map(ys.__getitem__, poly)) / len(poly)
             sx, sy = screen((cx, cy))
             lines.append(
                 f'<text x="{sx:.3f}" y="{sy:.3f}" font-size="11" font-family="sans-serif" '
-                f'text-anchor="middle" fill="#1a1a1a">{LABEL_PREFIX[el.kind]}{idx}</text>'
+                f'text-anchor="middle" fill="#1a1a1a">{LABEL_PREFIX[kind]}{idx}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import factorial, floor
 from typing import Iterable, Iterator, Sequence
 
-from simplexcover.arith import IntVector, Permutation, Point, rank_descending
+from simplexcover.arith import IntVector, Permutation, Point
 from simplexcover.cover import (
     KIND_TOP,
     CoverElement,
@@ -19,7 +19,8 @@ from simplexcover.cover import (
     anchor_numerators,
     element_kind,
 )
-from simplexcover.simplex import KuhnSimplex, contains, contains_oracle
+from simplexcover.render import _EQ, FILL, LABEL_PREFIX, MARGIN, STROKE, WIDTH
+from simplexcover.simplex import KuhnSimplex, contains, contains_oracle, vertices
 from simplexcover.triangulation import Cell, check_dn, is_admissible
 from simplexcover.verifier import RANDOM_GRID, ROUTE_FALLBACK, UncoveredPointError, in_domain
 
@@ -29,6 +30,16 @@ def unit_volume(d: int) -> Fraction:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     return Fraction(1, factorial(d))
+
+
+def rank_descending(values: Sequence[Fraction] | Sequence[int]) -> Permutation:
+    """Indices 1..d ordered by value, largest first; ties keep ascending index.
+
+    Sorting is stable, also in reverse, so equal values come out in ascending
+    original-index order.  ``verifier._locate`` sorts its residuals the same
+    way in place.
+    """
+    return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__, reverse=True))
 
 
 def gram_squared_length(u: Point) -> Fraction:
@@ -299,3 +310,72 @@ def fraction_witness(
                 w = tuple(xj - (1 - dl) * vj for xj, vj in zip(x, el.v))
             return ROUTE_FALLBACK, el, w, reason
     raise UncoveredPointError(f"no cover element contains in-domain point {x}")
+
+
+def _to_plane(p: tuple[Fraction, Fraction], equilateral: bool) -> tuple[float, float]:
+    x, y = float(p[0]), float(p[1])
+    if equilateral:
+        return (_EQ[0] * x + _EQ[1] * y, _EQ[2] * x + _EQ[3] * y)
+    return (x, y)
+
+
+def render_svg_fractions(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> str:
+    """``render.render_svg`` on Fractions, the reference for its integer rows:
+    every element's ``vertices`` converted with ``float`` one by one, and every
+    vertex of every polygon formatted on its own."""
+    if cover.d != 2:
+        raise ValueError(f"rendering supports d = 2 only, got d = {cover.d}")
+    top = cover.n + cover.delta
+    outline = [
+        (Fraction(0), Fraction(0)),
+        (top, Fraction(0)),
+        (top, top),
+    ]
+    polygons = [
+        (el, [_to_plane(p, equilateral) for p in vertices(el.simplex)]) for el in cover.elements
+    ]
+    outline_xy = [_to_plane(p, equilateral) for p in outline]
+
+    all_pts = [pt for _, poly in polygons for pt in poly] + outline_xy
+    min_x = min(p[0] for p in all_pts)
+    max_x = max(p[0] for p in all_pts)
+    min_y = min(p[1] for p in all_pts)
+    max_y = max(p[1] for p in all_pts)
+    span_x = max(max_x - min_x, 1e-9)
+    scale = (WIDTH - 2 * MARGIN) / span_x
+    height = (max_y - min_y) * scale + 2 * MARGIN
+
+    def screen(pt: tuple[float, float]) -> tuple[float, float]:
+        # y axis flipped: world up is screen up
+        return (MARGIN + (pt[0] - min_x) * scale, MARGIN + (max_y - pt[1]) * scale)
+
+    def fmt(poly: list[tuple[float, float]]) -> str:
+        return " ".join(f"{sx:.3f},{sy:.3f}" for sx, sy in map(screen, poly))
+
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH:.0f}" '
+        f'height="{height:.3f}" viewBox="0 0 {WIDTH:.0f} {height:.3f}">',
+        f"<!-- cover figure: d={cover.d} n={cover.n} delta={cover.delta} "
+        f"equilateral={'true' if equilateral else 'false'} -->",
+        '<rect width="100%" height="100%" fill="#ffffff"/>',
+    ]
+    for el, poly in polygons:
+        lines.append(
+            f'<polygon points="{fmt(poly)}" fill="{FILL[el.kind]}" fill-opacity="0.45" '
+            f'stroke="{STROKE[el.kind]}" stroke-width="1"/>'
+        )
+    lines.append(
+        f'<polygon points="{fmt(outline_xy)}" fill="none" stroke="#222222" '
+        'stroke-width="1.5" stroke-dasharray="6 4"/>'
+    )
+    if labels:
+        for idx, (el, poly) in enumerate(polygons):
+            cx = sum(p[0] for p in poly) / len(poly)
+            cy = sum(p[1] for p in poly) / len(poly)
+            sx, sy = screen((cx, cy))
+            lines.append(
+                f'<text x="{sx:.3f}" y="{sy:.3f}" font-size="11" font-family="sans-serif" '
+                f'text-anchor="middle" fill="#1a1a1a">{LABEL_PREFIX[el.kind]}{idx}</text>'
+            )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import rank_descending
 from simplexcover.arith import (
     ParseError,
     is_permutation,
     point_format,
     point_parse,
-    rank_descending,
     rat_format,
     rat_parse,
 )

@@ -118,6 +118,16 @@ def test_cover_matches_the_benchmark_pinned_digest(tmp_path, capsys):
     assert hashlib.sha256(out_path.read_bytes()).hexdigest() == pinned
 
 
+@pytest.mark.parametrize("n", [100, 4])
+def test_render_matches_the_benchmark_pinned_digest(tmp_path, capsys, n):
+    # the benchmark's full and tiny figures, sheared and labelled
+    pinned = runpy.run_path(str(BENCHMARK_CONFIG))["DIGESTS"][f"render-n{n}.svg"]
+    out_path = tmp_path / f"render-n{n}.svg"
+    argv = ["render", "--n", str(n), "--out", str(out_path), "--equilateral", "--labels"]
+    assert run(capsys, *argv)[0] == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == pinned
+
+
 def rec(body):
     """A cover record line with kind base_a and the given other fields."""
     return '{"kind": "base_a", ' + body + "}"

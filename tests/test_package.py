@@ -56,6 +56,8 @@ NOT_SHIPPED = (
     "rat_floor",
     "make_element",
     "strictly_contains",
+    "rank_descending",
+    "_to_plane",
 )
 
 

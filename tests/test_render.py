@@ -1,9 +1,12 @@
 import math
 import re
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from simplexcover.cover import build_cover
+from oracles import render_svg_fractions
+from simplexcover.cover import CoverElement, build_cover
 from simplexcover.render import render_svg
 
 POINTS_RE = re.compile(r'<polygon points="([^"]+)"')
@@ -49,6 +52,73 @@ def test_labels_toggle():
 def test_rejects_higher_dimensions():
     with pytest.raises(ValueError):
         render_svg(build_cover(3, 1))
+
+
+FLAGS = [(False, False), (False, True), (True, False), (True, True)]
+
+
+@pytest.mark.parametrize("equilateral,labels", FLAGS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 17])
+def test_matches_the_fraction_render(n, equilateral, labels):
+    expected = render_svg_fractions(build_cover(2, n), equilateral, labels)
+    assert render_svg(build_cover(2, n), equilateral, labels) == expected
+    read = build_cover(2, n)
+    assert read.elements  # a canonical cover that holds its elements
+    assert render_svg(read, equilateral, labels) == expected
+
+
+def off_grid(elements):
+    """The elements with the first one's anchor moved off Z/(n+2), by (1/7, -1/3)."""
+    first = elements[0]
+    anchor = (first.anchor[0] + Fraction(1, 7), first.anchor[1] - Fraction(1, 3))
+    return (replace(first, anchor=anchor), *elements[1:])
+
+
+@pytest.mark.parametrize("equilateral,labels", FLAGS)
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda els: els[:2] + els[3:], id="dropped"),
+        pytest.param(lambda els: els[::-1], id="reversed"),
+        pytest.param(off_grid, id="off-grid"),
+    ],
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_explicit_covers_match_the_fraction_render(n, edit, equilateral, labels):
+    cover = build_cover(2, n)
+    explicit = replace(cover, elements=edit(cover.elements))
+    expected = render_svg_fractions(explicit, equilateral, labels)
+    assert render_svg(explicit, equilateral, labels) == expected
+    assert render_svg(explicit, equilateral, labels) != render_svg(cover, equilateral, labels)
+
+
+def test_canonical_render_makes_no_element(monkeypatch):
+    made = []
+    monkeypatch.setattr(CoverElement, "__post_init__", lambda el: made.append(el))
+    cover = build_cover(2, 50)
+    svg = render_svg(cover, equilateral=True, labels=True)
+    assert cover.__dict__["elements"] is None
+    assert made == []
+    assert svg.count("<polygon") == 51**2 + 49**2 - 50**2 + 1
+
+
+@pytest.mark.parametrize(
+    "perm,anchor",
+    [
+        pytest.param((1, 1), (0, 0), id="repeated"),
+        pytest.param((2, 3), (0, 0), id="out-of-range"),
+        pytest.param((1, 2, 3), (0, 0), id="longer-than-anchor"),
+        pytest.param((1,), (0, 0), id="shorter-than-anchor"),
+    ],
+)
+def test_rejects_an_element_whose_perm_is_not_a_permutation(perm, anchor):
+    cover = build_cover(2, 2)
+    bad = CoverElement("base_a", (0, 0), perm, tuple(Fraction(c) for c in anchor))
+    explicit = replace(cover, elements=(*cover.elements, bad))
+    with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+        render_svg(explicit)
+    with pytest.raises(ValueError, match="is not a permutation of 1..2"):
+        render_svg_fractions(explicit)
 
 
 def side_lengths(poly):
