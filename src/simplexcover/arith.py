@@ -12,6 +12,7 @@ images ``(pi(1), ..., pi(d))``.  Both are immutable and freely shareable.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -68,3 +69,9 @@ def point_format(p: Sequence[Fraction]) -> str:
 def is_permutation(perm: Sequence[int], d: int) -> bool:
     return len(perm) == d and sorted(perm) == list(range(1, d + 1))
 
+
+def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
+    """The points as integer rows over one common denominator
+    ``L = lcm(n+2, denominators of the points)``: ``(L, [X, ...])``."""
+    big = math.lcm(n + 2, *(c.denominator for x in points for c in x))
+    return big, [[c.numerator * (big // c.denominator) for c in x] for x in points]

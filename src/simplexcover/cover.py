@@ -12,26 +12,24 @@ With ``delta = 1/(n+2)`` the target splits at the seam ``x_d = 1 + delta``:
 Every anchor lies on the grid ``Z/(n+2)``.  ``element_kind`` states the kind
 rule and ``anchor_numerators`` the three anchor formulas, once, as integer
 numerators over n+2: ``(v_j+1)(n+2)+1`` (top), ``(n+1)v_j`` (base_a) and
-``(n+1)v_j+1`` (base_b).  ``cover_groups`` streams the cover one lattice
-anchor at a time, as ``(top, v, perms)``: the elements on v, in canonical
-order.  An element's kind depends on (top, perm) and its anchor on (kind, v)
-only, so ``iter_cover`` makes each anchor tuple once per (kind, v) and shares
-it between those elements, with one ``Fraction`` per distinct numerator: a
-cover at d=5, n=10 has 120,100 elements on 2,288 anchors, and 31 distinct
-numerators.  ``cover`` formats each anchor's line text once per kind from the
-same stream.
+``(n+1)v_j+1`` (base_b).  ``cover_groups`` streams the lattice anchors as
+``(top, v, perms)``, in canonical order, and ``CoverSpec.rows`` walks it into
+element rows ``(kind, v, perm, anchor numerators)``, the numerators made once
+per (kind, v); ``iter_cover``, ``elements`` and ``render`` read those rows.
+The elements of one (kind, v) share one anchor tuple, with one ``Fraction`` per
+distinct numerator: a cover at d=5, n=10 has 120,100 elements on 2,288
+anchors, and 31 distinct numerators.
 
 A ``CoverSpec`` is canonical or explicit.  ``build_cover(d, n)`` returns the
 canonical cover of (d, n), which makes no element until ``elements`` is read:
 ``CoverSpec.member`` decides a key ``(kind, v, perm)`` by the construction's
-rule instead (the kind is ``element_kind``, a top key is a cell of the S^{n-1}
-triangulation, a base key a cell of the base slab of S^{n+1}) and makes that
-one element from ``anchor_numerators``.  An explicit cover, ``CoverSpec(d, n,
+rule instead (a top key is a cell of the S^{n-1} triangulation, a base key a
+cell of the base slab of S^{n+1}) and makes that one element, with the anchor
+tuple ``elements`` will share.  An explicit cover, ``CoverSpec(d, n,
 elements)`` or ``replace(cover, elements=...)``, holds the tuple it was given,
 and ``member`` looks keys up in it, so a dropped or altered element is caught.
-Point location (``verifier._router``'s step, for ``witness`` and ``verify``
-alike) asks ``member`` once per key, matches the element against the same
-numerators, and keeps its verdict on each key on the cover.
+Point location (``verifier._router``'s step) asks ``member`` once per key and
+keeps its verdict on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -45,7 +43,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
-from .arith import IntVector, Permutation, Point
+from .arith import IntVector, Permutation, Point, _scale
 from .simplex import KuhnSimplex
 from .triangulation import base_slab_groups, check_dn, is_admissible, simplex_groups
 
@@ -58,7 +56,7 @@ AnchorGroup = tuple[bool, IntVector, tuple[Permutation, ...]]  # top, v, perms
 Key = tuple[str, IntVector, Permutation]  # kind, v, perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverElement:
     """One simplex of the cover: its kind, lattice data, and explicit anchor."""
 
@@ -83,6 +81,7 @@ class CoverElement:
 # verifier._check_key's verdict on a key: the element and its anchor numerators,
 # or None and the failed check
 Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
+Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators over L
 
 
 class _Elements:
@@ -94,10 +93,8 @@ class _Elements:
     ) -> tuple[CoverElement, ...] | None:
         if cover is None:
             return None  # the field's default: a canonical cover
-        elements = cover.__dict__["elements"]
-        if elements is None:
-            elements = cover.__dict__["elements"] = cover._canonical_elements()
-        return elements
+        given = cover.__dict__["elements"]
+        return cover._canonical_elements if given is None else given
 
     def __set__(self, cover: CoverSpec, elements: tuple[CoverElement, ...] | None) -> None:
         cover.__dict__["elements"] = elements
@@ -108,7 +105,9 @@ class CoverSpec:
     """A cover of S^{n+delta}: canonical (``elements`` not given, made from
     the construction when first read) or explicit (the ``elements`` given).
     Either way ``elements`` reads as a tuple; a canonical cover's is in
-    canonical order (top, then base)."""
+    canonical order (top, then base).  A canonical cover is identified by
+    (d, n), so its ``repr``, ``hash`` and ``==`` make no element; an explicit
+    cover compares by its elements."""
 
     d: int
     n: int
@@ -116,6 +115,26 @@ class CoverSpec:
 
     def __post_init__(self) -> None:
         check_dn(self.d, self.n)
+        for i, el in enumerate(self.__dict__["elements"] or ()):
+            if len(el.v) != self.d or len(el.anchor) != self.d:
+                raise ValueError(f"element {i} is not of dimension d = {self.d}: {el}")
+
+    def __repr__(self) -> str:
+        given = self.__dict__["elements"]
+        tail = "" if given is None else f", elements={given!r}"
+        return f"CoverSpec(d={self.d!r}, n={self.n!r}{tail})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CoverSpec):
+            return NotImplemented
+        # only a canonical cover compared with an explicit one reads its elements
+        canonical = self.__dict__["elements"] is None and other.__dict__["elements"] is None
+        same = (self.d, self.n) == (other.d, other.n)
+        return same and (canonical or self.elements == other.elements)
+
+    def __hash__(self) -> int:
+        # an explicit cover may equal a canonical one, so neither hashes its elements
+        return hash((self.d, self.n))
 
     @cached_property
     def delta(self) -> Fraction:
@@ -126,17 +145,25 @@ class CoverSpec:
     def element_index(self) -> dict[Key, CoverElement]:
         return {el.key: el for el in self.elements}
 
-    def member(self, key: Key) -> CoverElement | None:
-        """The cover's element with this key, or None if it has none.
+    def rows(self) -> tuple[int, Iterator[Row]]:
+        """``(L, rows)``: the cover's elements, in order, as integer rows
+        ``(kind, v, perm, anchor numerators over L)``.  A canonical cover whose
+        ``elements`` were never read streams the construction over ``L = n + 2``
+        and makes no element; otherwise the held anchors are scaled to
+        ``L = lcm(n + 2, their denominators)``."""
+        held = self._held()
+        if held is None:
+            return self.n + 2, _canonical_rows(cover_groups(self.d, self.n), self.n)
+        big, anchors = _scale([el.anchor for el in held], self.n)
+        return big, ((el.kind, el.v, el.perm, tuple(nums)) for el, nums in zip(held, anchors))
 
-        Once ``elements`` exists (an explicit cover, or a canonical one that
-        was read) this is the ``element_index`` lookup.  Before that, a
-        canonical cover decides by the construction's rule and makes the
-        element, with the anchor tuple and Fractions ``elements`` will share;
-        ``verifier._check_key`` asks once per key and keeps the element in
-        its verdict, and ``elements`` reuses it.
-        """
-        if self.__dict__["elements"] is not None:
+    def member(self, key: Key) -> CoverElement | None:
+        """The cover's element with this key, or None if it has none: the
+        ``element_index`` lookup once the cover holds its elements, else the
+        construction's rule, which makes the element with the anchor tuple
+        ``elements`` will share.  ``verifier._check_key`` asks once per key and
+        keeps the element in its verdict, and ``elements`` reuses it."""
+        if self._held() is not None:
             return self.element_index.get(key)
         kind, v, perm = key
         n = self.n
@@ -151,17 +178,44 @@ class CoverSpec:
             or kind != element_kind(top, perm)
         ):
             return None
-        anchor = self._anchors.get((kind, v))
-        if anchor is None:
-            nums = anchor_numerators(kind, v, n)
-            anchor = self._anchors[kind, v] = _anchor(nums, n, self._coordinates)
+        anchor = self._anchors[kind, v] = self._anchor(kind, v, anchor_numerators(kind, v, n))
         return CoverElement(kind, v, perm, anchor)
 
+    def _held(self) -> tuple[CoverElement, ...] | None:
+        """The elements given, or a canonical cover's once read, else None."""
+        given = self.__dict__["elements"]
+        return self.__dict__.get("_canonical_elements") if given is None else given
+
+    def _anchor(self, kind: str, v: IntVector, nums: IntVector) -> Point:
+        """The anchor of the canonical (kind, v) elements, numerators ``nums`` over
+        n+2: the one ``member`` made, else a new tuple of ``_coordinates``."""
+        anchor = self._anchors.get((kind, v))
+        if anchor is None:
+            coordinates = self._coordinates
+            for num in nums:
+                if num not in coordinates:
+                    coordinates[num] = anchor_coordinate(num, self.n)
+            anchor = tuple(map(coordinates.__getitem__, nums))
+        return anchor
+
+    def _canonical_stream(self) -> Iterator[CoverElement]:
+        # the construction's rows on one lattice anchor share its v, so
+        # ``_anchor`` is asked once per kind on each v
+        last = None
+        for kind, v, perm, nums in self.rows()[1]:
+            if v is not last:
+                last, anchors = v, {}
+            a = anchors.get(kind)
+            if a is None:
+                a = anchors[kind] = self._anchor(kind, v, nums)
+            yield CoverElement(kind, v, perm, a)
+
+    @cached_property
     def _canonical_elements(self) -> tuple[CoverElement, ...]:
         # the elements ``member`` made for routed keys stay the cover's own;
         # with none made, no element's key is built
         made = {el.key: el for el, _ in self._verdicts.values() if el is not None}
-        elements = _elements(cover_groups(self.d, self.n), self.n, self._coordinates, self._anchors)
+        elements = self._canonical_stream()
         return tuple(made.get(el.key, el) for el in elements) if made else tuple(elements)
 
     @cached_property
@@ -223,18 +277,6 @@ def anchor_coordinate(num: int, n: int) -> Fraction:
     return Fraction(num, n + 2)
 
 
-def _anchor(nums: IntVector, n: int, coordinates: dict[int, Fraction]) -> Point:
-    """The anchor with numerators ``nums`` over n+2.  ``coordinates`` maps each
-    numerator to its Fraction; missing ones are made and added."""
-    anchor = []
-    for num in nums:
-        c = coordinates.get(num)
-        if c is None:
-            c = coordinates[num] = anchor_coordinate(num, n)
-        anchor.append(c)
-    return tuple(anchor)
-
-
 def cover_groups(d: int, n: int) -> Iterator[AnchorGroup]:
     """``(top, v, perms)`` for each lattice anchor v of the cover, in canonical
     order (top, then base).  Its elements are, for each perm in order, the
@@ -256,27 +298,19 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
 
     (d, n) is checked on the call, before the first element is made.
     """
-    return _elements(cover_groups(d, n), n, {}, {})
+    return CoverSpec(d, n)._canonical_stream()
 
 
-def _elements(
-    groups: Iterator[AnchorGroup],
-    n: int,
-    coordinates: dict[int, Fraction],
-    shared: dict[tuple[str, IntVector], Point],
-) -> Iterator[CoverElement]:
-    # the elements of one kind on one anchor share a single anchor tuple: the
-    # one in ``shared`` for that (kind, v), if any; ``coordinates`` is _anchor's
+def _canonical_rows(groups: Iterator[AnchorGroup], n: int) -> Iterator[Row]:
+    # the construction's rows over n+2; the numerators are made once per (kind, v)
     for top, v, perms in groups:
-        anchors: dict[str, Point] = {}
+        anchors: dict[str, IntVector] = {}
         for perm in perms:
             kind = element_kind(top, perm)
-            anchor = anchors.get(kind)
-            if anchor is None:
-                anchor = anchors[kind] = shared.get((kind, v)) or _anchor(
-                    anchor_numerators(kind, v, n), n, coordinates
-                )
-            yield CoverElement(kind, v, perm, anchor)
+            nums = anchors.get(kind)
+            if nums is None:
+                nums = anchors[kind] = anchor_numerators(kind, v, n)
+            yield kind, v, perm, nums
 
 
 def build_cover(d: int, n: int) -> CoverSpec:

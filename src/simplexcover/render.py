@@ -1,26 +1,24 @@
 """Static SVG figures of two-dimensional covers.
 
 The only floating point in the package lives here, and it starts from
-integers.  Each element is read as a row: its kind, its permutation and its
-anchor numerators over one denominator ``L``, which is n+2 for a canonical
-cover streamed from ``cover.cover_groups`` and ``lcm(n+2, anchor
-denominators)`` for a cover that holds its elements.  Vertex k of an element
-is its anchor numerators plus ``L`` on the first k indices of its permutation.
-Each distinct vertex is converted once, by ``int / L`` true division (correctly
-rounded, so the float ``float(Fraction(a, L))`` would give), optionally sheared
-so right simplices draw as equilateral triangles, and formatted once; a
-polygon joins its vertices' strings.  No ``Fraction``, ``CoverElement`` or
+integers.  Each element is read as a row of ``CoverSpec.rows``: its kind, its
+permutation and its anchor numerators over one denominator ``L`` (n+2 for a
+canonical cover whose elements were never read, which makes no element).
+Vertex k of an element is its anchor numerators plus ``L`` on the first k
+indices of its permutation.  Each distinct vertex is converted once, by
+``int / L`` true division (correctly rounded, so the float
+``float(Fraction(a, L))`` would give), optionally sheared so right simplices
+draw as equilateral triangles, and formatted once; a polygon joins its
+vertices' strings.  No ``Fraction``, ``CoverElement`` or
 ``KuhnSimplex`` is made per element.  Output is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
 
 from .arith import IntVector, Permutation, is_permutation
-from .cover import CoverSpec, anchor_numerators, cover_groups, element_kind
-from .verifier import _scale
+from .cover import CoverSpec
 
 FILL = {"top": "#4c72b0", "base_a": "#55a868", "base_b": "#dd8452"}
 STROKE = {"top": "#2b4a76", "base_a": "#2f6b3c", "base_b": "#9c5220"}
@@ -31,43 +29,11 @@ MARGIN = 24.0  # blank border around the drawing, in pixels
 # Shear taking the right-angle coordinate frame to the equilateral one.
 _EQ = (1.0, -0.5, 0.0, math.sqrt(3.0) / 2.0)
 
-Row = tuple[str, Permutation, IntVector]  # kind, perm, anchor numerators over L
-
-
-def _canonical_rows(n: int) -> Iterator[Row]:
-    # the numerators are made once per (kind, v)
-    for top, v, perms in cover_groups(2, n):
-        anchors: dict[str, IntVector] = {}
-        for perm in perms:
-            kind = element_kind(top, perm)
-            nums = anchors.get(kind)
-            if nums is None:
-                nums = anchors[kind] = anchor_numerators(kind, v, n)
-            yield kind, perm, nums
-
-
-def _rows(cover: CoverSpec) -> tuple[int, Iterator[Row]]:
-    """``(L, rows)``: the cover's elements, in order, as rows over L."""
-    if cover.__dict__["elements"] is None:
-        # a canonical cover whose elements were never read: make none
-        return cover.n + 2, _canonical_rows(cover.n)
-    elements = cover.elements
-    big, anchors = _scale([el.anchor for el in elements], cover.n)
-
-    def rows() -> Iterator[Row]:
-        for el, nums in zip(elements, anchors):
-            if len(nums) != len(el.perm):
-                raise ValueError(f"perm {el.perm} is not a permutation of 1..{len(nums)}")
-            yield el.kind, el.perm, tuple(nums)
-
-    return big, rows()
-
-
 def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> str:
     """Render the target outline and every cover element as translucent polygons."""
     if cover.d != 2:
         raise ValueError(f"rendering supports d = 2 only, got d = {cover.d}")
-    big, rows = _rows(cover)
+    big, rows = cover.rows()
 
     def to_plane(p: IntVector) -> tuple[float, float]:
         x, y = p[0] / big, p[1] / big
@@ -81,7 +47,7 @@ def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False
     position = index.setdefault
     perms: set[Permutation] = set()
     polygons: list[tuple[str, list[int]]] = []
-    for kind, perm, nums in rows:
+    for kind, _, perm, nums in rows:
         if perm not in perms:
             if not is_permutation(perm, len(nums)):
                 raise ValueError(f"perm {perm} is not a permutation of 1..{len(nums)}")

@@ -69,7 +69,7 @@ from itertools import groupby
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .arith import IntVector, Permutation, Point, point_format
+from .arith import IntVector, Permutation, Point, _scale, point_format
 from .cover import (
     KIND_BASE_A,
     KIND_BASE_B,
@@ -120,13 +120,6 @@ class WitnessResult:
 def in_domain(x: Point, n: int, eps: Fraction) -> bool:
     """Exact test for n+eps >= x_1 >= ... >= x_d >= 0."""
     return _descends(n + eps, x)
-
-
-def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
-    """The points as integer rows over one common denominator
-    ``L = lcm(n+2, denominators of the points)``: ``(L, [X, ...])``."""
-    big = math.lcm(n + 2, *(c.denominator for x in points for c in x))
-    return big, [[c.numerator * (big // c.denominator) for c in x] for x in points]
 
 
 def _point(X: Sequence[int], big: int) -> Point:
@@ -185,9 +178,8 @@ def _check_key(cover: CoverSpec, key: Key) -> Verdict:
     if known is None:
         return None, "missing"
     nums = anchor_numerators(kind, v, n)
-    if len(known.anchor) != len(v) or any(
-        a.numerator * (n + 2) != num * a.denominator for a, num in zip(known.anchor, nums)
-    ):
+    # a cover's elements have d coordinates (CoverSpec checks), so zip drops none
+    if any(a.numerator * (n + 2) != num * a.denominator for a, num in zip(known.anchor, nums)):
         return None, "anchor"
     return known, nums
 

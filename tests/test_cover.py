@@ -1,7 +1,9 @@
+import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -238,6 +240,83 @@ def test_elements_read_after_routing_keep_the_routed_instances():
     first = {}
     for el in elements:
         assert first.setdefault((el.kind, el.v), el.anchor) is el.anchor
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 6) for n in range(1, 5)])
+def test_rows_are_the_same_before_and_after_elements_are_read(d, n):
+    cover = build_cover(d, n)
+    big, rows = cover.rows()
+    fresh = list(rows)
+    assert cover.elements
+    read_big, read = cover.rows()
+    assert big == read_big == n + 2
+    assert list(read) == fresh
+    for row, el in zip(fresh, iter_cover(d, n), strict=True):
+        assert row == (el.kind, el.v, el.perm, tuple(c * (n + 2) for c in el.anchor))
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 2)])
+def test_rows_of_an_explicit_cover_are_its_anchors_over_one_denominator(d, n):
+    elements = build_cover(d, n).elements
+    first = elements[0]
+    anchor = (first.anchor[0] + F(1, 7), first.anchor[1] - F(1, 3), *first.anchor[2:])
+    explicit = CoverSpec(d, n, (replace(first, anchor=anchor), *elements[1:]))
+    big, rows = explicit.rows()
+    assert big == math.lcm(n + 2, 21)
+    rows = list(rows)
+    assert all(type(num) is int for row in rows for num in row[3])
+    assert rows == [
+        (el.kind, el.v, el.perm, tuple(c * big for c in el.anchor)) for el in explicit.elements
+    ]
+
+
+def count_made(monkeypatch):
+    """The list every CoverElement made from here on is appended to."""
+    made = []
+    monkeypatch.setattr(CoverElement, "__post_init__", lambda el: made.append(el))
+    return made
+
+
+def test_rows_of_a_huge_canonical_cover_stream_without_making_elements(monkeypatch):
+    made = count_made(monkeypatch)
+    big, rows = build_cover(8, 40).rows()
+    first = list(islice(rows, 5))
+    assert big == 42 and len(first) == 5
+    assert made == []
+    for row, el in zip(first, islice(iter_cover(8, 40), 5)):
+        assert row == (el.kind, el.v, el.perm, tuple(c * big for c in el.anchor))
+
+
+def test_canonical_repr_hash_and_equality_make_no_element(monkeypatch):
+    # (6, 12) has 3.6M elements and (8, 40) about 8 * 10^12: enumerating them
+    # would not finish, so the small cover goes first to fail fast
+    made = count_made(monkeypatch)
+    for d, n in [(2, 1), (6, 12), (8, 40)]:
+        cover = build_cover(d, n)
+        assert hash(cover) == hash(build_cover(d, n))
+        assert cover == build_cover(d, n)
+        assert cover != build_cover(d, n + 1) and cover != build_cover(d + 1, n)
+        assert repr(cover) == f"CoverSpec(d={d}, n={n})"
+        assert made == []
+    cover = build_cover(2, 3)
+    before = (repr(cover), hash(cover))
+    assert cover.elements and made
+    assert (repr(cover), hash(cover)) == before
+    assert cover == build_cover(2, 3) and {cover: 1}[build_cover(2, 3)] == 1
+
+
+def test_explicit_covers_compare_by_their_elements(monkeypatch):
+    canonical = build_cover(3, 2)
+    explicit = CoverSpec(3, 2, tuple(iter_cover(3, 2)))
+    shorter = replace(explicit, elements=explicit.elements[1:])
+    made = count_made(monkeypatch)
+    assert shorter != explicit and explicit != shorter
+    assert explicit == CoverSpec(3, 2, explicit.elements)
+    assert made == []  # two explicit covers: no canonical element is read
+    assert explicit == canonical and canonical == explicit
+    assert hash(explicit) == hash(canonical)
+    assert shorter != canonical
+    assert repr(explicit).startswith("CoverSpec(d=3, n=2, elements=(CoverElement(kind='top'")
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (4, 2)])

@@ -121,6 +121,14 @@ def test_rejects_an_element_whose_perm_is_not_a_permutation(perm, anchor):
         render_svg_fractions(explicit)
 
 
+def test_an_element_of_another_dimension_is_refused_before_drawing():
+    # a 3-dimensional element used to be drawn from its first two coordinates
+    cover = build_cover(2, 2)
+    bad = CoverElement("base_a", (0, 0, 0), (1, 2, 3), (0, 0, 0))
+    with pytest.raises(ValueError, match="element 6 is not of dimension d = 2"):
+        replace(cover, elements=(*cover.elements, bad))
+
+
 def side_lengths(poly):
     out = []
     for i in range(len(poly)):

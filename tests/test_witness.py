@@ -183,6 +183,22 @@ def test_witness_fallback_on_incomplete_cover():
     assert contains(res.element.simplex, x)
 
 
+def test_an_element_of_another_dimension_is_refused_before_routing():
+    # with the point's own element dropped, the fallback scan used to reach the
+    # 3-dimensional element and fail on its dimension, not on the uncovered point
+    cover = build_cover(2, 2)
+    x = pt(F(1, 2), F(1, 4))
+    key = witness(x, 2, 2, cover).element.key
+    kept = tuple(el for el in cover.elements if el.key != key)
+    bad = CoverElement("base_a", (0, 0, 0), (1, 2, 3), (0, 0, 0))
+    with pytest.raises(ValueError, match=f"element {len(kept)} is not of dimension d = 2"):
+        replace(cover, elements=(*kept, bad))
+    with pytest.raises(ValueError, match="element 0 is not of dimension d = 2"):
+        replace(cover, elements=(replace(kept[0], v=(0, 0, 0)), *kept[1:]))
+    with pytest.raises(UncoveredPointError, match="no cover element contains"):
+        witness(x, 2, 2, replace(cover, elements=kept))
+
+
 def test_witness_fallback_on_altered_anchor():
     # The element under the route keeps its key and still contains x, but its
     # anchor no longer matches the formula, so the scan takes over.
