@@ -56,7 +56,7 @@ AnchorGroup = tuple[bool, IntVector, tuple[Permutation, ...]]  # top, v, perms
 Key = tuple[str, IntVector, Permutation]  # kind, v, perm
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class CoverElement:
     """One simplex of the cover: its kind, lattice data, and explicit anchor."""
 
@@ -147,15 +147,15 @@ class CoverSpec:
 
     def rows(self) -> tuple[int, Iterator[Row]]:
         """``(L, rows)``: the cover's elements, in order, as integer rows
-        ``(kind, v, perm, anchor numerators over L)``.  A canonical cover whose
-        ``elements`` were never read streams the construction over ``L = n + 2``
-        and makes no element; otherwise the held anchors are scaled to
-        ``L = lcm(n + 2, their denominators)``."""
-        held = self._held()
-        if held is None:
+        ``(kind, v, perm, anchor numerators over L)``.  A canonical cover
+        streams the construction over ``L = n + 2`` and makes no element; an
+        explicit cover's anchors are scaled to ``L = lcm(n + 2, their
+        denominators)``."""
+        given = self.__dict__["elements"]
+        if given is None:
             return self.n + 2, _canonical_rows(cover_groups(self.d, self.n), self.n)
-        big, anchors = _scale([el.anchor for el in held], self.n)
-        return big, ((el.kind, el.v, el.perm, tuple(nums)) for el, nums in zip(held, anchors))
+        big, anchors = _scale([el.anchor for el in given], self.n)
+        return big, ((el.kind, el.v, el.perm, tuple(nums)) for el, nums in zip(given, anchors))
 
     def member(self, key: Key) -> CoverElement | None:
         """The cover's element with this key, or None if it has none: the

@@ -3,7 +3,7 @@
 The only floating point in the package lives here, and it starts from
 integers.  Each element is read as a row of ``CoverSpec.rows``: its kind, its
 permutation and its anchor numerators over one denominator ``L`` (n+2 for a
-canonical cover whose elements were never read, which makes no element).
+canonical cover, which makes no element).
 Vertex k of an element is its anchor numerators plus ``L`` on the first k
 indices of its permutation.  Each distinct vertex is converted once, by
 ``int / L`` true division (correctly rounded, so the float
