@@ -14,7 +14,7 @@ import json
 import os
 import stat
 import sys
-from typing import TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .arith import (
     IntVector,
@@ -45,7 +45,6 @@ from .verifier import (
     UncoveredPointError,
     boundary_rows,
     format_points,
-    in_domain,
     lattice_rows,
     random_rows,
     tally,
@@ -135,29 +134,37 @@ def _open_output(path: str) -> TextIO:
     return open(path, "w", encoding="utf-8")
 
 
+def _write(path: str, chunks: Iterable[str]) -> int:
+    """Write ``chunks`` to a new file at ``path``; exit 1 if that fails."""
+    try:
+        with _open_output(path) as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _cmd_cover(args: argparse.Namespace) -> int:
+    return _write(args.out, _cover_chunks(args.d, args.n))
+
+
+def _cover_chunks(d: int, n: int) -> Iterator[str]:
     # Each line is json.dumps(cover_record(el)) + "\n", written from the ints one
     # anchor at a time: the kinds are plain ASCII words and a list of ints
     # prints as its JSON text, so a line is its kind's head and tail on that
     # anchor around the text of its perm.  An anchor's lines are one template,
-    # filled with the head and tail of each kind present, and written at once.
-    n = args.n
+    # filled with the head and tail of each kind present, and yielded at once.
     quoted: dict[int, str] = {}
     # anchors with the same tie pattern share their perms, and so their template
     templates: dict[tuple[bool, tuple[Permutation, ...]], tuple[str, tuple[str, ...]]] = {}
-    try:
-        with _open_output(args.out) as fh:
-            for top, v, perms in cover_groups(args.d, n):
-                entry = templates.get((top, perms))
-                if entry is None:
-                    entry = templates[top, perms] = _group_template(top, perms)
-                template, kinds = entry
-                ends = [text for kind in kinds for text in _line_ends(kind, v, n, quoted)]
-                fh.write(template.format(*ends))
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    for top, v, perms in cover_groups(d, n):
+        entry = templates.get((top, perms))
+        if entry is None:
+            entry = templates[top, perms] = _group_template(top, perms)
+        template, kinds = entry
+        ends = [text for kind in kinds for text in _line_ends(kind, v, n, quoted)]
+        yield template.format(*ends)
 
 
 def _group_template(top: bool, perms: tuple[Permutation, ...]) -> tuple[str, tuple[str, ...]]:
@@ -191,15 +198,14 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         x = point_parse(args.point, args.d)
     except ParseError as exc:
         args.parser.error(str(exc))
-    dl = delta(args.n)
-    if not in_domain(x, args.n, dl):
-        print(f"error: point {point_format(x)} is outside the target simplex", file=sys.stderr)
-        return 1
     spec = build_cover(args.d, args.n)
     try:
         result = witness(x, args.d, args.n, spec)
     except UncoveredPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError:  # the point parsed to d coordinates, so it is out of the domain
+        print(f"error: point {point_format(x)} is outside the target simplex", file=sys.stderr)
         return 1
     print(
         json.dumps(
@@ -244,14 +250,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     spec = build_cover(args.d, args.n)
-    svg = render_svg(spec, equilateral=args.equilateral, labels=args.labels)
-    try:
-        with _open_output(args.out) as fh:
-            fh.write(svg)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+    return _write(args.out, [render_svg(spec, equilateral=args.equilateral, labels=args.labels)])
 
 
 def build_parser() -> argparse.ArgumentParser:

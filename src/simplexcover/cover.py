@@ -28,6 +28,7 @@ cell of the base slab of S^{n+1}) and makes that one element, with the anchor
 tuple ``elements`` will share.  An explicit cover, ``CoverSpec(d, n,
 elements)`` or ``replace(cover, elements=...)``, holds the tuple it was given,
 and ``member`` looks keys up in it, so a dropped or altered element is caught.
+Each given element must have dimension d and a permutation of 1..d.
 Point location (``verifier._router``'s step) asks ``member`` once per key and
 keeps its verdict on the cover.
 
@@ -43,7 +44,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
-from .arith import IntVector, Permutation, Point, _scale
+from .arith import IntVector, Permutation, Point, _scale, is_permutation
 from .simplex import KuhnSimplex
 from .triangulation import base_slab_groups, check_dn, is_admissible, simplex_groups
 
@@ -118,6 +119,8 @@ class CoverSpec:
         for i, el in enumerate(self.__dict__["elements"] or ()):
             if len(el.v) != self.d or len(el.anchor) != self.d:
                 raise ValueError(f"element {i} is not of dimension d = {self.d}: {el}")
+            if not is_permutation(el.perm, self.d):
+                raise ValueError(f"element {i} perm {el.perm} is not a permutation of 1..{self.d}")
 
     def __repr__(self) -> str:
         given = self.__dict__["elements"]

@@ -3,7 +3,7 @@
 The only floating point in the package lives here, and it starts from
 integers.  Each element is read as a row of ``CoverSpec.rows``: its kind, its
 permutation and its anchor numerators over one denominator ``L`` (n+2 for a
-canonical cover, which makes no element).
+canonical cover, which makes no element; ``CoverSpec`` checks an explicit one).
 Vertex k of an element is its anchor numerators plus ``L`` on the first k
 indices of its permutation.  Each distinct vertex is converted once, by
 ``int / L`` true division (correctly rounded, so the float
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from .arith import IntVector, Permutation, is_permutation
+from .arith import IntVector
 from .cover import CoverSpec
 
 FILL = {"top": "#4c72b0", "base_a": "#55a868", "base_b": "#dd8452"}
@@ -45,13 +45,8 @@ def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False
     # vertex k adds L to the anchor numerators on the first k indices of perm
     index: dict[IntVector, int] = {}
     position = index.setdefault
-    perms: set[Permutation] = set()
     polygons: list[tuple[str, list[int]]] = []
     for kind, _, perm, nums in rows:
-        if perm not in perms:
-            if not is_permutation(perm, len(nums)):
-                raise ValueError(f"perm {perm} is not a permutation of 1..{len(nums)}")
-            perms.add(perm)
         cur = list(nums)
         poly = [position(nums, len(index))]
         for j in perm:

@@ -33,17 +33,18 @@ total; the result is flagged as ``fallback`` and names the check in
 ``fallback_reason``.
 
 One private step does all of the above for a row, the scan included:
-``_router(cover, L)`` makes it for one stream of rows over ``L`` and sets up
-what the stream fixes (D, the seam, the target side, ``1-delta``) once.  The
-first three checks depend on the key ``(kind, v, perm)`` alone: ``_check_key``
-makes that verdict once per key and cover, and it is kept on the cover, failed
-or not.  On a key's first point in a stream, the step turns the verdict into
-that stream's containment check (the perm's order of X and the anchor
-numerators over L in that order), which every point of the key then runs.
-The step has two callers: ``witness`` makes one for its one scaled point and
-builds its ``WitnessResult``; ``tally`` makes one per stream, aggregates the
-``CoverageReport`` and makes no ``Fraction`` unless a point must be scanned or
-shown.
+``_router(cover, L)`` makes it for the rows over ``L`` and sets up what ``L``
+fixes (D, the seam, the target side, ``1-delta``) once.  It is the one place a
+row is checked: a length other than d, or a point outside the target, is a
+ValueError.  The first three checks depend on the key ``(kind, v, perm)``
+alone: ``_check_key`` makes that verdict once per key and cover, and it is kept
+on the cover, failed or not.  On a key's first point over an L, the step
+turns the verdict into that L's containment check (the perm's order of X
+and the anchor numerators over L in that order), which every point of the key
+then runs.  The step has two callers: ``witness`` makes one for its one scaled
+point and builds its ``WitnessResult``; ``tally`` makes one per L, aggregates
+the ``CoverageReport`` and makes no ``Fraction`` unless a point must be scanned
+or shown.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.  Every
@@ -65,7 +66,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -197,20 +197,22 @@ def _router(cover: CoverSpec, big: int) -> Callable[[Sequence[int]], Routed]:
     exact containment pass.  Otherwise the exhaustive scan finds the element,
     on the ``fallback`` route with the failed check as its reason.  ``route``
     raises UncoveredPointError when no element contains the point, and
-    ValueError for a point outside the target simplex.
+    ValueError for a row whose length is not ``cover.d`` or outside the target.
 
-    The constants of the stream are set up once here.  On a cell's first
+    The constants of ``big`` are set up once here.  On a cell's first
     visit, ``route`` keeps the cell's containment check: the element, a
     picker of X in perm order and the anchor numerators over ``big`` in the
     same order, or, for a failed verdict, None and the failed check.
     """
-    n = cover.n
+    d, n = cover.d, cover.n
     unit = big // (n + 2)
     side = n * big + unit
     verdicts = cover._verdicts
     checks: dict[tuple[bool, IntVector, Permutation], tuple] = {}
 
     def route(X: Sequence[int]) -> Routed:
+        if len(X) != d:
+            raise ValueError("point/cover dimension or scale mismatch")
         if not _descends(side, X):
             raise ValueError(f"{_point(X, big)} is outside the target simplex")
         cell = _locate(X, n, big, unit)
@@ -248,7 +250,7 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     than ``fallback`` are the element's kind; ``fallback`` marks a defensive
     exhaustive scan and signals a defect in the routing pass.
     """
-    if len(x) != d or cover.d != d or cover.n != n:
+    if cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
     element, route, reason = _router(cover, big)(X)
@@ -385,8 +387,8 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     the run, and fallbacks are counted by their failed check; neither is
     serialized: the report stays on the pinned wire schema.  A point is made
     exact only to be scanned (a fallback) or shown (a failure, a sliver
-    violation).  Each stream gets its own ``_router``; keys are checked once
-    per cover across the streams, and containment for every point.
+    violation).  Streams over one L share one ``_router``, which checks each
+    row; keys are checked once per cover, and containment for every point.
     """
     t0 = time.perf_counter()
     n = cover.n
@@ -396,8 +398,11 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     slivers: list[Point] = []
     reasons: Counter[str] = Counter()
     total = covered = 0
+    routers: dict[int, Callable[[Sequence[int]], Routed]] = {}
     for big, rows in streams:
-        route_row = _router(cover, big)
+        route_row = routers.get(big)
+        if route_row is None:
+            route_row = routers[big] = _router(cover, big)
         for X in rows:
             total += 1
             try:
@@ -426,8 +431,8 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
 def coverage_report(
     cover: CoverSpec, samples: Iterable[Point], eps: Fraction | None = None
 ) -> CoverageReport:
-    """``tally`` over Fraction points, each scaled to its own row; a run of
-    consecutive rows over one L is one stream, so they share one router.
+    """``tally`` over Fraction points, each scaled to its own row; points
+    over one L share one router.
 
     Passing ``eps`` asserts the caller's sampling contract — every sample must
     lie in S^{n+eps} — before any point is routed.
@@ -438,16 +443,7 @@ def coverage_report(
         for x in samples:
             if not in_domain(x, cover.n, eps):
                 raise ValueError(f"sample {x} violates the S^(n+eps) precondition")
-
-    def rows() -> Iterator[tuple[int, list[int]]]:
-        for x in samples:
-            if len(x) != cover.d:
-                raise ValueError("point/cover dimension or scale mismatch")
-            big, (X,) = _scale((x,), cover.n)
-            yield big, X
-
-    runs = groupby(rows(), key=itemgetter(0))
-    return tally(cover, ((big, (X for _, X in run)) for big, run in runs))
+    return tally(cover, (_scale((x,), cover.n) for x in samples))
 
 
 def format_points(points: tuple[Point, ...]) -> str:

@@ -192,6 +192,12 @@ def test_cover_unwritable_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_render_unwritable_path(tmp_path, capsys):
+    code, _, err = run(capsys, "render", "--n", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert f"error: cannot write {tmp_path}: " in err
+
+
 def test_cover_replaces_an_existing_file(tmp_path, capsys):
     """A regular file at --out is replaced by a new one, not truncated: a hard
     link to the old file keeps the old bytes."""
@@ -241,7 +247,7 @@ def test_witness_out_of_domain(capsys):
     code, out, err = run(capsys, "witness", "--d", "2", "--n", "2", "--point", "3,0")
     assert code == 1
     assert out == ""
-    assert "outside" in err
+    assert err == "error: point 3,0 is outside the target simplex\n"
 
 
 def test_witness_parse_errors_exit_2(capsys):

@@ -15,8 +15,8 @@ from oracles import (
     partition_check,
     strictly_contains,
 )
-from simplexcover import cli
-from simplexcover.arith import point_format
+from simplexcover import cli, verifier
+from simplexcover.arith import _scale, point_format
 from simplexcover.cover import KIND_BASE_A, build_cover, delta
 from simplexcover.simplex import KuhnSimplex
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
@@ -112,6 +112,22 @@ def test_coverage_report_success(d, n):
     assert report.routes["fallback"] == 0
     assert report.failures == ()
     assert report.sliver_violations == ()
+
+
+def test_coverage_report_makes_one_router_per_denominator(monkeypatch):
+    made = []
+    router = verifier._router
+
+    def counted(cover, big):
+        made.append(big)
+        return router(cover, big)
+
+    monkeypatch.setattr(verifier, "_router", counted)
+    cover = build_cover(3, 2)
+    points = list(lattice_samples(3, 2, cover.delta, 2))
+    report = coverage_report(cover, points)
+    assert report.success and report.total == len(points) == 1330
+    assert sorted(made) == sorted({_scale((x,), 2)[0] for x in points}) == [4, 8]
 
 
 def test_coverage_report_route_histogram_partitions_total():

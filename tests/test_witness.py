@@ -349,6 +349,22 @@ def test_witness_makes_one_element(monkeypatch, d, n, point):
     assert counts == {"elements": 1}
 
 
+@pytest.mark.parametrize("row", [(5, 3, 1), (1,), ()], ids=["long", "short", "empty"])
+def test_tally_checks_each_row_length(row):
+    # the fallback scan's "point has dimension 3, simplex has 2" is not this
+    with pytest.raises(ValueError, match="point/cover dimension or scale mismatch"):
+        tally(build_cover(2, 2), [(4, [row])])
+
+
+def test_tally_refuses_a_long_row_without_building_the_cover(monkeypatch):
+    # (8, 40) has about 8 * 10^12 elements: a row that reached the fallback
+    # scan would enumerate them, and counted_construction fails that at once
+    counts = counted_construction(monkeypatch)
+    with pytest.raises(ValueError, match="point/cover dimension or scale mismatch"):
+        tally(build_cover(8, 40), [(42, [(1,) * 9])])
+    assert counts == {}
+
+
 def test_tally_makes_one_element_per_routed_key(monkeypatch):
     d, n = 5, 2
     big, rows = boundary_rows(d, n, delta(n))
