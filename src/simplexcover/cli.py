@@ -21,7 +21,6 @@ from .arith import (
     ParseError,
     Permutation,
     is_permutation,
-    point_format,
     point_parse,
     rat_format,
     rat_parse,
@@ -38,7 +37,7 @@ from .cover import (
     delta,
     element_kind,
 )
-from .render import render_svg
+from .render import svg_chunks
 from .triangulation import check_dn
 from .verifier import (
     ROUTE_FALLBACK,
@@ -201,11 +200,8 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     spec = build_cover(args.d, args.n)
     try:
         result = witness(x, args.d, args.n, spec)
-    except UncoveredPointError as exc:
+    except (UncoveredPointError, ValueError) as exc:  # the point is uncovered or outside
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError:  # the point parsed to d coordinates, so it is out of the domain
-        print(f"error: point {point_format(x)} is outside the target simplex", file=sys.stderr)
         return 1
     print(
         json.dumps(
@@ -250,7 +246,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     spec = build_cover(args.d, args.n)
-    return _write(args.out, [render_svg(spec, equilateral=args.equilateral, labels=args.labels)])
+    return _write(args.out, svg_chunks(spec, equilateral=args.equilateral, labels=args.labels))
 
 
 def build_parser() -> argparse.ArgumentParser:

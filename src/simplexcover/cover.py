@@ -28,7 +28,10 @@ cell of the base slab of S^{n+1}) and makes that one element, with the anchor
 tuple ``elements`` will share.  An explicit cover, ``CoverSpec(d, n,
 elements)`` or ``replace(cover, elements=...)``, holds the tuple it was given,
 and ``member`` looks keys up in it, so a dropped or altered element is caught.
-Each given element must have dimension d and a permutation of 1..d.
+Each given element must have dimension d and a permutation of 1..d.  A
+canonical cover's ``elements`` carry its (d, n), and a cover of another (d, n)
+refuses them: ``replace(build_cover(2, 2), n=3)`` would otherwise hold the 6
+elements of n = 2 as an explicit n = 3 cover.
 Point location (``verifier._router``'s step) asks ``member`` once per key and
 keeps its verdict on the cover.
 
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import IntVector, Permutation, Point, _scale, is_permutation
 from .simplex import KuhnSimplex
@@ -101,6 +104,15 @@ class _Elements:
         cover.__dict__["elements"] = elements
 
 
+class _CanonicalElements(tuple):
+    """A canonical cover's elements, tagged with its (d, n) as ``dn``."""
+
+    def __new__(cls, elements: Iterable[CoverElement], d: int, n: int) -> _CanonicalElements:
+        tagged = super().__new__(cls, elements)
+        tagged.dn = (d, n)
+        return tagged
+
+
 @dataclass(frozen=True)
 class CoverSpec:
     """A cover of S^{n+delta}: canonical (``elements`` not given, made from
@@ -116,7 +128,14 @@ class CoverSpec:
 
     def __post_init__(self) -> None:
         check_dn(self.d, self.n)
-        for i, el in enumerate(self.__dict__["elements"] or ()):
+        given = self.__dict__["elements"]
+        if isinstance(given, _CanonicalElements) and given.dn != (self.d, self.n):
+            d, n = given.dn
+            raise ValueError(
+                f"elements are those of build_cover({d}, {n}), given for d = {self.d}, "
+                f"n = {self.n}; the canonical cover of that (d, n) is build_cover({self.d}, {self.n})"
+            )
+        for i, el in enumerate(given or ()):
             if len(el.v) != self.d or len(el.anchor) != self.d:
                 raise ValueError(f"element {i} is not of dimension d = {self.d}: {el}")
             if not is_permutation(el.perm, self.d):
@@ -214,12 +233,14 @@ class CoverSpec:
             yield CoverElement(kind, v, perm, a)
 
     @cached_property
-    def _canonical_elements(self) -> tuple[CoverElement, ...]:
+    def _canonical_elements(self) -> _CanonicalElements:
         # the elements ``member`` made for routed keys stay the cover's own;
         # with none made, no element's key is built
         made = {el.key: el for el, _ in self._verdicts.values() if el is not None}
         elements = self._canonical_stream()
-        return tuple(made.get(el.key, el) for el in elements) if made else tuple(elements)
+        if made:
+            elements = (made.get(el.key, el) for el in elements)
+        return _CanonicalElements(elements, self.d, self.n)
 
     @cached_property
     def _coordinates(self) -> dict[int, Fraction]:

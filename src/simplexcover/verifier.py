@@ -214,7 +214,7 @@ def _router(cover: CoverSpec, big: int) -> Callable[[Sequence[int]], Routed]:
         if len(X) != d:
             raise ValueError("point/cover dimension or scale mismatch")
         if not _descends(side, X):
-            raise ValueError(f"{_point(X, big)} is outside the target simplex")
+            raise ValueError(f"point {point_format(_point(X, big))} is outside the target simplex")
         cell = _locate(X, n, big, unit)
         check = checks.get(cell)
         if check is None:

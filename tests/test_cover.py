@@ -319,6 +319,37 @@ def test_explicit_covers_compare_by_their_elements(monkeypatch):
     assert repr(explicit).startswith("CoverSpec(d=3, n=2, elements=(CoverElement(kind='top'")
 
 
+@pytest.mark.parametrize("change", [{"n": 3}, {"d": 3}, {"d": 3, "n": 3}])
+def test_replace_refuses_a_canonical_cover_of_another_size(change):
+    # replace() reads the source's elements: held for a new (d, n), they would
+    # be an explicit cover missing every element the new (d, n) needs
+    cover = build_cover(2, 2)
+    d, n = change.get("d", 2), change.get("n", 2)
+    with pytest.raises(ValueError, match=rf"those of build_cover\(2, 2\), given for d = {d}, n = {n}"):
+        replace(cover, **change)
+    read = build_cover(2, 2)
+    with pytest.raises(ValueError, match=r"build_cover\(2, 2\)"):
+        CoverSpec(d, n, read.elements)
+
+
+def test_replace_with_elements_keeps_an_explicit_cover():
+    cover = build_cover(2, 2)
+    same = replace(cover, elements=cover.elements)
+    assert same.__dict__["elements"] is cover.elements
+    assert same == cover and replace(same) == cover
+    shorter = replace(cover, elements=cover.elements[1:])
+    assert shorter.elements == cover.elements[1:] and shorter != cover
+    assert replace(shorter, n=3).elements == shorter.elements  # a plain tuple is not tagged
+
+
+def test_an_explicit_cover_of_a_plain_tuple_keeps_any_n():
+    elements = tuple(build_cover(2, 2).elements)
+    explicit = CoverSpec(2, 3, elements)
+    assert explicit.elements == elements and explicit.n == 3
+    assert explicit != build_cover(2, 3)
+    assert CoverSpec(2, 2, elements) == build_cover(2, 2)
+
+
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (4, 2)])
 def test_iter_cover_matches_build_cover(d, n):
     assert tuple(iter_cover(d, n)) == build_cover(d, n).elements

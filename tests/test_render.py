@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from oracles import render_svg_fractions
 from simplexcover.cover import CoverElement, build_cover
-from simplexcover.render import render_svg
+from simplexcover.render import CHUNK_LINES, render_svg, svg_chunks
 
 POINTS_RE = re.compile(r'<polygon points="([^"]+)"')
 
@@ -52,6 +53,12 @@ def test_labels_toggle():
 def test_rejects_higher_dimensions():
     with pytest.raises(ValueError):
         render_svg(build_cover(3, 1))
+
+
+def test_the_stream_refuses_higher_dimensions_on_the_call():
+    # refused before a generator exists, so no output file is opened for it
+    with pytest.raises(ValueError, match="rendering supports d = 2 only, got d = 3"):
+        svg_chunks(build_cover(3, 1))
 
 
 FLAGS = [(False, False), (False, True), (True, False), (True, True)]
@@ -157,3 +164,41 @@ def test_viewbox_and_background_present():
     assert 'viewBox="0 0 720' in svg
     assert '<rect width="100%" height="100%" fill="#ffffff"/>' in svg
     assert svg.rstrip().endswith("</svg>")
+
+
+# n = 40 draws 1,602 triangles: seven polygon batches and seven label batches
+STREAM_N = 40
+MAX_CHUNK_CHARS = 64 * 1024
+
+
+@pytest.mark.parametrize("labels", [False, True])
+@pytest.mark.parametrize("explicit", [False, True], ids=["canonical", "explicit"])
+def test_the_stream_joins_to_the_figure(explicit, labels):
+    cover = build_cover(2, STREAM_N)
+    if explicit:
+        cover = replace(cover, elements=off_grid(cover.elements)[::-1])
+    chunks = list(svg_chunks(cover, True, labels))
+    assert len(cover.elements) > 6 * CHUNK_LINES
+    assert "".join(chunks) == render_svg(cover, True, labels)
+    assert "".join(chunks) == render_svg_fractions(cover, True, labels)
+    assert len(chunks) == 3 + 7 * (2 if labels else 1)  # header, batches, outline, end
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    assert max(map(len, chunks)) <= MAX_CHUNK_CHARS
+
+
+def test_the_stream_of_a_large_figure_holds_no_copy_of_it():
+    # n = 100, with labels, is a 2.56 MB figure: consuming the stream holds
+    # neither a list of its lines nor their join
+    cover = build_cover(2, 100)
+    tracemalloc.start()
+    try:
+        chars = longest = 0
+        for chunk in svg_chunks(cover, True, True):
+            chars += len(chunk)
+            longest = max(longest, len(chunk))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert chars == 2_558_027
+    assert longest <= MAX_CHUNK_CHARS
+    assert peak <= 5 * 1024 * 1024

@@ -349,6 +349,14 @@ def test_witness_makes_one_element(monkeypatch, d, n, point):
     assert counts == {"elements": 1}
 
 
+def test_an_out_of_target_point_is_named_in_wire_form():
+    # the message is what the CLI prints after "error: ", with no Fraction repr
+    with pytest.raises(ValueError, match=r"^point 3,0 is outside the target simplex$"):
+        witness(pt(3, 0), 2, 2, build_cover(2, 2))
+    with pytest.raises(ValueError, match=r"^point 5/2,-1/8 is outside the target simplex$"):
+        tally(build_cover(2, 2), [(8, [(20, -1)])])
+
+
 @pytest.mark.parametrize("row", [(5, 3, 1), (1,), ()], ids=["long", "short", "empty"])
 def test_tally_checks_each_row_length(row):
     # the fallback scan's "point has dimension 3, simplex has 2" is not this
