@@ -10,15 +10,20 @@ Fraction points, ``_point`` makes a row exact).  With ``D = L/(n+2)``, delta is
 target side ``n+delta`` is ``nL+D``.  ``Fraction`` appears only where a point
 comes in and a result goes out.
 
-One pass of floor divisions plus one descending sort reads off the containing
-Kuhn cell ``(v, perm)`` and whether it lies above the seam, from the residual
-``w`` whose order gives ``perm``.  Above the seam (``x_d >= 1 + delta``,
-possible only for n >= 2) it floors ``x - (1+delta)e``.  Below it, it tries the
-type-(a) anchor ``v_j = floor(x_j / (1-delta))``, decremented once when that
+The containing Kuhn cell ``(v, perm)``, and whether it lies above the seam,
+is read off in two parts (``_placer``): floors give the anchor v, and the
+descending order of the residual ``w`` gives ``perm``.  The first part depends
+on the prefix ``X[:-1]`` alone: for each regime a row needs, it floors the
+prefix coordinates and sorts their residuals.  Above the seam (``x_d >= 1 +
+delta``, possible only for n >= 2) it floors ``x - (1+delta)e``.  Below it, the
+type-(a) anchor is ``v_j = floor(x_j / (1-delta))``, decremented once when that
 leaves a residual at or below delta (so positive anchors always keep their
-residual above delta).  If ``x_d`` then exceeds 1 or some residual, index d
-cannot sort last, and the type-(b) anchor ``v_j = floor((x_j - delta)/(1-delta))``
-is used instead; it lands every residual in [delta, 1).  The kind and the
+residual above delta), and the type-(b) anchor is ``v_j = floor((x_j -
+delta)/(1-delta))``, which lands every residual in [delta, 1).  The second part
+is the last coordinate: it picks the regime (above the seam, else type (a) when
+``x_d`` is at most 1 and at most every type-(a) prefix residual, so that index d
+sorts last, else type (b)) and places index d in the prefix's order, after
+every residual at or above its own: the sort is stable.  The kind and the
 anchor numerators come from ``cover.element_kind`` and
 ``cover.anchor_numerators``, the rule the cover is built with.
 
@@ -36,15 +41,17 @@ One private step does all of the above for a row, the scan included:
 ``_router(cover, L)`` makes it for the rows over ``L`` and sets up what ``L``
 fixes (D, the seam, the target side, ``1-delta``) once.  It is the one place a
 row is checked: a length other than d, or a point outside the target, is a
-ValueError.  The first three checks depend on the key ``(kind, v, perm)``
-alone: ``_check_key`` makes that verdict once per key and cover, and it is kept
-on the cover, failed or not.  On a key's first point over an L, the step
-turns the verdict into that L's containment check (the perm's order of X
-and the anchor numerators over L in that order), which every point of the key
-then runs.  The step has two callers: ``witness`` makes one for its one scaled
-point and builds its ``WitnessResult``; ``tally`` makes one per L, aggregates
-the ``CoverageReport`` and makes no ``Fraction`` unless a point must be scanned
-or shown.
+ValueError.  It keeps the last prefix's parts, so a row that repeats that
+prefix (lattice rows do, in runs; random rows almost never) runs the second
+part only and tests ``0 <= x_d <= x_{d-1}`` for its domain.  The first three
+checks depend on the key ``(kind, v, perm)`` alone: ``_check_key`` makes that
+verdict once per key and cover, and it is kept on the cover, failed or not.  On
+a key's first point over an L, the step turns the verdict into that L's
+containment check (the perm's order of X and the anchor numerators over L in
+that order), which every point of the key then runs.  The step has two
+callers: ``witness`` makes one for its one scaled point and builds its
+``WitnessResult``; ``tally`` makes one per L, aggregates the ``CoverageReport``
+and makes no ``Fraction`` unless a point must be scanned or shown.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.  Every
@@ -62,6 +69,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -127,43 +135,100 @@ def _point(X: Sequence[int], big: int) -> Point:
     return tuple(Fraction(c, big) for c in X)
 
 
-def _locate(X: Sequence[int], n: int, big: int, unit: int) -> tuple[bool, IntVector, Permutation]:
-    """The single routing pass: ``(above_seam, v, perm)`` for an in-domain x
-    given as numerators X over ``big`` (L above), with ``unit`` = D = big/(n+2).
+Placed = tuple[str, int, int]  # regime, v_d, number of prefix indices d goes after
+Cell = tuple[bool, IntVector, Permutation]  # above the seam, v, perm
+Plan = dict[str | Placed, tuple]  # a prefix's parts by regime, the router's checks by placement
 
-    The residuals ``w`` sit behind a leading 0, so ``w[j]`` is index j's; the
-    sort is stable, also in reverse, so ties keep ascending index."""
-    xd = X[-1]
-    seam = big + unit
-    if n >= 2 and xd >= seam:
-        # u lies in S^{n-1}; flooring picks the containing cell.  The clamp only
-        # fires when u_j = n-1 exactly, where the residual must be 1, not 0.
-        u = [xj - seam for xj in X]
-        v = tuple(min(uj // big, n - 2) for uj in u)
-        w = [0, *(uj - vj * big for uj, vj in zip(u, v))]
-        above = True
-    else:
-        shrink = (n + 1) * unit
-        va: list[int] = []
-        w = [0]
-        if xd <= big:  # type (a), unless x_d exceeds some residual
-            for xj in X[:-1]:
-                vj, wj = divmod(xj, shrink)
-                if vj > 0 and wj <= unit:
-                    # one decrement restores the residual to [1-delta, 1]
-                    vj -= 1
-                    wj += shrink
-                if xd > wj:
-                    break
-                va.append(vj)
-                w.append(wj)
-        if len(w) < len(X):  # x_d exceeds 1 or a residual: type (b)
-            va = [(xj - unit) // shrink for xj in X[:-1]]
-            w = [0, *(xj - shrink * vj for xj, vj in zip(X, va))]
-        w.append(xd)
-        v = (*va, 0)
-        above = False
-    return above, v, tuple(sorted(range(1, len(w)), key=w.__getitem__, reverse=True))
+
+def _placer(d: int, n: int, big: int, unit: int) -> Callable[[Sequence[int], Plan, int], Placed]:
+    """The routing rule for rows of length d over ``big`` (L above), with
+    ``unit`` = D = big/(n+2): ``place(P, plan, xd)`` is the placement
+    ``(regime, v_d, at)`` of the row ``P + (xd,)``, and ``_cell`` its cell.
+
+    Part one depends on the prefix ``P`` alone, per regime (named by its
+    kind), and is kept in ``plan`` once a row needs it: ``(v, ranks)``, the
+    anchor entries v_1..v_{d-1} and each index j's residual ranked as
+    ``j - w_j d``, sorted.  That is a stable descending sort of the
+    residuals, and ``rank % d`` gives j back.  Part two picks the regime from
+    x_d and puts index d after the ``at`` prefix indices whose residual is at
+    or above its own ``w_d``, those ranked below ``(1 - w_d) d``; a type-(a)
+    row has ``at = d-1``.  Making the type-(a) part stops at the first
+    residual below x_d, as the row is then type (b), and keeps no part.
+    """
+    seam = big + unit  # 1 + delta
+    shrink = (n + 1) * unit  # 1 - delta
+
+    def place(P: Sequence[int], plan: Plan, xd: int) -> Placed:
+        if n >= 2 and xd >= seam:
+            vd = min((xd - seam) // big, n - 2)
+            wd = xd - seam - vd * big
+            part = plan.get(KIND_TOP)
+            if part is None:
+                # u lies in S^{n-1}; flooring picks the containing cell.  The clamp
+                # only fires when u_j = n-1 exactly, where the residual must be 1, not 0.
+                v, ranks, j = [], [], 0
+                for xj in P:
+                    j += 1
+                    uj = xj - seam
+                    vj = min(uj // big, n - 2)
+                    v.append(vj)
+                    ranks.append(j - (uj - vj * big) * d)
+                ranks.sort()
+                part = plan[KIND_TOP] = v, ranks
+            return KIND_TOP, vd, bisect_left(part[1], (1 - wd) * d)
+        if xd <= big:  # type (a) if no type-(a) residual is below x_d: d sorts last
+            part = plan.get(KIND_BASE_A)
+            if part is None:
+                v, ranks, j = [], [], 0
+                for xj in P:
+                    j += 1
+                    vj = xj // shrink
+                    if vj > 0 and xj - vj * shrink <= unit:
+                        # one decrement restores the residual to [1-delta, 1]
+                        vj -= 1
+                    wj = xj - vj * shrink
+                    if wj < xd:
+                        break
+                    v.append(vj)
+                    ranks.append(j - wj * d)
+                else:
+                    ranks.sort()
+                    plan[KIND_BASE_A] = v, ranks
+                    return KIND_BASE_A, 0, d - 1
+            elif part[1][-1] < (1 - xd) * d:  # the last rank holds the least residual
+                return KIND_BASE_A, 0, d - 1
+        part = plan.get(KIND_BASE_B)
+        if part is None:
+            # every residual lands in [delta, 1)
+            v, ranks, j = [], [], 0
+            for xj in P:
+                j += 1
+                vj = (xj - unit) // shrink
+                v.append(vj)
+                ranks.append(j - (xj - vj * shrink) * d)
+            ranks.sort()
+            part = plan[KIND_BASE_B] = v, ranks
+        return KIND_BASE_B, 0, bisect_left(part[1], (1 - xd) * d)
+
+    return place
+
+
+def _cell(plan: Plan, placed: Placed, d: int) -> Cell:
+    """The Kuhn cell ``(above_seam, v, perm)`` of a placement in ``plan``."""
+    regime, vd, at = placed
+    v, ranks = plan[regime]
+    perm = [rank % d for rank in ranks]
+    perm.insert(at, d)
+    return regime == KIND_TOP, (*v, vd), tuple(perm)
+
+
+def _locate(X: Sequence[int], n: int, big: int, unit: int) -> Cell:
+    """The routing rule on one row, nothing reused: ``(above_seam, v, perm)``
+    for an in-domain x given as numerators X over ``big``, with ``unit`` =
+    D = big/(n+2)."""
+    d = len(X)
+    plan: Plan = {}
+    return _cell(plan, _placer(d, n, big, unit)(X[:-1], plan, X[-1]), d)
 
 
 def _check_key(cover: CoverSpec, key: Key) -> Verdict:
@@ -199,37 +264,60 @@ def _router(cover: CoverSpec, big: int) -> Callable[[Sequence[int]], Routed]:
     raises UncoveredPointError when no element contains the point, and
     ValueError for a row whose length is not ``cover.d`` or outside the target.
 
-    The constants of ``big`` are set up once here.  On a cell's first
-    visit, ``route`` keeps the cell's containment check: the element, a
-    picker of X in perm order and the anchor numerators over ``big`` in the
-    same order, or, for a failed verdict, None and the failed check.
+    The constants of ``big`` and the routing rule (``_placer``) are set up
+    once here.  ``route`` keeps the last prefix ``X[:-1]`` and its plan, so a
+    row over the same prefix reruns only the last coordinate's part of the
+    rule and its domain test ``0 <= x_d <= x_{d-1}``; a new prefix replaces
+    the plan.  The plan keeps each placement's containment check, and the
+    router each cell's: the element, a picker of X in perm order and the
+    anchor numerators over ``big`` in the same order, or, for a failed
+    verdict, None and the failed check.  The length check and the
+    containment check run on every row, and the scan on every row whose
+    checks fail.
     """
     d, n = cover.d, cover.n
     unit = big // (n + 2)
     side = n * big + unit
     verdicts = cover._verdicts
-    checks: dict[tuple[bool, IntVector, Permutation], tuple] = {}
+    place = _placer(d, n, big, unit)
+    checks: dict[Cell, tuple] = {}
+    prefix: Sequence[int] | None = None
+    plan: Plan = {}
+
+    def outside(X: Sequence[int]) -> ValueError:
+        return ValueError(f"point {point_format(_point(X, big))} is outside the target simplex")
 
     def route(X: Sequence[int]) -> Routed:
+        nonlocal prefix, plan
         if len(X) != d:
             raise ValueError("point/cover dimension or scale mismatch")
-        if not _descends(side, X):
-            raise ValueError(f"point {point_format(_point(X, big))} is outside the target simplex")
-        cell = _locate(X, n, big, unit)
-        check = checks.get(cell)
+        P = X[:-1]
+        xd = X[-1]
+        if P != prefix:
+            if not _descends(side, X):
+                raise outside(X)
+            prefix, plan = P, {}
+        elif not 0 <= xd <= P[-1]:
+            raise outside(X)
+        placed = place(P, plan, xd)
+        check = plan.get(placed)
         if check is None:
-            above, v, perm = cell
-            key = (element_kind(above, perm), v, perm)
-            verdict = verdicts.get(key)
-            if verdict is None:
-                verdict = verdicts[key] = _check_key(cover, key)
-            known, nums = verdict  # a failed verdict holds its check in place of nums
-            if known is None:
-                check = checks[cell] = (None, nums, None)
-            else:
-                idx = [j - 1 for j in perm]
-                offsets = tuple(nums[i] * unit for i in idx)
-                check = checks[cell] = (known, itemgetter(*idx), offsets)
+            cell = _cell(plan, placed, d)
+            check = checks.get(cell)
+            if check is None:
+                above, v, perm = cell
+                key = (element_kind(above, perm), v, perm)
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = verdicts[key] = _check_key(cover, key)
+                known, nums = verdict  # a failed verdict holds its check in place of nums
+                if known is None:
+                    check = checks[cell] = (None, nums, None)
+                else:
+                    idx = [j - 1 for j in perm]
+                    offsets = tuple(nums[i] * unit for i in idx)
+                    check = checks[cell] = (known, itemgetter(*idx), offsets)
+            plan[placed] = check
         known, pick, offsets = check  # a failed check holds its reason in place of pick
         if known is not None and _descends(big, map(sub, pick(X), offsets)):
             return known, known.kind, None
@@ -248,7 +336,7 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
 
     The element returned is always the cover's own instance.  Routes other
     than ``fallback`` are the element's kind; ``fallback`` marks a defensive
-    exhaustive scan and signals a defect in the routing pass.
+    exhaustive scan and signals a defect in the routing rule.
     """
     if cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")

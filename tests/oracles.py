@@ -36,8 +36,9 @@ def rank_descending(values: Sequence[Fraction] | Sequence[int]) -> Permutation:
     """Indices 1..d ordered by value, largest first; ties keep ascending index.
 
     Sorting is stable, also in reverse, so equal values come out in ascending
-    original-index order.  ``verifier._locate`` sorts its residuals the same
-    way in place.
+    original-index order.  ``verifier._placer`` gets the same order by
+    sorting the prefix residuals ranked with their index and placing index d
+    after its ties.
     """
     return tuple(sorted(range(1, len(values) + 1), key=(0, *values).__getitem__, reverse=True))
 
@@ -216,10 +217,11 @@ def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
 def locate_two_pass(
     X: Sequence[int], n: int, big: int, unit: int
 ) -> tuple[bool, IntVector, Permutation]:
-    """``verifier._locate`` in two passes, the reference for its one pass:
-    ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
-    ``big``, with ``unit`` = big/(n+2).  The type-(a) residuals are all made
-    before the type-(b) test, and ``rank_descending`` orders them."""
+    """``verifier._locate`` in two passes over the whole row, the reference
+    for its split into prefix and last coordinate: ``(above_seam, v, perm)``
+    for an in-domain x given as numerators X over ``big``, with ``unit`` =
+    big/(n+2).  The type-(a) residuals are all made before the type-(b) test,
+    and ``rank_descending`` orders all d of them."""
     xd = X[-1]
     seam = big + unit
     if n >= 2 and xd >= seam:

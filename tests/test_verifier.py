@@ -1,5 +1,7 @@
 import hashlib
 import json
+import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -279,6 +281,119 @@ def test_row_path_rechecks_every_point_of_a_failed_key(make):
         assert report.sliver_violations == tuple(slivers)
     assert max(reasons.values()) > 1
     assert by_rows.routes["fallback"] == sum(reasons.values()) > 0
+
+
+def _orders(rows, seed):
+    """A stream's rows in order, reversed, seeded-shuffled and as lists."""
+    shuffled = list(rows)
+    random.Random(seed).shuffle(shuffled)
+    return {
+        "in order": rows,
+        "reversed": rows[::-1],
+        "shuffled": shuffled,
+        "as lists": [list(X) for X in rows],
+    }
+
+
+def _routed(route, X):
+    """``route(X)``, or None where no element contains the point."""
+    try:
+        return route(X)
+    except UncoveredPointError:
+        return None
+
+
+def _assert_memo_agrees(cover, big, rows, seed):
+    """Each row routed through one router shared by its stream gives the
+    element (by identity), route and fallback reason of a router made for that
+    row alone, in every order of ``_orders``; returns the stream's ``tally``
+    report per order, without ``elapsed_ms``."""
+    rows = [tuple(X) for X in rows]
+    alone = {X: _routed(verifier._router(cover, big), X) for X in rows}
+    reports = {}
+    for name, order in _orders(rows, seed).items():
+        route = verifier._router(cover, big)
+        for X in order:
+            got, expected = _routed(route, X), alone[tuple(X)]
+            if expected is None:
+                assert got is None, (name, X)
+            else:
+                assert got[0] is expected[0], (name, X)
+                assert got[1:] == expected[1:], (name, X)
+        reports[name] = replace(tally(cover, [(big, order)]), elapsed_ms=0)
+    return reports
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 2), (3, 3), (4, 2), (5, 1)])
+def test_prefix_memo_routes_as_a_fresh_router(d, n):
+    # The route step reuses the last prefix's plan; a router made for one row
+    # reuses nothing.  Lattice rows share prefixes with their neighbours, and
+    # reversed or shuffled rows revisit a prefix after others; random and
+    # boundary rows rarely repeat one.
+    cover = build_cover(d, n)
+    for eps in (delta(n), delta(n) / 3, F(0)):
+        streams = [lattice_rows(d, n, eps, q) for q in (1, 2, 3)]
+        streams += [random_rows(d, n, eps, 200, 10 * d + n), boundary_rows(d, n, eps)]
+        for i, (big, rows) in enumerate(streams):
+            reports = _assert_memo_agrees(cover, big, list(rows), seed=i)
+            first = reports["in order"]
+            assert first.success
+            assert all(report == first for report in reports.values())
+
+
+@pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a])
+def test_prefix_memo_falls_back_row_by_row(make):
+    # A placement whose key failed its checks is kept in the plan with the
+    # failed check: every row sent to it is scanned on its own and counts its
+    # reason, in any order.
+    cover = make()
+    d, n = cover.d, cover.n
+    fallbacks = 0
+    for i, (big, rows) in enumerate(_campaign(d, n, cover.delta, 4, 300, 5)[0]):
+        reports = _assert_memo_agrees(cover, big, list(rows), seed=i)
+        # failures and sliver violations are listed in row order
+        unordered = {
+            name: replace(
+                report,
+                failures=tuple(sorted(report.failures)),
+                sliver_violations=tuple(sorted(report.sliver_violations)),
+            )
+            for name, report in reports.items()
+        }
+        assert all(report == unordered["in order"] for report in unordered.values())
+        fallbacks += reports["in order"].routes["fallback"]
+    assert fallbacks > 1
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (5, 2)])
+def test_rows_next_to_a_memoised_prefix(d, n):
+    # A refused row neither uses nor spoils the plan of the prefix before it:
+    # the rows that follow route as a fresh router routes them.
+    cover = build_cover(d, n)
+    big = 2 * (n + 2)
+    side = n * big + big // (n + 2)
+    P = tuple(range(side, side - d + 1, -1))
+    # the last row of P is above the seam for n >= 2
+    valid = [P + (P[-1] // 2,), P + (0,), P + (P[-1],), (side,) * (d - 1) + (1,)]
+    refused = [P + (P[-1] + 1,), P + (-1,), (side + 1,) + P[1:] + (0,), P, P + (0, 0)]
+    if d > 2:
+        # a prefix that does not descend, and one with a negative entry
+        refused += [P[::-1] + (0,), P[:-1] + (-1, -1)]
+    fresh = {X: verifier._router(cover, big)(X) for X in valid}
+    for X in refused:
+        if len(X) == d:
+            point = point_format(tuple(F(c, big) for c in X))
+            message = f"^point {re.escape(point)} is outside the target simplex$"
+        else:
+            message = "^point/cover dimension or scale mismatch$"
+        route = verifier._router(cover, big)
+        assert route(valid[0]) == fresh[valid[0]]
+        for _ in range(2):  # a refused prefix is not remembered
+            with pytest.raises(ValueError, match=message):
+                route(X)
+        for Y in valid:
+            element, *rest = route(Y)
+            assert element is fresh[Y][0] and rest == list(fresh[Y][1:]), (X, Y)
 
 
 # SHA-256 of the point_format lines, one per point, pinned before the samplers

@@ -231,7 +231,7 @@ def test_witness_fallback_names_the_failed_check(monkeypatch, cell, reason):
     cover = build_cover(2, 1)
     x = pt(F(1, 8), F(1, 8))
     expected = witness(x, 2, 1, cover).element
-    monkeypatch.setattr(verifier, "_locate", lambda *args: cell)
+    monkeypatch.setattr(verifier, "_cell", lambda *args: cell)
     res = witness(x, 2, 1, cover)
     assert res.route == ROUTE_FALLBACK
     assert res.fallback_reason == reason
