@@ -14,6 +14,8 @@ import json
 import os
 import stat
 import sys
+from functools import partial
+from itertools import groupby
 from typing import Iterable, Iterator, TextIO
 
 from .arith import (
@@ -26,10 +28,11 @@ from .arith import (
     rat_parse,
 )
 from .cover import (
+    KIND_TOP,
     KINDS,
     CoverElement,
     anchor_coordinate,
-    anchor_numerators,
+    anchor_numerator,
     build_cover,
     cover_count,
     cover_groups,
@@ -152,44 +155,60 @@ def _cover_chunks(d: int, n: int) -> Iterator[str]:
     # Each line is json.dumps(cover_record(el)) + "\n", written from the ints one
     # anchor at a time: the kinds are plain ASCII words and a list of ints
     # prints as its JSON text, so a line is its kind's head and tail on that
-    # anchor around the text of its perm.  An anchor's lines are one template,
-    # filled with the head and tail of each kind present, and yielded at once.
-    quoted: dict[int, str] = {}
-    # anchors with the same tie pattern share their perms, and so their template
-    templates: dict[tuple[bool, tuple[Permutation, ...]], tuple[str, tuple[str, ...]]] = {}
+    # anchor around the text of its perm.  An anchor's lines are runs of
+    # consecutive perms of one kind; a run is one str.join of its perms' text
+    # with the kind's tail and head between them, and the anchor's runs are
+    # joined into one chunk.  A tail's anchor text is joined from the JSON text
+    # of each coordinate, made once per (kind, v_j).
+    coordinates = _coordinate_texts(n)
+    # cover_groups shares one perms tuple between the anchors of a tie pattern,
+    # so the runs are kept by that tuple's identity: hashing up to d! perms per
+    # anchor took 1.5-2 ms of a 14-16 ms call at d = 5, n = 10 (file write not
+    # included; 2-core x86-64 VM, Python 3.11.7).  Each entry holds its tuple,
+    # so no id is reused.
+    patterns: dict[tuple[bool, int], tuple[tuple[Permutation, ...], _Runs]] = {}
     for top, v, perms in cover_groups(d, n):
-        entry = templates.get((top, perms))
+        entry = patterns.get((top, id(perms)))
         if entry is None:
-            entry = templates[top, perms] = _group_template(top, perms)
-        template, kinds = entry
-        ends = [text for kind in kinds for text in _line_ends(kind, v, n, quoted)]
-        yield template.format(*ends)
+            entry = patterns[top, id(perms)] = (perms, _runs(top, perms))
+        kinds, runs = entry[1]
+        v_text = str(list(v))
+        heads, seps, tails = [], [], []
+        for kind in kinds:
+            head = f'{{"kind": "{kind}", "v": {v_text}, "pi": '
+            tail = f', "anchor": [{", ".join(map(coordinates[kind].__getitem__, v))}]}}\n'
+            heads.append(head)
+            seps.append(tail + head)
+            tails.append(tail)
+        yield "".join([heads[i] + seps[i].join(texts) + tails[i] for i, texts in runs])
 
 
-def _group_template(top: bool, perms: tuple[Permutation, ...]) -> tuple[str, tuple[str, ...]]:
-    """The ``cover`` lines of an anchor with these perms, each kind's head and
-    tail left as the fields ``{2i}`` and ``{2i+1}``, and the kinds in field order."""
+# an anchor's kinds, and its runs: (index into the kinds, the run's perms' text)
+_Runs = tuple[tuple[str, ...], tuple[tuple[int, tuple[str, ...]], ...]]
+
+
+def _runs(top: bool, perms: tuple[Permutation, ...]) -> _Runs:
+    """The kinds of an anchor with these perms, in order of first appearance,
+    and its lines as runs of consecutive perms of one kind."""
     kinds: list[str] = []
-    lines = []
-    for perm in perms:
-        kind = element_kind(top, perm)
+    runs = []
+    for kind, run in groupby(perms, partial(element_kind, top)):
         if kind not in kinds:
             kinds.append(kind)
-        i = 2 * kinds.index(kind)
-        lines.append(f"{{{i}}}{list(perm)}{{{i + 1}}}")
-    return "".join(lines), tuple(kinds)
+        runs.append((kinds.index(kind), tuple(str(list(perm)) for perm in run)))
+    return tuple(kinds), tuple(runs)
 
 
-def _line_ends(kind: str, v: IntVector, n: int, quoted: dict[int, str]) -> tuple[str, str]:
-    """The text of a ``cover`` line before and after its perm, for the kind-``kind``
-    element on v; ``quoted`` maps each anchor numerator to its JSON text."""
-    anchor = []
-    for num in anchor_numerators(kind, v, n):
-        text = quoted.get(num)
-        if text is None:
-            text = quoted[num] = json.dumps(rat_format(anchor_coordinate(num, n)))
-        anchor.append(text)
-    return f'{{"kind": "{kind}", "v": {list(v)}, "pi": ', f', "anchor": [{", ".join(anchor)}]}}\n'
+def _coordinate_texts(n: int) -> dict[str, list[str]]:
+    """Per kind, the JSON text of an anchor coordinate, indexed by the lattice
+    coordinate v_j it comes from: 0..n-2 above the seam, 0..n below it."""
+    return {
+        kind: [
+            json.dumps(rat_format(anchor_coordinate(anchor_numerator(kind, v_j, n), n)))
+            for v_j in range(n - 1 if kind == KIND_TOP else n + 1)
+        ]
+        for kind in KINDS
+    }
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:

@@ -10,9 +10,10 @@ With ``delta = 1/(n+2)`` the target splits at the seam ``x_d = 1 + delta``:
   ("base_b").
 
 Every anchor lies on the grid ``Z/(n+2)``.  ``element_kind`` states the kind
-rule and ``anchor_numerators`` the three anchor formulas, once, as integer
-numerators over n+2: ``(v_j+1)(n+2)+1`` (top), ``(n+1)v_j`` (base_a) and
-``(n+1)v_j+1`` (base_b).  ``cover_groups`` streams the lattice anchors as
+rule and ``anchor_numerator`` the three anchor formulas, once, one coordinate
+at a time, as integer numerators over n+2: ``(v_j+1)(n+2)+1`` (top),
+``(n+1)v_j`` (base_a) and ``(n+1)v_j+1`` (base_b); ``anchor_numerators``
+applies it to each coordinate of v.  ``cover_groups`` streams the lattice anchors as
 ``(top, v, perms)``, in canonical order, and ``CoverSpec.rows`` walks it into
 element rows ``(kind, v, perm, anchor numerators)``, the numerators made once
 per (kind, v); ``iter_cover``, ``elements`` and ``render`` read those rows.
@@ -285,15 +286,21 @@ def element_kind(top: bool, perm: Permutation) -> str:
     return KIND_BASE_A if perm[-1] == len(perm) else KIND_BASE_B
 
 
+def anchor_numerator(kind: str, v_j: int, n: int) -> int:
+    """Coordinate j of the kind-``kind`` anchor on v, from ``v_j`` alone, as a
+    numerator over n+2: ``v_j + 1 + delta`` (top), ``(1-delta)v_j`` (base_a),
+    ``(1-delta)v_j + delta`` (base_b)."""
+    if kind == KIND_TOP:
+        return (v_j + 1) * (n + 2) + 1
+    if kind == KIND_BASE_A:
+        return (n + 1) * v_j
+    return (n + 1) * v_j + 1
+
+
 def anchor_numerators(kind: str, v: IntVector, n: int) -> IntVector:
     """The anchor of the kind-``kind`` element on v, as numerators over n+2:
-    ``v + (1+delta)e`` (top), ``(1-delta)v`` (base_a), ``(1-delta)v + delta*e``
-    (base_b)."""
-    if kind == KIND_TOP:
-        return tuple((v_j + 1) * (n + 2) + 1 for v_j in v)
-    if kind == KIND_BASE_A:
-        return tuple((n + 1) * v_j for v_j in v)
-    return tuple((n + 1) * v_j + 1 for v_j in v)
+    ``anchor_numerator`` on each coordinate of v."""
+    return tuple([anchor_numerator(kind, v_j, n) for v_j in v])
 
 
 def anchor_coordinate(num: int, n: int) -> Fraction:

@@ -10,7 +10,16 @@ import pytest
 from fractions import Fraction
 
 from simplexcover import cli
-from simplexcover.cover import build_cover, cover_count, iter_cover
+from simplexcover.arith import rat_format
+from simplexcover.cover import (
+    CoverElement,
+    anchor_numerator,
+    anchor_numerators,
+    build_cover,
+    cover_count,
+    cover_groups,
+    iter_cover,
+)
 from simplexcover.verifier import CoverageReport
 
 # A literal one digit past the interpreter's int() digit limit (0 or absent:
@@ -108,6 +117,53 @@ def test_cover_lines_match_cover_record_per_anchor_group(tmp_path, capsys, d, n)
         lines = fh.readlines()
     assert len(lines) == cover_count(d, n)
     assert lines == [json.dumps(cli.cover_record(el)) + "\n" for el in build_cover(d, n).elements]
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 8) for n in range(1, 4)])
+def test_cover_lines_are_json_of_cover_record_up_to_d7(tmp_path, capsys, d, n):
+    # n = 1 has no top part; at (7, 3) one base anchor has 630 lines in 300
+    # runs of one kind, base_a and base_b alternating
+    out_path = tmp_path / "cover.jsonl"
+    assert run(capsys, "cover", "--d", str(d), "--n", str(n), "--out", str(out_path))[0] == 0
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    assert lines == [json.dumps(cli.cover_record(el)) + "\n" for el in iter_cover(d, n)]
+    if d == 7 and n == 3:
+        assert max(len(cli._runs(top, perms)[1]) for top, _, perms in cover_groups(d, n)) == 300
+
+
+def test_cover_makes_no_element(tmp_path, capsys, monkeypatch):
+    expected = [json.dumps(cli.cover_record(el)) + "\n" for el in iter_cover(4, 3)]
+
+    def refuse(self):
+        raise AssertionError("cover must write its lines from the integers")
+
+    monkeypatch.setattr(CoverElement, "__post_init__", refuse)
+    out_path = tmp_path / "c43.jsonl"
+    assert run(capsys, "cover", "--d", "4", "--n", "3", "--out", str(out_path))[0] == 0
+    with open(out_path, encoding="utf-8", newline="") as fh:
+        assert fh.readlines() == expected
+
+
+@pytest.mark.parametrize("d,n", [(d, n) for d in range(2, 6) for n in range(1, 5)])
+def test_cover_coordinate_texts_are_the_anchor_rule(d, n):
+    # anchor_numerator is anchor_numerators one coordinate at a time, and the
+    # writer's table holds the text of every coordinate v_j that occurs, no more
+    table = cli._coordinate_texts(n)
+    seen = {kind: set() for kind in table}
+    for el in iter_cover(d, n):
+        nums = anchor_numerators(el.kind, el.v, n)
+        assert tuple(anchor_numerator(el.kind, v_j, n) for v_j in el.v) == nums
+        assert el.anchor == tuple(Fraction(num, n + 2) for num in nums)
+        texts = [json.dumps(rat_format(c)) for c in el.anchor]
+        assert [table[el.kind][v_j] for v_j in el.v] == texts
+        seen[el.kind].update(el.v)
+    assert {kind: len(texts) for kind, texts in table.items()} == {
+        "top": n - 1,
+        "base_a": n + 1,
+        "base_b": n + 1,
+    }
+    assert seen == {kind: set(range(len(texts))) for kind, texts in table.items()}
 
 
 def test_cover_matches_the_benchmark_pinned_digest(tmp_path, capsys):
