@@ -50,8 +50,19 @@ a key's first point over an L, the step turns the verdict into that L's
 containment check (the perm's order of X and the anchor numerators over L in
 that order), which every point of the key then runs.  The step has two
 callers: ``witness`` makes one for its one scaled point and builds its
-``WitnessResult``; ``tally`` makes one per L, aggregates the ``CoverageReport``
-and makes no ``Fraction`` unless a point must be scanned or shown.
+``WitnessResult``; ``tally`` makes one per L and worker, aggregates the
+``CoverageReport`` and makes no ``Fraction`` unless a point must be scanned or
+shown.
+
+``tally`` uses every CPU this process may run on.  It splits a campaign into
+blocks of ``BLOCK_ROWS`` consecutive rows, counted across streams, and gives
+block b to worker ``b % jobs``.  Worker 0 is the calling process; the others
+are forked when the campaign reaches their first block.  Every worker walks
+all the rows and routes only its own blocks; a forked worker sends its counts
+back over a pipe.  The merged report is the one a single worker makes, down to
+the row order of failures and the error raised.  Since a fork copies each
+stream's state, the streams must be in-memory iterables: forked workers would
+share an open file's offset.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.  Every
@@ -67,15 +78,18 @@ Fraction point to its own row and feeds ``tally``.
 from __future__ import annotations
 
 import math
+import os
 import random
+import sys
 import time
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain, count, islice
 from operator import itemgetter, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .arith import IntVector, Permutation, Point, _scale, point_format
 from .cover import (
@@ -465,6 +479,142 @@ def boundary_rows(d: int, n: int, eps: Fraction) -> Stream:
     return _scale(boundary_suite(d, n, eps), n)
 
 
+BLOCK_ROWS = 2048  # rows per block of a campaign; block b goes to worker b % jobs
+
+
+def _jobs() -> int:
+    """The workers of a tally: one per CPU this process may run on, or 1 where
+    it cannot fork, or runs a second Python thread that a fork would lose."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _Share:
+    """A worker's part of a tally: the rows it routed, counted by route and
+    fallback reason; its failures and sliver violations as ``(row index,
+    point)``; the first error it met as ``(row index, exception)``."""
+
+    def __init__(self) -> None:
+        self.routes = dict.fromkeys(ROUTES, 0)
+        self.reasons: Counter[str] = Counter()
+        self.failures: list[tuple[int, Point]] = []
+        self.slivers: list[tuple[int, Point]] = []
+        self.error: tuple[int, Exception] | None = None
+
+
+Child = tuple[int, BinaryIO]  # a forked worker's pid, and the read end of its pipe
+
+
+def _fork(children: list[Child]) -> int | None:
+    """Fork a worker: the write end of its pipe in the worker, None in this
+    process, which adds the worker to ``children``."""
+    import pickle  # noqa: F401  (loaded here once, not in every worker)
+
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        os.close(read)
+        return write
+    os.close(write)
+    children.append((pid, open(read, "rb")))
+    return None
+
+
+def _walk(
+    cover: CoverSpec, streams: Iterable[Stream], jobs: int, children: list[Child]
+) -> tuple[_Share, int | None]:
+    """Walk every row of ``streams`` in blocks of BLOCK_ROWS, counted across
+    streams; route the rows of this worker's blocks and skip the others.
+
+    The caller is worker 0.  When its walk first reaches a row of block k < jobs,
+    it forks worker k there, which goes on from that row; if the fork fails,
+    worker 0 routes block k's rows too.  Returns this worker's share and, in a
+    forked worker, the write end of its pipe.  An error stops the walk; it is
+    kept in the share with the index of its row."""
+    share = _Share()
+    routes, reasons, failures, slivers = share.routes, share.reasons, share.failures, share.slivers
+    m = cover.n + 2
+    mine = {0}  # the workers whose blocks this one routes
+    spawn = 1  # the next worker to fork
+    pipe = None
+    routers: dict[int, Callable[[Sequence[int]], Routed]] = {}
+    index = 0  # the rows walked so far
+    counter = count()  # numbers the rows as they are pulled
+    try:
+        for big, rows in streams:
+            route_row = routers.get(big)
+            if route_row is None:
+                route_row = routers[big] = _router(cover, big)
+            rows = iter(rows)
+            while True:
+                block, offset = divmod(index, BLOCK_ROWS)
+                take = BLOCK_ROWS - offset
+                segment = zip(islice(rows, take), counter)
+                if block == spawn < jobs:
+                    first = next(segment, None)
+                    if first is None:
+                        break
+                    spawn += 1
+                    try:
+                        pipe = _fork(children)
+                    except OSError:
+                        mine.add(block)
+                    if pipe is not None:  # worker `block`: its share starts here
+                        mine, spawn, share = {block}, jobs, _Share()
+                        routes, reasons, failures, slivers = (
+                            share.routes, share.reasons, share.failures, share.slivers
+                        )
+                    segment = chain((first,), segment)
+                i = index - 1  # the index of the last row pulled
+                if block % jobs in mine:
+                    for X, i in segment:
+                        try:
+                            _, route, reason = route_row(X)
+                        except UncoveredPointError:
+                            failures.append((i, _point(X, big)))
+                            continue
+                        except Exception as exc:
+                            share.error = i, exc
+                            return share, pipe
+                        routes[route] += 1
+                        if reason is not None:
+                            reasons[reason] += 1
+                        if route != KIND_BASE_A and X[-1] * m <= big:
+                            slivers.append((i, _point(X, big)))
+                else:
+                    for _, i in deque(segment, maxlen=1):  # pulls the block in C
+                        pass
+                index, pulled = i + 1, i + 1 - index
+                if pulled < take:
+                    break
+    except Exception as exc:  # the streams failed while the walk pulled a row
+        share.error = next(counter), exc
+    return share, pipe
+
+
+def _receive(children: list[Child]) -> _Share:
+    """Read the first forked worker's share from its pipe, reap the worker and
+    drop it from ``children``."""
+    import pickle
+
+    pid, fh = children[0]
+    data = fh.read()
+    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    children.pop(0)[1].close()
+    if status != 0 or not data:
+        raise RuntimeError(f"a tally worker failed (exit status {status})")
+    return pickle.loads(data)
+
+
 def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     """Route every row of every ``(L, rows)`` stream through the cover, verify
     membership exactly, aggregate the outcome.
@@ -475,44 +625,58 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     the run, and fallbacks are counted by their failed check; neither is
     serialized: the report stays on the pinned wire schema.  A point is made
     exact only to be scanned (a fallback) or shown (a failure, a sliver
-    violation).  Streams over one L share one ``_router``, which checks each
-    row; keys are checked once per cover, and containment for every point.
+    violation).  Streams over one L share one ``_router`` per worker, which
+    checks each row; keys are checked once per cover and worker, and
+    containment for every point.
+
+    The rows go in blocks of BLOCK_ROWS, counted across streams, to one
+    worker per CPU this process may run on (``_jobs``, ``_walk``).  Worker 0
+    is this process; a forked worker sends its share back over a pipe and
+    ends with ``os._exit``, and every one is reaped before this returns or
+    raises.  Merged, the shares give the report of one worker: failures and
+    sliver violations in row order, and the error of the earliest failing
+    row, with its type and message.  The streams must be in-memory
+    iterables: a fork copies their state, so every worker sees the same
+    rows, but workers reading one open file would share its offset.
     """
     t0 = time.perf_counter()
-    n = cover.n
-    m = n + 2
-    routes = {route: 0 for route in ROUTES}
-    failures: list[Point] = []
-    slivers: list[Point] = []
-    reasons: Counter[str] = Counter()
-    total = covered = 0
-    routers: dict[int, Callable[[Sequence[int]], Routed]] = {}
-    for big, rows in streams:
-        route_row = routers.get(big)
-        if route_row is None:
-            route_row = routers[big] = _router(cover, big)
-        for X in rows:
-            total += 1
-            try:
-                _, route, reason = route_row(X)
-            except UncoveredPointError:
-                failures.append(_point(X, big))
-                continue
-            routes[route] += 1
-            covered += 1
-            if reason is not None:
-                reasons[reason] += 1
-            if route != KIND_BASE_A and X[-1] * m <= big:
-                slivers.append(_point(X, big))
+    caller = os.getpid()
+    children: list[Child] = []
+    try:
+        share, pipe = _walk(cover, streams, _jobs(), children)
+        if pipe is not None:  # a forked worker: hand the share over and end
+            import pickle
+
+            with open(pipe, "wb") as fh:
+                pickle.dump(share, fh)
+            os._exit(0)
+        shares = [share]
+        while children:
+            shares.append(_receive(children))
+    finally:
+        if os.getpid() != caller:
+            os._exit(1)  # a forked worker never returns to the caller's code
+        for pid, fh in children:  # on an error or an interrupt: stop the rest
+            fh.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+    errors = [share.error for share in shares if share.error is not None]
+    if errors:
+        raise min(errors, key=itemgetter(0))[1]
+    failures = sorted(chain.from_iterable(share.failures for share in shares))
+    routes = {route: sum(share.routes[route] for share in shares) for route in ROUTES}
+    covered = sum(routes.values())
     elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return CoverageReport(
-        total=total,
+        total=covered + len(failures),
         covered=covered,
         routes=routes,
-        failures=tuple(failures),
+        failures=tuple(x for _, x in failures),
         elapsed_ms=elapsed_ms,
-        sliver_violations=tuple(slivers),
-        fallback_reasons=dict(sorted(reasons.items())),
+        sliver_violations=tuple(
+            x for _, x in sorted(chain.from_iterable(share.slivers for share in shares))
+        ),
+        fallback_reasons=dict(sorted(sum((share.reasons for share in shares), Counter()).items())),
     )
 
 

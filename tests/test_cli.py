@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -400,6 +402,50 @@ def test_verify_benchmark_campaign_pinned(capsys):
     report = json.loads(out)
     assert report["total"] == report["covered"] == 35668
     assert report["routes"] == {"top": 1328, "base_a": 26059, "base_b": 8281, "fallback": 0}
+
+
+# Runs the CLI with tally forced to 2 workers, and counts the workers forked
+# in the file named by its first argument.  A line waits in the block buffer
+# of stdout (a pipe, with PYTHONUNBUFFERED unset) when the workers fork.
+TWO_WORKERS = """
+import sys
+from simplexcover import cli, verifier
+verifier._jobs = lambda: 2
+fork = verifier._fork
+
+def counted(children):
+    pipe = fork(children)
+    if pipe is None:
+        with open(sys.argv[1], "a") as fh:
+            fh.write("forked\\n")
+    return pipe
+
+verifier._fork = counted
+print("started")
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_verify_with_two_workers_prints_one_report(tmp_path):
+    # A worker that flushed the caller's stdio at its exit would print the
+    # pending line, or the report, twice.
+    forks = tmp_path / "forks"
+    argv = ["verify", "--d", "5", "--n", "2", "--mode", "all", "--q", "2", "--samples", "2000"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", TWO_WORKERS, str(forks), *argv, "--seed", "1"],
+        env={**env, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    started, line = proc.stdout.splitlines()
+    assert started == "started"
+    report = json.loads(line)
+    assert report["total"] == report["covered"] == 35668
+    assert report["routes"] == {"top": 1328, "base_a": 26059, "base_b": 8281, "fallback": 0}
+    assert forks.read_text() == "forked\n"
 
 
 def test_verify_sliver_violation_exits_1(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 import re
 from collections import Counter
@@ -544,3 +545,170 @@ def test_format_points_truncates():
     text = format_points(fake.failures)
     assert "(+3 more)" in text
     assert text.count(",") >= 3
+
+
+# --- workers ----------------------------------------------------------------
+# tally splits its rows into blocks of BLOCK_ROWS and forks a worker per CPU;
+# these tests force the worker count and a small block size.
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _by_jobs(monkeypatch, block_rows, call):
+    """``call()`` under 1, 2 and 3 workers and blocks of ``block_rows`` rows:
+    the reports, ``elapsed_ms`` zeroed, or the exceptions raised.  Every
+    worker must be reaped when the call returns or raises."""
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", block_rows)
+    outcomes = []
+    for jobs in (1, 2, 3):
+        monkeypatch.setattr(verifier, "_jobs", lambda: jobs)
+        try:
+            outcomes.append(replace(call(), elapsed_ms=0))
+        except Exception as exc:
+            outcomes.append(exc)
+        _assert_no_child_left()
+    return outcomes
+
+
+def test_workers_report_the_benchmark_campaign(monkeypatch):
+    # the call the benchmark's campaign workload times: 35,668 rows in three streams
+    cover = build_cover(5, 2)
+    for block_rows in (1000, verifier.BLOCK_ROWS):
+        reports = _by_jobs(
+            monkeypatch, block_rows, lambda: tally(cover, _campaign(5, 2, cover.delta, 2, 2000, 1)[0])
+        )
+        assert reports[0].total == reports[0].covered == 35668
+        assert reports[0].routes == {"top": 1328, "base_a": 26059, "base_b": 8281, "fallback": 0}
+        assert reports[0].success
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def _with_every_other_element():
+    """(3, 2) with every other element dropped: points fall back, some are
+    uncovered, some break the sliver rule."""
+    cover = build_cover(3, 2)
+    return replace(cover, elements=cover.elements[::2])
+
+
+@pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a, _with_every_other_element])
+@pytest.mark.parametrize("block_rows", [1, 7, 100])
+def test_workers_report_broken_covers_in_row_order(monkeypatch, make, block_rows):
+    # fallbacks and their reasons are summed over the workers; failures and
+    # sliver violations are merged back into row order
+    cover = make()
+    d, n = cover.d, cover.n
+    reports = _by_jobs(
+        monkeypatch, block_rows, lambda: tally(cover, _campaign(d, n, cover.delta, 4, 300, 5)[0])
+    )
+    assert reports[0].routes["fallback"] > 1 and reports[0].fallback_reasons
+    if make is _with_every_other_element:
+        assert len(reports[0].failures) > 1 and len(reports[0].sliver_violations) > 1
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("make", [lambda: build_cover(3, 2), _with_every_other_element])
+def test_workers_report_one_row_streams(monkeypatch, make):
+    # coverage_report scales each point to its own stream of one row; blocks
+    # are counted across streams
+    cover = make()
+    points = list(_campaign(3, 2, cover.delta, 2, 200, 9)[1])
+    reports = _by_jobs(monkeypatch, 50, lambda: coverage_report(cover, points))
+    assert reports[0].total == len(points)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def _streams_with(big, rows, bad, raise_at):
+    """``rows`` with each row of ``bad`` put in at its index, as two streams:
+    the first 5 rows, and a generator of the rest that raises RuntimeError
+    when it is asked for row ``raise_at``."""
+    rows = list(rows)
+    for at, X in sorted(bad.items()):
+        rows.insert(at, X)
+
+    def rest():
+        for i in range(5, len(rows)):
+            if i == raise_at:
+                raise RuntimeError(f"the stream broke at row {i}")
+            yield rows[i]
+
+    return [(big, rows[:5]), (big, rest())]
+
+
+@pytest.mark.parametrize(
+    "bad,raise_at,message",
+    [
+        ({25: (1, 2)}, None, "^point/cover dimension or scale mismatch$"),
+        ({15: (100, 0, 0)}, None, "^point 25,0,0 is outside the target simplex$"),
+        ({35: (0, 0, 1)}, None, "^point 0,0,1/4 is outside the target simplex$"),
+        ({15: (1, 2), 38: (100, 0, 0)}, None, "^point/cover dimension or scale mismatch$"),
+        ({25: (100, 0, 0), 32: (1, 2)}, 30, "^point 25,0,0 is outside the target simplex$"),
+        ({22: (1, 2)}, 27, "^point/cover dimension or scale mismatch$"),
+        ({25: (1, 2)}, 26, "^point/cover dimension or scale mismatch$"),
+        ({25: (1, 2)}, 21, "^the stream broke at row 21$"),
+        ({38: (1, 2)}, 15, "^the stream broke at row 15$"),
+        ({45: (1, 2)}, 32, "^the stream broke at row 32$"),
+    ],
+)
+def test_workers_raise_the_serial_error(monkeypatch, bad, raise_at, message):
+    # Blocks of 10 rows, the first 5 in a stream of their own.  Block 1
+    # (rows 10-19) is worker 1's; block 2 is worker 2's of 3, the caller's of
+    # 2; block 3 is the caller's of 3, worker 1's of 2.  The error of the
+    # earliest failing row is raised, whichever worker met it.
+    cover = build_cover(3, 2)
+    big, rows = lattice_rows(3, 2, cover.delta, 1)
+    rows = list(rows)
+    outcomes = _by_jobs(
+        monkeypatch, 10, lambda: tally(cover, _streams_with(big, rows, bad, raise_at))
+    )
+    assert all(type(exc) is type(outcomes[0]) for exc in outcomes), outcomes
+    for exc in outcomes:
+        assert re.search(message, str(exc)), exc
+
+
+def test_a_campaign_of_one_block_forks_nothing(monkeypatch):
+    cover = build_cover(2, 1)
+    big, rows = lattice_rows(2, 1, cover.delta, 2)
+    rows = list(rows)
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    monkeypatch.setattr(verifier.os, "fork", no_fork)
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", len(rows))
+    one = replace(tally(cover, [(big, rows[:10]), (big, rows[10:])]), elapsed_ms=0)
+    assert forks == []
+    # one row more needs worker 1; when it cannot be forked, worker 0 routes its block
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", len(rows) - 1)
+    two = replace(tally(cover, [(big, rows[:10]), (big, rows[10:])]), elapsed_ms=0)
+    assert forks == [1]
+    assert one == two and one.total == len(rows) == 45
+    _assert_no_child_left()
+
+
+def test_workers_are_reaped_after_an_interrupt(monkeypatch):
+    # An interrupt in the caller stops the workers; one in a worker fails the tally.
+    cover = build_cover(3, 2)
+    caller = os.getpid()
+    big, rows = lattice_rows(3, 2, cover.delta, 2)
+    rows = list(rows)
+
+    def interrupted(in_caller):
+        for i, X in enumerate(rows):
+            if i == 200 and (os.getpid() == caller) == in_caller:
+                raise KeyboardInterrupt
+            yield X
+
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 50)
+    monkeypatch.setattr(verifier, "_jobs", lambda: 3)
+    with pytest.raises(KeyboardInterrupt):
+        tally(cover, [(big, interrupted(True))])
+    _assert_no_child_left()
+    with pytest.raises(RuntimeError, match=r"^a tally worker failed \(exit status 1\)$"):
+        tally(cover, [(big, interrupted(False))])
+    _assert_no_child_left()
