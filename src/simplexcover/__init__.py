@@ -14,6 +14,7 @@ from .arith import (
     rat_parse,
 )
 from .cover import CoverElement, CoverSpec, build_cover, cover_count, delta, iter_cover
+from .samplers import boundary_suite, in_domain, lattice_samples, random_samples
 from .simplex import KuhnSimplex, contains, contains_oracle, vertices
 from .triangulation import (
     enumerate_base_slab,
@@ -24,11 +25,7 @@ from .verifier import (
     CoverageReport,
     UncoveredPointError,
     WitnessResult,
-    boundary_suite,
     coverage_report,
-    in_domain,
-    lattice_samples,
-    random_samples,
     witness,
 )
 

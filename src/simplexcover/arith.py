@@ -75,3 +75,8 @@ def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
     ``L = lcm(n+2, denominators of the points)``: ``(L, [X, ...])``."""
     big = math.lcm(n + 2, *(c.denominator for x in points for c in x))
     return big, [[c.numerator * (big // c.denominator) for c in x] for x in points]
+
+
+def _point(X: Sequence[int], big: int) -> Point:
+    """The point with numerators X over ``big``, made exact."""
+    return tuple(Fraction(c, big) for c in X)

@@ -41,17 +41,9 @@ from .cover import (
     element_kind,
 )
 from .render import svg_chunks
+from .samplers import boundary_rows, lattice_rows, random_rows
 from .triangulation import check_dn
-from .verifier import (
-    ROUTE_FALLBACK,
-    UncoveredPointError,
-    boundary_rows,
-    format_points,
-    lattice_rows,
-    random_rows,
-    tally,
-    witness,
-)
+from .verifier import ROUTE_FALLBACK, UncoveredPointError, format_points, tally, witness
 
 
 def cover_record(el: CoverElement) -> dict:

@@ -24,6 +24,7 @@ sequences.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Iterator
 
@@ -58,23 +59,39 @@ def is_admissible(v: IntVector, perm: Permutation, n: int) -> bool:
     return True
 
 
-def weakly_decreasing_vectors(d: int, bound: int) -> Iterator[IntVector]:
-    """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex.
+def weakly_decreasing_vectors(d: int, bound: int, start: int = 0) -> Iterator[IntVector]:
+    """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex,
+    from the one of rank ``start`` (0 for the first) on.
 
-    Iterative: the last entry runs over 0..v_{d-1} for each prefix, and the
-    next prefix raises the rightmost entry that is below its left neighbour
-    (below ``bound`` for the first) and zeroes the entries after it.
+    The vector of rank ``start`` is found without making those before it:
+    an entry c with k entries after it heads ``C(c+k, k)`` vectors (the
+    weakly decreasing k-vectors with entries <= c), so each entry, first to
+    last, is the c at which those counts for 0, 1, ... stop fitting in the
+    rank left.  From there it is iterative: the last entry runs over
+    0..v_{d-1} for each prefix, and the next prefix raises the rightmost entry
+    that is below its left neighbour (below ``bound`` for the first) and zeroes
+    the entries after it.
     """
     if d == 0:
-        yield ()
+        if start < 1:
+            yield ()
         return
-    if bound < 0:
+    if bound < 0 or start >= math.comb(bound + d, d):
         return
+    v = []
+    for k in range(d - 1, -1, -1):
+        c = 0
+        while start >= math.comb(c + k, k):
+            start -= math.comb(c + k, k)
+            c += 1
+        v.append(c)
     lasts = [(k,) for k in range(bound + 1)]
-    prefix = [0] * (d - 1)
+    prefix = v[:-1]
+    low = v[-1]  # the last entry of the first vector
     while True:
         head = tuple(prefix)
-        yield from map(head.__add__, lasts[: (prefix[-1] if prefix else bound) + 1])
+        yield from map(head.__add__, lasts[low : (prefix[-1] if prefix else bound) + 1])
+        low = 0
         j = d - 2
         while j >= 0 and prefix[j] == (prefix[j - 1] if j else bound):
             j -= 1

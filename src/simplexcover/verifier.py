@@ -57,29 +57,27 @@ shown.
 ``tally`` uses every CPU this process may run on.  It splits a campaign into
 blocks of ``BLOCK_ROWS`` consecutive rows, counted across streams, and gives
 block b to worker ``b % jobs``.  Worker 0 is the calling process; the others
-are forked when the campaign reaches their first block.  Every worker walks
-all the rows and routes only its own blocks; a forked worker sends its counts
-back over a pipe.  The merged report is the one a single worker makes, down to
-the row order of failures and the error raised.  Since a fork copies each
-stream's state, the streams must be in-memory iterables: forked workers would
-share an open file's offset.
+are forked when the campaign reaches their first block.  A worker makes only
+the rows of its own blocks when it can: it slices a list, a tuple or a
+sampler's ``Rows`` (``samplers``) at each of its blocks and steps over the
+others' blocks in O(1).  It pulls any other iterable's rows in C and drops
+those of the others' blocks.  A forked worker sends its counts back over a
+pipe.  The merged report is the one a single worker makes, down to the row
+order of failures and the error raised.  Since a fork copies each stream's
+state, the streams must be in-memory iterables: forked workers would share an
+open file's offset.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
-where tractable, seeded random streams plus a boundary suite elsewhere.  Every
-sampler is defined once, as a stream ``(L, rows)``: the lattice of step
-``delta/q`` is the weakly decreasing vectors over ``L = q(n+2)``; a random point
-``a * (n+eps)/10^6`` is ``a`` times a fixed integer over
-``L = lcm(n+2, denominator of the step)``; the boundary suite is scaled once
-over its common denominator.  ``lattice_samples`` and ``random_samples`` make
-the same rows exact, in the same order; ``coverage_report`` scales each
-Fraction point to its own row and feeds ``tally``.
+where tractable, seeded random streams plus a boundary suite elsewhere.  The
+samplers make their points as streams ``(L, rows)`` in ``samplers``, and the
+names are importable from here too.  ``coverage_report`` scales each Fraction
+point to its own row and feeds ``tally`` consecutive points over one L as one
+stream.
 """
 
 from __future__ import annotations
 
-import math
 import os
-import random
 import sys
 import time
 from bisect import bisect_left
@@ -87,11 +85,11 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import chain, count, groupby, islice
 from operator import itemgetter, sub
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
-from .arith import IntVector, Permutation, Point, _scale, point_format
+from .arith import IntVector, Permutation, Point, _point, _scale, point_format
 from .cover import (
     KIND_BASE_A,
     KIND_BASE_B,
@@ -101,18 +99,26 @@ from .cover import (
     Key,
     Verdict,
     anchor_numerators,
-    delta,
     element_kind,
 )
+from .samplers import (  # the samplers stay importable from here
+    RANDOM_GRID,
+    Rows,
+    Stream,
+    _check_plan,
+    boundary_rows,
+    boundary_suite,
+    in_domain,
+    lattice_rows,
+    lattice_samples,
+    random_rows,
+    random_samples,
+)
 from .simplex import _descends, contains
-from .triangulation import check_dn, weakly_decreasing_vectors
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
-RANDOM_GRID = 10**6
 FORMAT_POINTS_LIMIT = 5  # points shown before "(+k more)"
-
-Stream = tuple[int, Iterable[Sequence[int]]]  # (L, integer rows over L)
 
 
 class UncoveredPointError(RuntimeError):
@@ -137,16 +143,6 @@ class WitnessResult:
             return tuple(xj - aj for xj, aj in zip(self.x, el.anchor))
         shrink = 1 - self.delta
         return tuple(xj - shrink * vj for xj, vj in zip(self.x, el.v))
-
-
-def in_domain(x: Point, n: int, eps: Fraction) -> bool:
-    """Exact test for n+eps >= x_1 >= ... >= x_d >= 0."""
-    return _descends(n + eps, x)
-
-
-def _point(X: Sequence[int], big: int) -> Point:
-    """The point with numerators X over ``big``, made exact."""
-    return tuple(Fraction(c, big) for c in X)
 
 
 Placed = tuple[str, int, int]  # regime, v_d, number of prefix indices d goes after
@@ -388,97 +384,6 @@ class CoverageReport:
         }
 
 
-def _check_plan(d: int, n: int, eps: Fraction) -> None:
-    check_dn(d, n)
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
-    if eps > delta(n):
-        raise ValueError(f"eps={eps} exceeds the margin 1/(n+2)={delta(n)}")
-
-
-def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:
-    """Every point of the step-delta/q grid inside S^{n+eps}, ascending lex, as
-    integer rows over ``L = q(n+2)``: ``(L, rows)``.
-
-    The plan is checked on the call, before the first row."""
-    _check_plan(d, n, eps)
-    if q < 1:
-        raise ValueError(f"lattice resolution must be at least 1, got {q}")
-    big = q * (n + 2)
-    return big, weakly_decreasing_vectors(d, math.floor((n + eps) * big))
-
-
-def lattice_samples(d: int, n: int, eps: Fraction, q: int) -> Iterator[Point]:
-    """The points of ``lattice_rows``, made exact.
-
-    The plan is checked on the call, before the first point."""
-    big, rows = lattice_rows(d, n, eps, q)
-    return (_point(X, big) for X in rows)
-
-
-def random_rows(d: int, n: int, eps: Fraction, count: int, seed: int) -> Stream:
-    """Deterministic seeded stream of in-domain points: d integer draws from
-    [0, 10^6], sorted descending, scaled to the target; as integer rows over
-    ``L = lcm(n+2, denominator of (n+eps)/10^6)``: ``(L, rows)``.
-
-    The plan is checked on the call, before the first row."""
-    _check_plan(d, n, eps)
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    rng = random.Random(seed)
-    scale = (n + eps) / RANDOM_GRID
-    big = math.lcm(n + 2, scale.denominator)
-    factor = scale.numerator * (big // scale.denominator)
-
-    def draw() -> IntVector:
-        draws = sorted((rng.randint(0, RANDOM_GRID) for _ in range(d)), reverse=True)
-        return tuple(factor * a for a in draws)
-
-    return big, (draw() for _ in range(count))
-
-
-def random_samples(d: int, n: int, eps: Fraction, count: int, seed: int) -> Iterator[Point]:
-    """The points of ``random_rows``, made exact.
-
-    The plan is checked on the call, before the first point."""
-    big, rows = random_rows(d, n, eps, count, seed)
-    return (_point(X, big) for X in rows)
-
-
-def boundary_suite(d: int, n: int, eps: Fraction) -> list[Point]:
-    """Deterministic edge cases: target vertices, centroid, points on the sliver
-    plane x_d = delta and the seam plane x_d = 1+delta, and delta/1 coordinate
-    patterns.  Everything outside S^{n+eps} is dropped (the seam plane leaves
-    the target when eps < delta and n = 1)."""
-    _check_plan(d, n, eps)
-    dl = delta(n)
-    top = n + eps
-    pts: list[Point] = []
-    for k in range(d + 1):
-        pts.append(tuple(Fraction(top) if i < k else Fraction(0) for i in range(d)))
-    pts.append(tuple(top * Fraction(d + 1 - i, d + 1) for i in range(1, d + 1)))
-    for k in range(d + 1):
-        pts.append((Fraction(1),) * k + (dl,) * (d - k))
-    for level in (dl, 1 + dl):
-        for lead in (level, Fraction(1), 1 + dl, top):
-            if lead >= level:
-                pts.append((lead,) * (d - 1) + (level,))
-        pts.append((top,) + (level,) * (d - 1))
-    seen: set[Point] = set()
-    suite: list[Point] = []
-    for p in pts:
-        if p not in seen and in_domain(p, n, eps):
-            seen.add(p)
-            suite.append(p)
-    return suite
-
-
-def boundary_rows(d: int, n: int, eps: Fraction) -> Stream:
-    """``boundary_suite`` as integer rows over the suite's common denominator
-    ``L = lcm(n+2, denominators)``: ``(L, rows)``."""
-    return _scale(boundary_suite(d, n, eps), n)
-
-
 BLOCK_ROWS = 2048  # rows per block of a campaign; block b goes to worker b % jobs
 
 
@@ -496,7 +401,9 @@ def _jobs() -> int:
 class _Share:
     """A worker's part of a tally: the rows it routed, counted by route and
     fallback reason; its failures and sliver violations as ``(row index,
-    point)``; the first error it met as ``(row index, exception)``."""
+    point)``; the first error it met as ``(row index, exception)``, and in a
+    forked worker that error's traceback as text (a traceback does not
+    pickle)."""
 
     def __init__(self) -> None:
         self.routes = dict.fromkeys(ROUTES, 0)
@@ -504,6 +411,15 @@ class _Share:
         self.failures: list[tuple[int, Point]] = []
         self.slivers: list[tuple[int, Point]] = []
         self.error: tuple[int, Exception] | None = None
+        self.trace: str | None = None
+
+
+class _WorkerTraceback(Exception):
+    """The traceback of an error a forked tally worker met, as text; ``tally``
+    raises the error from it, as ``concurrent.futures`` does."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 Child = tuple[int, BinaryIO]  # a forked worker's pid, and the read end of its pipe
@@ -532,14 +448,17 @@ def _fork(children: list[Child]) -> int | None:
 def _walk(
     cover: CoverSpec, streams: Iterable[Stream], jobs: int, children: list[Child]
 ) -> tuple[_Share, int | None]:
-    """Walk every row of ``streams`` in blocks of BLOCK_ROWS, counted across
+    """Walk the rows of ``streams`` in blocks of BLOCK_ROWS, counted across
     streams; route the rows of this worker's blocks and skip the others.
 
-    The caller is worker 0.  When its walk first reaches a row of block k < jobs,
-    it forks worker k there, which goes on from that row; if the fork fails,
-    worker 0 routes block k's rows too.  Returns this worker's share and, in a
-    forked worker, the write end of its pipe.  An error stops the walk; it is
-    kept in the share with the index of its row."""
+    A ``Rows``, list or tuple is sliced at each of this worker's blocks, so
+    another worker's block is skipped in O(1) and its rows are never made;
+    the rows of any other iterable are pulled in C.  The caller is worker 0.
+    When its walk first reaches a row of block k < jobs, it forks worker k
+    there, which goes on from that row; if the fork fails, worker 0 routes
+    block k's rows too.  Returns this worker's share and, in a forked worker,
+    the write end of its pipe.  An error stops the walk; it is kept in the
+    share with the index of its row."""
     share = _Share()
     routes, reasons, failures, slivers = share.routes, share.reasons, share.failures, share.slivers
     m = cover.n + 2
@@ -554,15 +473,27 @@ def _walk(
             route_row = routers.get(big)
             if route_row is None:
                 route_row = routers[big] = _router(cover, big)
-            rows = iter(rows)
+            counter = count(index)
+            if isinstance(rows, (Rows, list, tuple)):
+                first, end = index, index + len(rows)
+            else:
+                rows, end = iter(rows), None
             while True:
                 block, offset = divmod(index, BLOCK_ROWS)
                 take = BLOCK_ROWS - offset
-                segment = zip(islice(rows, take), counter)
-                if block == spawn < jobs:
-                    first = next(segment, None)
-                    if first is None:
+                if end is None:
+                    segment = zip(islice(rows, take), counter)
+                else:  # sliced below, if this worker routes it
+                    take = min(take, end - index)
+                    if not take:
                         break
+                    segment = None
+                if block == spawn < jobs:
+                    if segment is not None:
+                        head = next(segment, None)
+                        if head is None:
+                            break
+                        segment = chain((head,), segment)
                     spawn += 1
                     try:
                         pipe = _fork(children)
@@ -573,9 +504,11 @@ def _walk(
                         routes, reasons, failures, slivers = (
                             share.routes, share.reasons, share.failures, share.slivers
                         )
-                    segment = chain((first,), segment)
                 i = index - 1  # the index of the last row pulled
                 if block % jobs in mine:
+                    if segment is None:
+                        counter = count(index)
+                        segment = zip(rows[index - first : index - first + take], counter)
                     for X, i in segment:
                         try:
                             _, route, reason = route_row(X)
@@ -590,6 +523,8 @@ def _walk(
                             reasons[reason] += 1
                         if route != KIND_BASE_A and X[-1] * m <= big:
                             slivers.append((i, _point(X, big)))
+                elif segment is None:
+                    i += take
                 else:
                     for _, i in deque(segment, maxlen=1):  # pulls the block in C
                         pass
@@ -630,14 +565,18 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     containment for every point.
 
     The rows go in blocks of BLOCK_ROWS, counted across streams, to one
-    worker per CPU this process may run on (``_jobs``, ``_walk``).  Worker 0
-    is this process; a forked worker sends its share back over a pipe and
-    ends with ``os._exit``, and every one is reaped before this returns or
-    raises.  Merged, the shares give the report of one worker: failures and
-    sliver violations in row order, and the error of the earliest failing
-    row, with its type and message.  The streams must be in-memory
-    iterables: a fork copies their state, so every worker sees the same
-    rows, but workers reading one open file would share its offset.
+    worker per CPU this process may run on (``_jobs``, ``_walk``).  A worker
+    makes only its own blocks' rows of a list, a tuple or a ``Rows`` (what
+    ``lattice_rows`` and ``random_rows`` give); it pulls and drops the rest
+    of any other iterable.  Worker 0 is this process; a forked worker sends
+    its share back over a pipe and ends with ``os._exit``, and every one is
+    reaped before this returns or raises.  Merged, the shares give the
+    report of one worker: failures and sliver violations in row order, and
+    the error of the earliest failing row, with its type and message; a
+    forked worker's error is raised from its traceback, sent as text.  The
+    streams must be in-memory iterables: a fork copies their state, so every
+    worker sees the same rows, but workers reading one open file would share
+    its offset.
     """
     t0 = time.perf_counter()
     caller = os.getpid()
@@ -647,6 +586,10 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
         if pipe is not None:  # a forked worker: hand the share over and end
             import pickle
 
+            if share.error is not None:
+                import traceback
+
+                share.trace = "".join(traceback.format_exception(share.error[1]))
             with open(pipe, "wb") as fh:
                 pickle.dump(share, fh)
             os._exit(0)
@@ -660,9 +603,12 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
             fh.close()
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
-    errors = [share.error for share in shares if share.error is not None]
+    errors = [(*share.error, share.trace) for share in shares if share.error is not None]
     if errors:
-        raise min(errors, key=itemgetter(0))[1]
+        _, exc, trace = min(errors, key=itemgetter(0))
+        if trace is None:
+            raise exc
+        raise exc from _WorkerTraceback(trace)
     failures = sorted(chain.from_iterable(share.failures for share in shares))
     routes = {route: sum(share.routes[route] for share in shares) for route in ROUTES}
     covered = sum(routes.values())
@@ -683,8 +629,8 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
 def coverage_report(
     cover: CoverSpec, samples: Iterable[Point], eps: Fraction | None = None
 ) -> CoverageReport:
-    """``tally`` over Fraction points, each scaled to its own row; points
-    over one L share one router.
+    """``tally`` over Fraction points, each scaled to its own row over its own
+    L; consecutive points over one L go as one stream.
 
     Passing ``eps`` asserts the caller's sampling contract — every sample must
     lie in S^{n+eps} — before any point is routed.
@@ -695,7 +641,10 @@ def coverage_report(
         for x in samples:
             if not in_domain(x, cover.n, eps):
                 raise ValueError(f"sample {x} violates the S^(n+eps) precondition")
-    return tally(cover, (_scale((x,), cover.n) for x in samples))
+    scaled = (_scale((x,), cover.n) for x in samples)
+    return tally(
+        cover, ((big, (X for _, (X,) in run)) for big, run in groupby(scaled, itemgetter(0)))
+    )
 
 
 def format_points(points: tuple[Point, ...]) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -41,6 +42,16 @@ def test_weakly_decreasing_vectors_matches_recursion(d):
             weakly_decreasing_vectors_recursive(d, bound)
         )
     assert list(weakly_decreasing_vectors(0, 3)) == [()]
+
+
+@pytest.mark.parametrize("d", range(6))
+def test_weakly_decreasing_vectors_start_at_any_rank(d):
+    # the start vector is unranked from the count C(bound+d, d), not reached
+    for bound in range(-1, 6):
+        whole = list(weakly_decreasing_vectors(d, bound))
+        assert len(whole) == (math.comb(bound + d, d) if bound >= 0 else d == 0)
+        for start in range(len(whole) + 3):
+            assert list(weakly_decreasing_vectors(d, bound, start)) == whole[start:], (bound, start)
 
 
 def test_tie_respecting_perms_examples():

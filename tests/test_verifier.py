@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import traceback
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -712,3 +713,172 @@ def test_workers_are_reaped_after_an_interrupt(monkeypatch):
     with pytest.raises(RuntimeError, match=r"^a tally worker failed \(exit status 1\)$"):
         tally(cover, [(big, interrupted(False))])
     _assert_no_child_left()
+
+
+def test_a_forked_workers_error_keeps_its_traceback(monkeypatch):
+    # The error keeps its type and message; the forked worker's traceback,
+    # down to the route step that raised it, comes back as its cause.
+    cover = build_cover(3, 2)
+    big, rows = lattice_rows(3, 2, cover.delta, 1)
+    rows = list(rows)
+    rows.insert(15, (1, 2))  # worker 1's block of rows 10-19
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 10)
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    with pytest.raises(ValueError, match="^point/cover dimension or scale mismatch$") as caught:
+        tally(cover, [(big, rows)])
+    _assert_no_child_left()
+    cause = caught.value.__cause__
+    assert cause is not None and "Traceback (most recent call last)" in str(cause)
+    text = "".join(traceback.format_exception(caught.value))
+    assert re.search(r'verifier\.py", line \d+, in route\n', text), text
+    assert "ValueError: point/cover dimension or scale mismatch" in str(cause)
+    # the caller's own error is raised as it is, with its own frames
+    monkeypatch.setattr(verifier, "_jobs", lambda: 1)
+    with pytest.raises(ValueError) as caught:
+        tally(cover, [(big, rows)])
+    assert caught.value.__cause__ is None
+    assert "in route\n" in "".join(traceback.format_exception(caught.value))
+
+
+# --- seekable streams -----------------------------------------------------
+# lattice_rows and random_rows are Rows: len(rows) is closed-form and
+# rows[i:] makes the rows from i on without the rows before it.
+
+
+def _starts(length):
+    """0, 1, every block boundary, the last row, the end and past it."""
+    bounds = range(0, length + 1, verifier.BLOCK_ROWS)
+    return sorted({0, 1, *bounds, max(length - 1, 0), length, length + 1, length + 5000})
+
+
+LATTICE_STREAMS = [(d, n, eps, q) for d in (2, 3, 4, 5) for n, eps, q in ((1, F(0), 1), (2, None, 2))]
+
+
+@pytest.mark.parametrize("d,n,eps,q", LATTICE_STREAMS)
+def test_lattice_rows_start_at_any_index(d, n, eps, q):
+    eps = delta(n) if eps is None else eps
+    big, rows = lattice_rows(d, n, eps, q)
+    whole = list(rows)
+    assert len(rows) == len(whole) and list(rows) == whole
+    assert whole == [tuple(c * big for c in x) for x in lattice_samples(d, n, eps, q)]
+    for i in _starts(len(whole)):
+        assert list(rows[i:]) == whole[i:], i
+        assert list(rows[i : i + 3]) == whole[i : i + 3], i
+
+
+@pytest.mark.parametrize("eps_of", [lambda n: F(0), delta, lambda n: delta(n) / 3])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_random_rows_start_at_any_index(eps_of, seed):
+    d, n = 3, 2
+    eps = eps_of(n)
+    big, rows = random_rows(d, n, eps, 2 * verifier.BLOCK_ROWS + 10, seed)
+    whole = list(rows)
+    assert len(rows) == len(whole) == 2 * verifier.BLOCK_ROWS + 10
+    assert whole == [tuple(c * big for c in x) for x in random_samples(d, n, eps, len(whole), seed)]
+    starts = _starts(len(whole))
+    # in order (each slice goes on from where the last one ended), backwards
+    # (each starts anew), and two slices pulled in turn
+    for i in starts + starts[::-1]:
+        assert list(rows[i:]) == whole[i:], i
+        assert list(rows[i : i + 7]) == whole[i : i + 7], i
+    first, second = rows[5:20], rows[10:]
+    pairs = list(zip(first, second))
+    assert pairs == list(zip(whole[5:20], whole[10:]))
+    assert list(second) == whole[25:]
+    assert list(rows) == whole
+
+
+def test_rows_take_only_slices_of_step_one():
+    _, rows = lattice_rows(2, 1, F(0), 1)
+    with pytest.raises(TypeError):
+        rows[3]
+    with pytest.raises(TypeError):
+        rows[::2]
+    assert list(rows[-2:]) == list(rows)[-2:]
+    assert list(rows[4:2]) == []
+
+
+def test_campaign_random_rows_are_pinned():
+    # the random stream of the benchmark's campaign: SHA-256 of its
+    # point_format lines, pinned when the draws were made by randint
+    pts = list(random_samples(5, 2, delta(2), 2000, 1))
+    text = "".join(point_format(p) + "\n" for p in pts)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0c81b05bf11451d5a7f98752db2d44f7d25fbf82eba274a14943fa2a731dda61"
+    )
+
+
+def _mixed_streams(cover):
+    """Seekable, list, tuple and generator streams of one (3, 2) campaign."""
+    eps = cover.delta
+    lattice = lattice_rows(3, 2, eps, 2)
+    big, rows = random_rows(3, 2, eps, 150, 4)
+    small, points = lattice_rows(3, 2, eps, 1)
+    return [
+        lattice,
+        (big, rows),
+        (small, list(points)),
+        (big, (X for X in list(rows)[:40])),
+        boundary_rows(3, 2, eps),
+        (small, tuple(list(points)[::3])),
+        random_rows(3, 2, eps, 90, 5),
+    ]
+
+
+@pytest.mark.parametrize("make", [lambda: build_cover(3, 2), _with_every_other_element])
+@pytest.mark.parametrize("block_rows", [1, 7, 100])
+def test_workers_report_mixed_streams(monkeypatch, make, block_rows):
+    # workers enter seekable streams part-way, slice lists and tuples and pull
+    # generators; every report is the one worker's
+    cover = make()
+    reports = _by_jobs(monkeypatch, block_rows, lambda: tally(cover, _mixed_streams(cover)))
+    pulled = [(big, iter(list(rows))) for big, rows in _mixed_streams(cover)]
+    assert reports[0] == replace(tally(cover, pulled), elapsed_ms=0)
+    assert reports[0].total == 1919
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_workers_make_only_their_own_rows(monkeypatch):
+    # With 2 workers the caller routes the even blocks: a seekable stream
+    # makes only their rows in it, whatever the stream before it held.
+    cover = build_cover(3, 2)
+    caller = os.getpid()
+    big, rows = lattice_rows(3, 2, cover.delta, 2)
+    made = []
+
+    def since(start, stop):
+        for i, X in enumerate(rows[start:stop], start):
+            if os.getpid() == caller:
+                made.append(i)
+            yield X
+
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 100)
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    head = list(rows)[:30]
+    report = tally(cover, [(big, head), (big, verifier.Rows(len(rows), since))])
+    _assert_no_child_left()
+    assert report.success and report.total == 30 + len(rows) == 30 + 1330
+    own = [i - 30 for i in range(30, report.total) if i // 100 % 2 == 0]
+    assert made == own
+
+
+def test_coverage_report_sends_runs_of_one_denominator(monkeypatch):
+    # consecutive points over one L go to tally as one stream; the rows and
+    # the report are those of one stream per point
+    cover = build_cover(3, 2)
+    points = list(lattice_samples(3, 2, cover.delta, 2))
+    scaled = [_scale((x,), 2) for x in points]
+    sent = []
+
+    def recorded(cover, streams):
+        streams = [(big, list(rows)) for big, rows in streams]
+        sent.append(streams)
+        return tally(cover, streams)
+
+    monkeypatch.setattr(verifier, "tally", recorded)
+    report = coverage_report(cover, points)
+    (streams,) = sent
+    assert [(big, X) for big, rows in streams for X in rows] == [(big, X) for big, (X,) in scaled]
+    assert all(a[0] != b[0] for a, b in zip(streams, streams[1:]))
+    assert len(streams) == 1 + sum(a[0] != b[0] for a, b in zip(scaled, scaled[1:])) == 439
+    assert replace(report, elapsed_ms=0) == replace(tally(cover, scaled), elapsed_ms=0)
