@@ -10,8 +10,10 @@ exact, in the same order.
 
 The lattice and random rows are a ``Rows``: a closed-form number of rows that
 can be entered at any index without making the rows before it, so a tally
-worker makes only the rows of its own blocks.  Each sampler checks its plan
-(``d``, ``n``, ``eps`` and its own size) on the call, before the first row.
+worker makes only the rows of its own blocks.  The lattice's rows also come as
+runs, one prefix and a range of last coordinates each, which the route step
+takes whole.  Each sampler checks its plan (``d``, ``n``, ``eps`` and its own
+size) on the call, before the first row.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .arith import IntVector, Point, _point, _scale
 from .cover import delta
 from .simplex import _descends
-from .triangulation import check_dn, weakly_decreasing_vectors
+from .triangulation import Run, check_dn, weakly_decreasing_runs, weakly_decreasing_vectors
 
 RANDOM_GRID = 10**6
 _DRAW_BITS = (RANDOM_GRID + 1).bit_length()  # randint(0, RANDOM_GRID) draws this many bits
@@ -53,13 +55,22 @@ class Rows:
     ``iter(rows)`` makes them from the first, and ``rows[i:j]`` makes rows
     i..j-1 without the rows before i.  Each call makes an iterator of its
     own, so a ``Rows`` can be walked any number of times.  ``since(i, j)``, given to the
-    constructor, makes rows i..j-1 for ``0 <= i <= j <= len``."""
+    constructor, makes rows i..j-1 for ``0 <= i <= j <= len``.  A sampler
+    whose rows come in runs of one prefix also gives ``runs(i, j)``, the same
+    rows as runs ``(prefix, low, high)`` (``triangulation.Run``); the first and
+    last may be cut at i and j.  Otherwise ``runs`` is None."""
 
-    __slots__ = ("_count", "_since")
+    __slots__ = ("_count", "_since", "runs")
 
-    def __init__(self, count: int, since: Callable[[int, int], Iterator[IntVector]]) -> None:
+    def __init__(
+        self,
+        count: int,
+        since: Callable[[int, int], Iterator[IntVector]],
+        runs: Callable[[int, int], Iterator[Run]] | None = None,
+    ) -> None:
         self._count = count
         self._since = since
+        self.runs = runs
 
     def __len__(self) -> int:
         return self._count
@@ -79,7 +90,7 @@ def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:
     integer rows over ``L = q(n+2)``: ``(L, rows)``.  ``rows`` is a ``Rows``
     of the weakly decreasing vectors with entries at most ``b =
     floor((n+eps)L)``: there are ``C(b+d, d)``, and a slice starts at its
-    first row's rank.
+    first row's rank.  Its ``runs`` are those of ``weakly_decreasing_runs``.
 
     The plan is checked on the call, before the first row."""
     _check_plan(d, n, eps)
@@ -91,7 +102,18 @@ def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:
     def since(start: int, stop: int) -> Iterator[IntVector]:
         return islice(weakly_decreasing_vectors(d, bound, start), stop - start)
 
-    return big, Rows(math.comb(bound + d, d), since)
+    def runs(start: int, stop: int) -> Iterator[Run]:
+        left = stop - start
+        if left <= 0:
+            return
+        for head, low, high in weakly_decreasing_runs(d, bound, start):
+            if high - low >= left:
+                yield head, low, low + left
+                return
+            yield head, low, high
+            left -= high - low
+
+    return big, Rows(math.comb(bound + d, d), since, runs)
 
 
 def lattice_samples(d: int, n: int, eps: Fraction, q: int) -> Iterator[Point]:

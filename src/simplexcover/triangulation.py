@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from typing import Iterator
 
 from .arith import IntVector, Permutation, is_permutation
@@ -61,7 +62,23 @@ def is_admissible(v: IntVector, perm: Permutation, n: int) -> bool:
 
 def weakly_decreasing_vectors(d: int, bound: int, start: int = 0) -> Iterator[IntVector]:
     """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex,
-    from the one of rank ``start`` (0 for the first) on.
+    from the one of rank ``start`` (0 for the first) on: the runs of
+    ``weakly_decreasing_runs``, flattened."""
+    if d == 0:
+        return iter([()] if start < 1 else [])
+    lasts = [(k,) for k in range(bound + 1)]
+    runs = weakly_decreasing_runs(d, bound, start)
+    return chain.from_iterable(map(head.__add__, lasts[low:high]) for head, low, high in runs)
+
+
+Run = tuple[IntVector, int, int]  # a prefix and a range low..high-1 of last entries
+
+
+def weakly_decreasing_runs(d: int, bound: int, start: int = 0) -> Iterator[Run]:
+    """The vectors of ``weakly_decreasing_vectors(d, bound, start)`` as runs
+    ``(head, low, high)``: the vectors ``head + (k,)`` for ``low <= k <
+    high``, in order, one run per prefix head (d >= 1).  Every run but the
+    first has ``low = 0``.
 
     The vector of rank ``start`` is found without making those before it:
     an entry c with k entries after it heads ``C(c+k, k)`` vectors (the
@@ -72,10 +89,6 @@ def weakly_decreasing_vectors(d: int, bound: int, start: int = 0) -> Iterator[In
     that is below its left neighbour (below ``bound`` for the first) and zeroes
     the entries after it.
     """
-    if d == 0:
-        if start < 1:
-            yield ()
-        return
     if bound < 0 or start >= math.comb(bound + d, d):
         return
     v = []
@@ -85,12 +98,10 @@ def weakly_decreasing_vectors(d: int, bound: int, start: int = 0) -> Iterator[In
             start -= math.comb(c + k, k)
             c += 1
         v.append(c)
-    lasts = [(k,) for k in range(bound + 1)]
     prefix = v[:-1]
     low = v[-1]  # the last entry of the first vector
     while True:
-        head = tuple(prefix)
-        yield from map(head.__add__, lasts[low : (prefix[-1] if prefix else bound) + 1])
+        yield tuple(prefix), low, (prefix[-1] if prefix else bound) + 1
         low = 0
         j = d - 2
         while j >= 0 and prefix[j] == (prefix[j - 1] if j else bound):

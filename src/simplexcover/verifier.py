@@ -10,22 +10,29 @@ Fraction points, ``_point`` makes a row exact).  With ``D = L/(n+2)``, delta is
 target side ``n+delta`` is ``nL+D``.  ``Fraction`` appears only where a point
 comes in and a result goes out.
 
-The containing Kuhn cell ``(v, perm)``, and whether it lies above the seam,
-is read off in two parts (``_placer``): floors give the anchor v, and the
-descending order of the residual ``w`` gives ``perm``.  The first part depends
-on the prefix ``X[:-1]`` alone: for each regime a row needs, it floors the
-prefix coordinates and sorts their residuals.  Above the seam (``x_d >= 1 +
-delta``, possible only for n >= 2) it floors ``x - (1+delta)e``.  Below it, the
-type-(a) anchor is ``v_j = floor(x_j / (1-delta))``, decremented once when that
-leaves a residual at or below delta (so positive anchors always keep their
-residual above delta), and the type-(b) anchor is ``v_j = floor((x_j -
-delta)/(1-delta))``, which lands every residual in [delta, 1).  The second part
-is the last coordinate: it picks the regime (above the seam, else type (a) when
-``x_d`` is at most 1 and at most every type-(a) prefix residual, so that index d
-sorts last, else type (b)) and places index d in the prefix's order, after
-every residual at or above its own: the sort is stable.  The kind and the
-anchor numerators come from ``cover.element_kind`` and
-``cover.anchor_numerators``, the rule the cover is built with.
+Points are located a run at a time.  A run is a prefix ``P = X[:-1]`` and a
+range ``lo <= x_d < hi`` of last coordinates: a lattice stream is made of runs,
+and any other row is a run of one.  The containing Kuhn cell ``(v, perm)``,
+and whether it lies above the seam, is read off in two parts (``_placer``):
+floors give the anchor v, and the descending order of the residual ``w`` gives
+``perm``.  The first part depends on the prefix alone: for each regime a run
+reaches, it floors the prefix coordinates and sorts their residuals.  Above
+the seam (``x_d >= 1 + delta``, possible only for n >= 2) it floors ``x -
+(1+delta)e``.  Below it, the type-(a) anchor is ``v_j = floor(x_j /
+(1-delta))``, decremented once when that leaves a residual at or below delta
+(so positive anchors always keep their residual above delta), and the type-(b)
+anchor is ``v_j = floor((x_j - delta)/(1-delta))``, which lands every residual
+in [delta, 1).  The second part is the last coordinate: it picks the regime
+(above the seam, else type (a) when ``x_d`` is at most 1 and at most every
+type-(a) prefix residual, so that index d sorts last, else type (b)) and
+places index d in the prefix's order, after every residual at or above its
+own: the sort is stable.  Along a run each of these predicates is the sign of
+an affine form in ``x_d`` alone, so a run crosses few cells: it breaks only at
+the seam, at each ``v_d`` block above it, at the end of type (a) and where
+``x_d`` passes a prefix residual.  The run splits there into pieces, ranges of
+x_d in one cell.  The kind and the anchor numerators come from
+``cover.element_kind`` and ``cover.anchor_numerators``, the rule the cover is
+built with.
 
 The formula element is then checked: a base anchor must have ``v_1 <= n``
 (``v1_bound``), the cover must hold an element with its key (``missing``:
@@ -37,35 +44,38 @@ observed) falls back to an exhaustive scan of the cover so location stays
 total; the result is flagged as ``fallback`` and names the check in
 ``fallback_reason``.
 
-One private step does all of the above for a row, the scan included:
-``_router(cover, L)`` makes it for the rows over ``L`` and sets up what ``L``
+One private step does all of the above for a run, the scan included:
+``_router(cover, L)`` makes it for the runs over ``L`` and sets up what ``L``
 fixes (D, the seam, the target side, ``1-delta``) once.  It is the one place a
 row is checked: a length other than d, or a point outside the target, is a
-ValueError.  It keeps the last prefix's parts, so a row that repeats that
-prefix (lattice rows do, in runs; random rows almost never) runs the second
-part only and tests ``0 <= x_d <= x_{d-1}`` for its domain.  The first three
-checks depend on the key ``(kind, v, perm)`` alone: ``_check_key`` makes that
-verdict once per key and cover, and it is kept on the cover, failed or not.  On
-a key's first point over an L, the step turns the verdict into that L's
-containment check (the perm's order of X and the anchor numerators over L in
-that order), which every point of the key then runs.  The step has two
-callers: ``witness`` makes one for its one scaled point and builds its
-``WitnessResult``; ``tally`` makes one per L and worker, aggregates the
-``CoverageReport`` and makes no ``Fraction`` unless a point must be scanned or
-shown.
+ValueError; for a run the domain test is the prefix chain and ``0 <= lo``,
+``hi - 1 <= x_{d-1}``.  The first three checks depend on the key ``(kind, v,
+perm)`` alone: ``_check_key`` makes that verdict once per key and cover, and
+it is kept on the cover, failed or not.  On a cell's first piece over an L,
+the step turns the verdict into that L's containment check, the cell's chain
+with index d's two links solved for x_d, and each piece runs it once: the
+prefix links, then ``lower <= x_d <= upper`` for its ends, which is the chain
+of every row in it.  A piece that fails goes row by row to the scan.  The step
+has two callers: ``witness`` routes its one scaled point as a run of one and
+builds its ``WitnessResult``; ``tally`` makes one per L and worker, counts
+each piece's rows in the ``CoverageReport`` and makes no ``Fraction`` unless a
+point must be scanned or shown.
 
 ``tally`` uses every CPU this process may run on.  It splits a campaign into
 blocks of ``BLOCK_ROWS`` consecutive rows, counted across streams, and gives
-block b to worker ``b % jobs``.  Worker 0 is the calling process; the others
-are forked when the campaign reaches their first block.  A worker makes only
-the rows of its own blocks when it can: it slices a list, a tuple or a
-sampler's ``Rows`` (``samplers``) at each of its blocks and steps over the
-others' blocks in O(1).  It pulls any other iterable's rows in C and drops
-those of the others' blocks.  A forked worker sends its counts back over a
-pipe.  The merged report is the one a single worker makes, down to the row
-order of failures and the error raised.  Since a fork copies each stream's
-state, the streams must be in-memory iterables: forked workers would share an
-open file's offset.
+block b to worker ``b % jobs``; a run that a block boundary falls inside is
+cut there.  Worker 0 is the calling process; it forks the others as soon as
+it enters a stream of known length that holds their first block, or, in any
+other iterable, when it reaches that block.  A worker makes only the rows of
+its own blocks when it can: it reads a lattice ``Rows`` (``samplers``) as
+runs and slices a list, a tuple or another ``Rows`` at each of its blocks,
+stepping over the others' blocks in O(1).  It pulls any other iterable's rows
+in C and drops those of the others' blocks.  The rows of every stream but a
+lattice are merged into runs where consecutive rows share a prefix and step
+x_d by 1.  A forked worker sends its counts back over a pipe.  The merged
+report is the one a single worker makes, down to the row order of failures
+and the error raised.  Since a fork copies each stream's state, the streams
+must be in-memory iterables: forked workers would share an open file's offset.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.  The
@@ -87,7 +97,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, count, groupby, islice
 from operator import itemgetter, sub
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from .arith import IntVector, Permutation, Point, _point, _scale, point_format
 from .cover import (
@@ -115,6 +125,7 @@ from .samplers import (  # the samplers stay importable from here
     random_samples,
 )
 from .simplex import _descends, contains
+from .triangulation import Run
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
@@ -145,71 +156,64 @@ class WitnessResult:
         return tuple(xj - shrink * vj for xj, vj in zip(self.x, el.v))
 
 
-Placed = tuple[str, int, int]  # regime, v_d, number of prefix indices d goes after
 Cell = tuple[bool, IntVector, Permutation]  # above the seam, v, perm
-Plan = dict[str | Placed, tuple]  # a prefix's parts by regime, the router's checks by placement
+# above the seam, the prefix's anchor entries and residual order, v_d, and the
+# number of prefix indices that index d goes after
+Placed = tuple[bool, IntVector, Permutation, int, int]
+Placement = tuple[int, int, Placed]  # x_d from, x_d to (exclusive), and where those rows land
 
 
-def _placer(d: int, n: int, big: int, unit: int) -> Callable[[Sequence[int], Plan, int], Placed]:
+def _placer(
+    d: int, n: int, big: int, unit: int
+) -> Callable[[Sequence[int], int, int], list[Placement]]:
     """The routing rule for rows of length d over ``big`` (L above), with
-    ``unit`` = D = big/(n+2): ``place(P, plan, xd)`` is the placement
-    ``(regime, v_d, at)`` of the row ``P + (xd,)``, and ``_cell`` its cell.
+    ``unit`` = D = big/(n+2): ``place(P, lo, hi)`` splits the run of rows
+    ``P + (x,)``, ``lo <= x < hi``, into the ranges of x that land in one
+    cell, ``(x0, x1, placed)``, in order; ``_cell(placed)`` is that cell.
 
-    Part one depends on the prefix ``P`` alone, per regime (named by its
-    kind), and is kept in ``plan`` once a row needs it: ``(v, ranks)``, the
-    anchor entries v_1..v_{d-1} and each index j's residual ranked as
-    ``j - w_j d``, sorted.  That is a stable descending sort of the
-    residuals, and ``rank % d`` gives j back.  Part two picks the regime from
-    x_d and puts index d after the ``at`` prefix indices whose residual is at
-    or above its own ``w_d``, those ranked below ``(1 - w_d) d``; a type-(a)
-    row has ``at = d-1``.  Making the type-(a) part stops at the first
-    residual below x_d, as the row is then type (b), and keeps no part.
+    Each regime (named by its kind) floors the prefix ``P`` and sorts its
+    residuals once per run that reaches it: the anchor entries v_1..v_{d-1},
+    and each index j's residual ranked as ``j - w_j d``, sorted.  That is a
+    stable descending sort of the residuals; ``rank % d`` gives j back and
+    ``-(rank // d)`` gives w_j.  Index d goes after the ``at`` prefix indices
+    whose residual is at or above its own ``w_d``, those ranked below ``(1 -
+    w_d) d``, so ``at`` falls by one each time ``w_d`` passes a prefix
+    residual.  The regimes split x_d at the breakpoints: type (a) while x_d
+    is at most 1 and at most every type-(a) prefix residual (``at = d-1``),
+    type (b) after it up to the seam, then above the seam (n >= 2), in blocks
+    of L per ``v_d`` up to ``v_d = n-2``.  Type (b) and each top block break
+    again at each prefix residual, plus one.
     """
     seam = big + unit  # 1 + delta
     shrink = (n + 1) * unit  # 1 - delta
 
-    def place(P: Sequence[int], plan: Plan, xd: int) -> Placed:
-        if n >= 2 and xd >= seam:
-            vd = min((xd - seam) // big, n - 2)
-            wd = xd - seam - vd * big
-            part = plan.get(KIND_TOP)
-            if part is None:
-                # u lies in S^{n-1}; flooring picks the containing cell.  The clamp
-                # only fires when u_j = n-1 exactly, where the residual must be 1, not 0.
-                v, ranks, j = [], [], 0
-                for xj in P:
-                    j += 1
-                    uj = xj - seam
-                    vj = min(uj // big, n - 2)
-                    v.append(vj)
-                    ranks.append(j - (uj - vj * big) * d)
+    def place(P: Sequence[int], lo: int, hi: int) -> list[Placement]:
+        out = []
+        x = lo
+        if x <= big:  # type (a) while no type-(a) residual is below x_d: d sorts last
+            v, ranks, j = [], [], 0
+            for xj in P:
+                j += 1
+                vj = xj // shrink
+                if vj > 0 and xj - vj * shrink <= unit:
+                    # one decrement restores the residual to [1-delta, 1]
+                    vj -= 1
+                wj = xj - vj * shrink
+                if wj < x:
+                    break
+                v.append(vj)
+                ranks.append(j - wj * d)
+            else:
                 ranks.sort()
-                part = plan[KIND_TOP] = v, ranks
-            return KIND_TOP, vd, bisect_left(part[1], (1 - wd) * d)
-        if xd <= big:  # type (a) if no type-(a) residual is below x_d: d sorts last
-            part = plan.get(KIND_BASE_A)
-            if part is None:
-                v, ranks, j = [], [], 0
-                for xj in P:
-                    j += 1
-                    vj = xj // shrink
-                    if vj > 0 and xj - vj * shrink <= unit:
-                        # one decrement restores the residual to [1-delta, 1]
-                        vj -= 1
-                    wj = xj - vj * shrink
-                    if wj < xd:
-                        break
-                    v.append(vj)
-                    ranks.append(j - wj * d)
-                else:
-                    ranks.sort()
-                    plan[KIND_BASE_A] = v, ranks
-                    return KIND_BASE_A, 0, d - 1
-            elif part[1][-1] < (1 - xd) * d:  # the last rank holds the least residual
-                return KIND_BASE_A, 0, d - 1
-        part = plan.get(KIND_BASE_B)
-        if part is None:
-            # every residual lands in [delta, 1)
+                end = 1 - ranks[-1] // d  # the last rank holds the least residual
+                if end > big:
+                    end = big + 1
+                if end > hi:
+                    end = hi
+                perm = tuple([rank % d for rank in ranks])
+                out.append((x, end, (False, tuple(v), perm, 0, d - 1)))
+                x = end
+        if x < hi and (x < seam or n < 2):  # type (b): every residual lands in [delta, 1)
             v, ranks, j = [], [], 0
             for xj in P:
                 j += 1
@@ -217,28 +221,54 @@ def _placer(d: int, n: int, big: int, unit: int) -> Callable[[Sequence[int], Pla
                 v.append(vj)
                 ranks.append(j - (xj - vj * shrink) * d)
             ranks.sort()
-            part = plan[KIND_BASE_B] = v, ranks
-        return KIND_BASE_B, 0, bisect_left(part[1], (1 - xd) * d)
+            vt, perm = tuple(v), tuple([rank % d for rank in ranks])
+            stop = seam if n >= 2 and seam < hi else hi
+            while x < stop:
+                at = bisect_left(ranks, (1 - x) * d)
+                end = 1 - ranks[at - 1] // d if at else stop
+                if end > stop:
+                    end = stop
+                out.append((x, end, (False, vt, perm, 0, at)))
+                x = end
+        if x < hi:  # above the seam
+            # u = x - (1+delta)e lies in S^{n-1}; flooring picks the containing cell.  The
+            # clamp only fires when u_j = n-1 exactly, where the residual must be 1, not 0.
+            v, ranks, j = [], [], 0
+            for xj in P:
+                j += 1
+                uj = xj - seam
+                vj = min(uj // big, n - 2)
+                v.append(vj)
+                ranks.append(j - (uj - vj * big) * d)
+            ranks.sort()
+            vt, perm = tuple(v), tuple([rank % d for rank in ranks])
+            while x < hi:
+                vd = min((x - seam) // big, n - 2)
+                base = seam + vd * big
+                stop = min(hi, base + big) if vd < n - 2 else hi
+                at = bisect_left(ranks, (1 + base - x) * d)
+                end = base + 1 - ranks[at - 1] // d if at else stop
+                if end > stop:
+                    end = stop
+                out.append((x, end, (True, vt, perm, vd, at)))
+                x = end
+        return out
 
     return place
 
 
-def _cell(plan: Plan, placed: Placed, d: int) -> Cell:
-    """The Kuhn cell ``(above_seam, v, perm)`` of a placement in ``plan``."""
-    regime, vd, at = placed
-    v, ranks = plan[regime]
-    perm = [rank % d for rank in ranks]
-    perm.insert(at, d)
-    return regime == KIND_TOP, (*v, vd), tuple(perm)
+def _cell(placed: Placed) -> Cell:
+    """The Kuhn cell ``(above_seam, v, perm)`` of a placement."""
+    above, v, perm, vd, at = placed
+    return above, (*v, vd), (*perm[:at], len(perm) + 1, *perm[at:])
 
 
 def _locate(X: Sequence[int], n: int, big: int, unit: int) -> Cell:
-    """The routing rule on one row, nothing reused: ``(above_seam, v, perm)``
-    for an in-domain x given as numerators X over ``big``, with ``unit`` =
-    D = big/(n+2)."""
-    d = len(X)
-    plan: Plan = {}
-    return _cell(plan, _placer(d, n, big, unit)(X[:-1], plan, X[-1]), d)
+    """The routing rule on one row, the piece of a run of one:
+    ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
+    ``big``, with ``unit`` = D = big/(n+2)."""
+    ((_, _, placed),) = _placer(len(X), n, big, unit)(X[:-1], X[-1], X[-1] + 1)
+    return _cell(placed)
 
 
 def _check_key(cover: CoverSpec, key: Key) -> Verdict:
@@ -259,84 +289,101 @@ def _check_key(cover: CoverSpec, key: Key) -> Verdict:
     return known, nums
 
 
-Routed = tuple[CoverElement, str, str | None]  # element, route, fallback_reason
+# x_d from, x_d to (exclusive), element, route, fallback_reason; the element
+# and route are None for rows that no element contains
+Piece = tuple[int, int, CoverElement | None, str | None, str | None]
+Route = Callable[[Sequence[int], int, int], list[Piece]]  # route(P, lo, hi): a run's pieces
 
 
-def _router(cover: CoverSpec, big: int) -> Callable[[Sequence[int]], Routed]:
-    """The step that locates a point with numerators X over ``big`` (a
-    multiple of ``cover.n + 2``) in the cover: ``route(X)`` returns
-    ``(element, route, fallback_reason)``.
+def _router(cover: CoverSpec, big: int) -> Route:
+    """The step that locates a run of points with numerators over ``big`` (a
+    multiple of ``cover.n + 2``) in the cover: ``route(P, lo, hi)`` routes the
+    rows ``P + (x,)`` for ``lo <= x < hi`` and returns their pieces ``(x0,
+    x1, element, route, fallback_reason)``, in order, covering lo..hi-1.
 
-    The formula element is returned on its kind's route when its key's
-    verdict (``_check_key``, made once per key and kept on the cover) and
-    exact containment pass.  Otherwise the exhaustive scan finds the element,
-    on the ``fallback`` route with the failed check as its reason.  ``route``
-    raises UncoveredPointError when no element contains the point, and
-    ValueError for a row whose length is not ``cover.d`` or outside the target.
+    A piece is a range of x_d in one cell (``_placer``) that passes one exact
+    check.  The cell's element is returned on its kind's route when its key's
+    verdict (``_check_key``, made once per key and kept on the cover) passes
+    and every row of the piece is contained in it.  Containment is the cell's
+    chain: the links between prefix entries are run once per piece, and
+    index d's two links, solved for x_d, give ``lower <= x_d <= upper``.  A
+    piece that fails goes row by row: a row still inside the chain keeps the
+    element; the exhaustive scan finds another one's element, a one-row piece
+    on the ``fallback`` route with the failed check as its reason, or none.
 
-    The constants of ``big`` and the routing rule (``_placer``) are set up
-    once here.  ``route`` keeps the last prefix ``X[:-1]`` and its plan, so a
-    row over the same prefix reruns only the last coordinate's part of the
-    rule and its domain test ``0 <= x_d <= x_{d-1}``; a new prefix replaces
-    the plan.  The plan keeps each placement's containment check, and the
-    router each cell's: the element, a picker of X in perm order and the
-    anchor numerators over ``big`` in the same order, or, for a failed
-    verdict, None and the failed check.  The length check and the
-    containment check run on every row, and the scan on every row whose
-    checks fail.
+    ``route`` raises ValueError for a run whose prefix length is not ``d -
+    1``, or with a row outside the target (the domain test: the prefix chain
+    ``side >= P_1 >= ... >= P_{d-1}``, ``0 <= lo`` and ``hi - 1 <=
+    P_{d-1}``); the message names the first such row.  The constants of
+    ``big`` and the routing rule are set up once here, and each placement's
+    check the first time a run lands in it: the element, the prefix indices
+    in perm order with their anchor numerators over ``big``, index d's
+    numerator and its place in perm, or, for a failed verdict, None and the
+    failed check.
     """
     d, n = cover.d, cover.n
     unit = big // (n + 2)
     side = n * big + unit
     verdicts = cover._verdicts
     place = _placer(d, n, big, unit)
-    checks: dict[Cell, tuple] = {}
-    prefix: Sequence[int] | None = None
-    plan: Plan = {}
+    checks: dict[Placed, tuple] = {}
 
-    def outside(X: Sequence[int]) -> ValueError:
-        return ValueError(f"point {point_format(_point(X, big))} is outside the target simplex")
+    def outside(P: Sequence[int], x: int) -> ValueError:
+        point = point_format(_point((*P, x), big))
+        return ValueError(f"point {point} is outside the target simplex")
 
-    def route(X: Sequence[int]) -> Routed:
-        nonlocal prefix, plan
-        if len(X) != d:
-            raise ValueError("point/cover dimension or scale mismatch")
-        P = X[:-1]
-        xd = X[-1]
-        if P != prefix:
-            if not _descends(side, X):
-                raise outside(X)
-            prefix, plan = P, {}
-        elif not 0 <= xd <= P[-1]:
-            raise outside(X)
-        placed = place(P, plan, xd)
-        check = plan.get(placed)
-        if check is None:
-            cell = _cell(plan, placed, d)
-            check = checks.get(cell)
-            if check is None:
-                above, v, perm = cell
-                key = (element_kind(above, perm), v, perm)
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    verdict = verdicts[key] = _check_key(cover, key)
-                known, nums = verdict  # a failed verdict holds its check in place of nums
-                if known is None:
-                    check = checks[cell] = (None, nums, None)
-                else:
-                    idx = [j - 1 for j in perm]
-                    offsets = tuple(nums[i] * unit for i in idx)
-                    check = checks[cell] = (known, itemgetter(*idx), offsets)
-            plan[placed] = check
-        known, pick, offsets = check  # a failed check holds its reason in place of pick
-        if known is not None and _descends(big, map(sub, pick(X), offsets)):
-            return known, known.kind, None
-        reason = pick if known is None else "not_contained"
-        x = _point(X, big)
+    def check_of(placed: Placed) -> tuple:
+        above, v, perm = _cell(placed)
+        key = (element_kind(above, perm), v, perm)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = _check_key(cover, key)
+        known, nums = verdict  # a failed verdict holds its check in place of nums
+        if known is None:
+            return None, nums, None, None, None
+        rest = [j - 1 for j in perm if j != d]
+        pick = itemgetter(*rest) if d > 2 else itemgetter(slice(1))  # a sequence either way
+        offsets = tuple([nums[i] * unit for i in rest])
+        return known, pick, offsets, nums[d - 1] * unit, perm.index(d)
+
+    def scan(P: Sequence[int], x: int, reason: str) -> Piece:
+        point = _point((*P, x), big)
         for el in cover.elements:
-            if contains(el.simplex, x):
-                return el, ROUTE_FALLBACK, reason
-        raise UncoveredPointError(f"no cover element contains in-domain point {x}")
+            if contains(el.simplex, point):
+                return x, x + 1, el, ROUTE_FALLBACK, reason
+        return x, x + 1, None, None, reason
+
+    def route(P: Sequence[int], lo: int, hi: int) -> list[Piece]:
+        if len(P) != d - 1:
+            raise ValueError("point/cover dimension or scale mismatch")
+        if not (_descends(side, P) and 0 <= lo and hi <= P[-1] + 1):
+            first = _descends(side, P) and 0 <= lo <= P[-1]  # the run's first row is inside
+            raise outside(P, P[-1] + 1 if first else lo)
+        pieces = []
+        for x0, x1, placed in place(P, lo, hi):
+            check = checks.get(placed)
+            if check is None:
+                check = checks[placed] = check_of(placed)
+            known, pick, offsets, od, at = check  # a failed check holds its reason in place of pick
+            if known is None:
+                lower, upper, reason = x1, x0, pick
+            else:
+                s = [*map(sub, pick(P), offsets)]
+                if _descends(big, s):  # the links between prefix entries
+                    lower = od + s[at] if at < d - 1 else od
+                    upper = od + (s[at - 1] if at else big)
+                    if lower <= x0 and x1 <= upper + 1:
+                        pieces.append((x0, x1, known, known.kind, None))
+                        continue
+                else:
+                    lower, upper = x1, x0
+                reason = "not_contained"
+            for x in range(x0, x1):
+                if lower <= x <= upper:
+                    pieces.append((x, x + 1, known, known.kind, None))
+                else:
+                    pieces.append(scan(P, x, reason))
+        return pieces
 
     return route
 
@@ -348,10 +395,12 @@ def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
     than ``fallback`` are the element's kind; ``fallback`` marks a defensive
     exhaustive scan and signals a defect in the routing rule.
     """
-    if cover.d != d or cover.n != n:
+    if cover.d != d or cover.n != n or len(x) != d:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
-    element, route, reason = _router(cover, big)(X)
+    ((_, _, element, route, reason),) = _router(cover, big)(X[:-1], X[-1], X[-1] + 1)
+    if element is None:
+        raise UncoveredPointError(f"no cover element contains in-domain point {_point(X, big)}")
     return WitnessResult(element, route, x, cover.delta, reason)
 
 
@@ -445,94 +494,151 @@ def _fork(children: list[Child]) -> int | None:
     return None
 
 
+class _RowError(Exception):
+    """Ends a walk at its cause, the error of the rows from index ``args[0]``."""
+
+
+def _runs_of(rows: Iterable[Sequence[int]]) -> Iterator[Run]:
+    """The rows as runs ``(prefix, low, high)``: consecutive rows that share a
+    prefix and step x_d by 1 form one.  An empty row is a run with an empty
+    prefix, which the route step refuses.  If pulling a row fails, the run
+    before it comes first, then the error."""
+    prefix: Sequence[int] | None = None
+    lo = hi = 0
+    try:
+        for X in rows:
+            P = X[:-1]
+            if P == prefix and X[-1] == hi:
+                hi += 1
+                continue
+            if prefix is not None:
+                yield prefix, lo, hi
+            prefix, lo = P, (X[-1] if X else 0)
+            hi = lo + 1
+    except Exception:
+        if prefix is not None:
+            yield prefix, lo, hi
+        raise
+    if prefix is not None:
+        yield prefix, lo, hi
+
+
 def _walk(
     cover: CoverSpec, streams: Iterable[Stream], jobs: int, children: list[Child]
 ) -> tuple[_Share, int | None]:
     """Walk the rows of ``streams`` in blocks of BLOCK_ROWS, counted across
-    streams; route the rows of this worker's blocks and skip the others.
+    streams; route the rows of this worker's blocks as runs and skip the
+    others.
 
-    A ``Rows``, list or tuple is sliced at each of this worker's blocks, so
-    another worker's block is skipped in O(1) and its rows are never made;
-    the rows of any other iterable are pulled in C.  The caller is worker 0.
-    When its walk first reaches a row of block k < jobs, it forks worker k
-    there, which goes on from that row; if the fork fails, worker 0 routes
+    A run is a prefix and a range of last coordinates (``_router``).  A
+    ``Rows`` that gives runs (the lattice) is read as runs, a run cut where a
+    block boundary falls inside it.  The rows of any other stream are merged
+    into runs (``_runs_of``); a random row is a run of one.  A ``Rows``, list
+    or tuple is sliced at each of this worker's blocks, so another worker's
+    block is skipped in O(1) and its rows are never made; the rows of any
+    other iterable are pulled in C.  The caller is worker 0.  It forks worker
+    k < jobs as soon as its walk enters a ``Rows``, list or tuple that holds
+    the first row of block k, or, in any other iterable, when it reaches that
+    row; worker k goes on from there.  If the fork fails, worker 0 routes
     block k's rows too.  Returns this worker's share and, in a forked worker,
     the write end of its pipe.  An error stops the walk; it is kept in the
-    share with the index of its row."""
+    share with the index of its row, or of the first row of its run: either
+    orders it among the workers' errors, as a run lies in one block."""
     share = _Share()
-    routes, reasons, failures, slivers = share.routes, share.reasons, share.failures, share.slivers
     m = cover.n + 2
+    base_a = KIND_BASE_A
     mine = {0}  # the workers whose blocks this one routes
     spawn = 1  # the next worker to fork
     pipe = None
-    routers: dict[int, Callable[[Sequence[int]], Routed]] = {}
+    routers: dict[int, Route] = {}
     index = 0  # the rows walked so far
-    counter = count()  # numbers the rows as they are pulled
+
+    def fork(block: int) -> None:
+        nonlocal mine, spawn, share, pipe
+        spawn += 1
+        try:
+            pipe = _fork(children)
+        except OSError:
+            mine.add(block)
+            return
+        if pipe is not None:  # worker `block`: its share starts here
+            mine, spawn, share = {block}, jobs, _Share()
+
+    def count_runs(route: Route, big: int, runs: Iterable[Run], start: int) -> int:
+        """Route the runs, the first row with index ``start``, and count them;
+        returns the index after the last row.  An error is kept with the
+        index of its run's first row, in the block of the row that raised it."""
+        routes, reasons = share.routes, share.reasons
+        failures, slivers = share.failures, share.slivers
+        plane = big // m  # the sliver plane x_d = delta
+        try:
+            for P, lo, hi in runs:
+                for x0, x1, element, kind, reason in route(P, lo, hi):
+                    if element is None:
+                        failures += [(start + x - lo, _point((*P, x), big)) for x in range(x0, x1)]
+                        continue
+                    routes[kind] += x1 - x0
+                    if reason is not None:
+                        reasons[reason] += x1 - x0
+                    if x0 <= plane and kind != base_a:
+                        slivers += [
+                            (start + x - lo, _point((*P, x), big))
+                            for x in range(x0, min(x1, plane + 1))
+                        ]
+                start += hi - lo
+        except Exception as exc:  # a run was refused, or the stream failed to give a row
+            raise _RowError(start) from exc
+        return start
+
     try:
         for big, rows in streams:
-            route_row = routers.get(big)
-            if route_row is None:
-                route_row = routers[big] = _router(cover, big)
-            counter = count(index)
+            route = routers.get(big)
+            if route is None:
+                route = routers[big] = _router(cover, big)
             if isinstance(rows, (Rows, list, tuple)):
                 first, end = index, index + len(rows)
-            else:
-                rows, end = iter(rows), None
+                while spawn < jobs and spawn * BLOCK_ROWS < end:
+                    fork(spawn)
+                runs = rows.runs if isinstance(rows, Rows) else None
+                while index < end:
+                    block = index // BLOCK_ROWS
+                    stop = min(end, (block + 1) * BLOCK_ROWS)
+                    if block % jobs in mine:
+                        i, j = index - first, stop - first
+                        part = _runs_of(rows[i:j]) if runs is None else runs(i, j)
+                        count_runs(route, big, part, index)
+                    index = stop
+                continue
+            rows = iter(rows)
             while True:
                 block, offset = divmod(index, BLOCK_ROWS)
                 take = BLOCK_ROWS - offset
-                if end is None:
-                    segment = zip(islice(rows, take), counter)
-                else:  # sliced below, if this worker routes it
-                    take = min(take, end - index)
-                    if not take:
-                        break
-                    segment = None
+                segment = islice(rows, take)
                 if block == spawn < jobs:
-                    if segment is not None:
-                        head = next(segment, None)
-                        if head is None:
-                            break
-                        segment = chain((head,), segment)
-                    spawn += 1
                     try:
-                        pipe = _fork(children)
-                    except OSError:
-                        mine.add(block)
-                    if pipe is not None:  # worker `block`: its share starts here
-                        mine, spawn, share = {block}, jobs, _Share()
-                        routes, reasons, failures, slivers = (
-                            share.routes, share.reasons, share.failures, share.slivers
-                        )
-                i = index - 1  # the index of the last row pulled
+                        head = next(segment, None)
+                    except Exception as exc:
+                        raise _RowError(index) from exc
+                    if head is None:
+                        break
+                    segment = chain((head,), segment)
+                    fork(block)
                 if block % jobs in mine:
-                    if segment is None:
-                        counter = count(index)
-                        segment = zip(rows[index - first : index - first + take], counter)
-                    for X, i in segment:
-                        try:
-                            _, route, reason = route_row(X)
-                        except UncoveredPointError:
-                            failures.append((i, _point(X, big)))
-                            continue
-                        except Exception as exc:
-                            share.error = i, exc
-                            return share, pipe
-                        routes[route] += 1
-                        if reason is not None:
-                            reasons[reason] += 1
-                        if route != KIND_BASE_A and X[-1] * m <= big:
-                            slivers.append((i, _point(X, big)))
-                elif segment is None:
-                    i += take
+                    end = count_runs(route, big, _runs_of(segment), index)
                 else:
-                    for _, i in deque(segment, maxlen=1):  # pulls the block in C
-                        pass
-                index, pulled = i + 1, i + 1 - index
+                    counter = count(index)
+                    try:
+                        deque(zip(segment, counter), maxlen=0)  # pulls the block in C
+                    except Exception as exc:
+                        raise _RowError(next(counter)) from exc
+                    end = next(counter)
+                pulled, index = end - index, end
                 if pulled < take:
                     break
-    except Exception as exc:  # the streams failed while the walk pulled a row
-        share.error = next(counter), exc
+    except _RowError as err:
+        share.error = err.args[0], err.__cause__
+    except Exception as exc:  # the streams failed between rows
+        share.error = index, exc
     return share, pipe
 
 
@@ -561,14 +667,17 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
     serialized: the report stays on the pinned wire schema.  A point is made
     exact only to be scanned (a fallback) or shown (a failure, a sliver
     violation).  Streams over one L share one ``_router`` per worker, which
-    checks each row; keys are checked once per cover and worker, and
-    containment for every point.
+    routes the rows as runs and checks each; keys are checked once per cover
+    and worker, and containment once per piece of a run, which decides it
+    for every point of the piece.
 
     The rows go in blocks of BLOCK_ROWS, counted across streams, to one
     worker per CPU this process may run on (``_jobs``, ``_walk``).  A worker
     makes only its own blocks' rows of a list, a tuple or a ``Rows`` (what
-    ``lattice_rows`` and ``random_rows`` give); it pulls and drops the rest
-    of any other iterable.  Worker 0 is this process; a forked worker sends
+    ``lattice_rows`` and ``random_rows`` give; the lattice's come as runs);
+    it pulls and drops the rest of any other iterable.  A worker is forked
+    as soon as the walk enters a stream of known length that holds its first
+    block.  Worker 0 is this process; a forked worker sends
     its share back over a pipe and ends with ``os._exit``, and every one is
     reaped before this returns or raises.  Merged, the shares give the
     report of one worker: failures and sliver violations in row order, and

@@ -404,6 +404,31 @@ def test_verify_benchmark_campaign_pinned(capsys):
     assert report["routes"] == {"top": 1328, "base_a": 26059, "base_b": 8281, "fallback": 0}
 
 
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (
+            "--d 3 --n 4 --mode lattice --q 4",
+            {"total": 176851, "covered": 176851, "failures": [],
+             "routes": {"top": 67525, "base_a": 57111, "base_b": 52215, "fallback": 0}},
+        ),
+        (
+            "--d 5 --n 2 --mode lattice --q 3 --eps 0",
+            {"total": 118755, "covered": 118755, "failures": [],
+             "routes": {"top": 2002, "base_a": 87872, "base_b": 28881, "fallback": 0}},
+        ),
+    ],
+)
+def test_verify_long_lattice_runs_pinned(capsys, argv, report):
+    # Reports pinned when each lattice row was routed alone.  These runs
+    # cross the seam and every v_d block above it.
+    code, out, _ = run(capsys, "verify", *argv.split())
+    assert code == 0
+    got = json.loads(out)
+    got.pop("elapsed_ms")
+    assert got == report
+
+
 # Runs the CLI with tally forced to 2 workers, and counts the workers forked
 # in the file named by its first argument.  A line waits in the block buffer
 # of stdout (a pipe, with PYTHONUNBUFFERED unset) when the workers fork.

@@ -19,6 +19,7 @@ from simplexcover.triangulation import (
     is_admissible,
     simplex_groups,
     tie_respecting_perms,
+    weakly_decreasing_runs,
     weakly_decreasing_vectors,
 )
 from simplexcover.verifier import in_domain
@@ -52,6 +53,22 @@ def test_weakly_decreasing_vectors_start_at_any_rank(d):
         assert len(whole) == (math.comb(bound + d, d) if bound >= 0 else d == 0)
         for start in range(len(whole) + 3):
             assert list(weakly_decreasing_vectors(d, bound, start)) == whole[start:], (bound, start)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_weakly_decreasing_runs_flatten_to_the_vectors(d):
+    # a run is one prefix and a range of last entries; from any start rank
+    # the runs, flattened, are the vectors
+    for bound in range(-1, 6):
+        whole = list(weakly_decreasing_vectors(d, bound))
+        for start in range(len(whole) + 3):
+            runs = list(weakly_decreasing_runs(d, bound, start))
+            flat = [(*head, k) for head, low, high in runs for k in range(low, high)]
+            assert flat == whole[start:], (bound, start)
+            assert len({head for head, _, _ in runs}) == len(runs)
+            for i, (head, low, high) in enumerate(runs):
+                assert 0 <= low < high == (head[-1] if head else bound) + 1
+                assert low == 0 or i == 0
 
 
 def test_tie_respecting_perms_examples():

@@ -297,12 +297,17 @@ def _orders(rows, seed):
     }
 
 
+def _route_row(route, X):
+    """``(element, route, fallback_reason)`` of X routed as a run of one; the
+    element is None where no element contains the point."""
+    ((_, _, *routed),) = route(X[:-1], X[-1], X[-1] + 1)
+    return tuple(routed)
+
+
 def _routed(route, X):
-    """``route(X)``, or None where no element contains the point."""
-    try:
-        return route(X)
-    except UncoveredPointError:
-        return None
+    """``_route_row``, or None where no element contains the point."""
+    routed = _route_row(route, X)
+    return None if routed[0] is None else routed
 
 
 def _assert_memo_agrees(cover, big, rows, seed):
@@ -328,10 +333,10 @@ def _assert_memo_agrees(cover, big, rows, seed):
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 2), (3, 3), (4, 2), (5, 1)])
 def test_prefix_memo_routes_as_a_fresh_router(d, n):
-    # The route step reuses the last prefix's plan; a router made for one row
-    # reuses nothing.  Lattice rows share prefixes with their neighbours, and
-    # reversed or shuffled rows revisit a prefix after others; random and
-    # boundary rows rarely repeat one.
+    # A router shared by a stream keeps each placement's check; a router made
+    # for one row keeps nothing.  Lattice rows share prefixes and cells with
+    # their neighbours, and reversed or shuffled rows revisit them after
+    # others; random and boundary rows rarely repeat one.
     cover = build_cover(d, n)
     for eps in (delta(n), delta(n) / 3, F(0)):
         streams = [lattice_rows(d, n, eps, q) for q in (1, 2, 3)]
@@ -345,7 +350,7 @@ def test_prefix_memo_routes_as_a_fresh_router(d, n):
 
 @pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a])
 def test_prefix_memo_falls_back_row_by_row(make):
-    # A placement whose key failed its checks is kept in the plan with the
+    # A placement whose key failed its checks is kept in the router with the
     # failed check: every row sent to it is scanned on its own and counts its
     # reason, in any order.
     cover = make()
@@ -369,8 +374,8 @@ def test_prefix_memo_falls_back_row_by_row(make):
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (5, 2)])
 def test_rows_next_to_a_memoised_prefix(d, n):
-    # A refused row neither uses nor spoils the plan of the prefix before it:
-    # the rows that follow route as a fresh router routes them.
+    # A refused row neither uses nor spoils the checks the router keeps: the
+    # rows that follow route as a fresh router routes them.
     cover = build_cover(d, n)
     big = 2 * (n + 2)
     side = n * big + big // (n + 2)
@@ -381,7 +386,7 @@ def test_rows_next_to_a_memoised_prefix(d, n):
     if d > 2:
         # a prefix that does not descend, and one with a negative entry
         refused += [P[::-1] + (0,), P[:-1] + (-1, -1)]
-    fresh = {X: verifier._router(cover, big)(X) for X in valid}
+    fresh = {X: _route_row(verifier._router(cover, big), X) for X in valid}
     for X in refused:
         if len(X) == d:
             point = point_format(tuple(F(c, big) for c in X))
@@ -389,12 +394,12 @@ def test_rows_next_to_a_memoised_prefix(d, n):
         else:
             message = "^point/cover dimension or scale mismatch$"
         route = verifier._router(cover, big)
-        assert route(valid[0]) == fresh[valid[0]]
+        assert _route_row(route, valid[0]) == fresh[valid[0]]
         for _ in range(2):  # a refused prefix is not remembered
             with pytest.raises(ValueError, match=message):
-                route(X)
+                _route_row(route, X)
         for Y in valid:
-            element, *rest = route(Y)
+            element, *rest = _route_row(route, Y)
             assert element is fresh[Y][0] and rest == list(fresh[Y][1:]), (X, Y)
 
 
@@ -692,6 +697,43 @@ def test_a_campaign_of_one_block_forks_nothing(monkeypatch):
     _assert_no_child_left()
 
 
+def test_a_worker_is_forked_before_the_caller_routes(monkeypatch):
+    # Worker 1's first block lies in the stream: the caller forks it on
+    # entering the stream, before routing a row of its own block.  A generic
+    # iterable keeps the lazy rule: the fork waits for the row it starts at.
+    cover = build_cover(3, 2)
+    big, rows = lattice_rows(3, 2, cover.delta, 1)
+    routed, forks = [], []
+    router = verifier._router
+
+    def counted(cover, big):
+        route = router(cover, big)
+
+        def counting(P, lo, hi):
+            routed.append(hi - lo)
+            return route(P, lo, hi)
+
+        return counting
+
+    def no_fork():
+        forks.append(sum(routed))
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(verifier, "_router", counted)
+    monkeypatch.setattr(verifier.os, "fork", no_fork)
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 200)
+    report = tally(cover, [(big, rows)])
+    assert forks == [0]
+    assert report.success and report.total == len(rows) == 220
+    routed.clear()
+    forks.clear()
+    lazy = tally(cover, [(big, iter(list(rows)))])
+    assert replace(lazy, elapsed_ms=0) == replace(report, elapsed_ms=0)
+    assert forks == [200]
+    _assert_no_child_left()
+
+
 def test_workers_are_reaped_after_an_interrupt(monkeypatch):
     # An interrupt in the caller stops the workers; one in a worker fails the tally.
     cover = build_cover(3, 2)
@@ -764,6 +806,10 @@ def test_lattice_rows_start_at_any_index(d, n, eps, q):
     for i in _starts(len(whole)):
         assert list(rows[i:]) == whole[i:], i
         assert list(rows[i : i + 3]) == whole[i : i + 3], i
+        # the same rows as runs, cut at both ends
+        for j in (i + 1, i + 3, len(whole)):
+            runs = rows.runs(i, min(j, len(whole)))
+            assert [(*P, x) for P, lo, hi in runs for x in range(lo, hi)] == whole[i:j], (i, j)
 
 
 @pytest.mark.parametrize("eps_of", [lambda n: F(0), delta, lambda n: delta(n) / 3])

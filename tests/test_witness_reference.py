@@ -4,7 +4,9 @@ residual ``w`` and the fallback reason must all agree, and so must
 ``UncoveredPointError`` on incomplete covers.  ``tally`` over the streams of
 ``verify --mode all`` must agree with a report made point by point from
 ``fraction_witness``, and the one-pass ``verifier._locate`` with
-``oracles.locate_two_pass``."""
+``oracles.locate_two_pass``.  The route step's pieces, row by row, and
+``tally`` under any block size and worker count must agree with each row
+located by ``locate_two_pass`` and checked by exact ``contains``."""
 
 from collections import Counter
 from dataclasses import replace
@@ -15,10 +17,17 @@ from math import comb, floor, gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_witness, locate_two_pass
-from test_verifier import _campaign, _without_origin_base_a
+from oracles import fraction_witness, locate_two_pass, make_element
+from test_verifier import (
+    _by_jobs,
+    _campaign,
+    _with_every_other_element,
+    _with_moved_anchor,
+    _without_origin_base_a,
+)
 
 from simplexcover import verifier
+from simplexcover.simplex import contains
 from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, build_cover, delta, element_kind
 from simplexcover.verifier import (
     ROUTE_FALLBACK,
@@ -243,3 +252,159 @@ def test_tally_matches_fraction_reference(d, n, q, dropped):
         assert routes[ROUTE_FALLBACK] > 0 and slivers and failures
     else:
         assert report.success
+
+
+# --- runs and pieces against the per-row reference ---------------------------
+
+
+def reference_rows(cover, big, rows):
+    """Per row over ``big``: ``(element, route, fallback_reason)``, the cell
+    from ``locate_two_pass``, its element checked by exact ``contains``, and
+    a scan where a check fails; element and route are None where no element
+    contains the row."""
+    n = cover.n
+    unit = big // (n + 2)
+    out = []
+    for X in rows:
+        x = tuple(Fraction(c, big) for c in X)
+        above, v, perm = locate_two_pass(X, n, big, unit)
+        formula = make_element(above, v, perm, n)
+        known = cover.element_index.get(formula.key)
+        if not (above or v[0] <= n):
+            reason = "v1_bound"
+        elif known is None:
+            reason = "missing"
+        elif known != formula:
+            reason = "anchor"
+        elif not contains(known.simplex, x):
+            reason = "not_contained"
+        else:
+            out.append((known, known.kind, None))
+            continue
+        scanned = next((el for el in cover.elements if contains(el.simplex, x)), None)
+        out.append((scanned, scanned and ROUTE_FALLBACK, reason))
+    return out
+
+
+def reference_tally(cover, streams):
+    """``(routes, fallback_reasons, sliver_violations, failures)`` of the
+    streams' rows from ``reference_rows``, in row order."""
+    routes, reasons, slivers, failures = Counter(dict.fromkeys(ROUTES, 0)), Counter(), [], []
+    for big, rows in streams:
+        for X, (element, route, reason) in zip(rows, reference_rows(cover, big, rows)):
+            x = tuple(Fraction(c, big) for c in X)
+            if element is None:
+                failures.append(x)
+                continue
+            routes[route] += 1
+            if reason is not None:
+                reasons[reason] += 1
+            if route != KIND_BASE_A and x[-1] <= cover.delta:
+                slivers.append(x)
+    return dict(routes), dict(sorted(reasons.items())), tuple(slivers), tuple(failures)
+
+
+def stepping_rows(big, rows):
+    """A lattice stream's rows as lists, each prefix's last coordinates in the
+    order up, down (repeating the top one), every other one, and the first
+    again: x_d steps by 1, repeats, skips and descends."""
+    by_prefix = {}
+    for X in rows:
+        by_prefix.setdefault(X[:-1], []).append(X[-1])
+    order = (ks + ks[::-1] + ks[::2] + ks[:1] for ks in by_prefix.values())
+    return big, [[*P, k] for P, ks in zip(by_prefix, order) for k in ks]
+
+
+def runs_of(rows):
+    """A stream's rows as the walk reads them: a ``Rows``' own runs, or the
+    rows merged into runs."""
+    if getattr(rows, "runs", None) is not None:
+        return rows.runs(0, len(rows))
+    return verifier._runs_of(rows)
+
+
+def routed_rows(route, runs):
+    """The router's pieces of each run, one ``(element, route,
+    fallback_reason)`` per row; the pieces must tile the run in order."""
+    out = []
+    for P, lo, hi in runs:
+        at = lo
+        for x0, x1, *routed in route(P, lo, hi):
+            assert x0 == at < x1 <= hi, (P, lo, hi)
+            out += [tuple(routed)] * (x1 - x0)
+            at = x1
+        assert at == hi
+    return out
+
+
+def assert_tally_is_the_reference(report, expected):
+    routes, reasons, slivers, failures = expected
+    assert report.total == sum(routes.values()) + len(failures)
+    assert report.routes == routes
+    assert report.fallback_reasons == reasons
+    assert report.sliver_violations == slivers
+    assert report.failures == failures
+
+
+@pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("eps_of", ["delta", "delta/2", "zero"])
+def test_runs_route_every_row_as_the_reference(d, n, q, eps_of):
+    cover = cover_of(d, n)
+    eps = {"delta": delta(n), "delta/2": delta(n) / 2, "zero": Fraction(0)}[eps_of]
+    lattice = lattice_rows(d, n, eps, q)
+    streams = [
+        lattice,
+        random_rows(d, n, eps, 100, 10 * q + d),
+        boundary_rows(d, n, eps),
+        stepping_rows(*lattice),
+    ]
+    for big, rows in streams:
+        got = routed_rows(verifier._router(cover, big), runs_of(rows))
+        expected = reference_rows(cover, big, rows)
+        assert got == expected
+        assert all(a[0] is b[0] for a, b in zip(got, expected))
+    assert_tally_is_the_reference(tally(cover, streams), reference_tally(cover, streams))
+
+
+@pytest.mark.parametrize(
+    "make", [_with_moved_anchor, _without_origin_base_a, _with_every_other_element]
+)
+@pytest.mark.parametrize("block_rows", [1, 7, 100])
+def test_workers_route_broken_covers_as_the_reference(monkeypatch, make, block_rows):
+    # fallbacks, failures and sliver violations, with runs cut at every
+    # block boundary and merged from lists whose x_d repeats, skips and
+    # descends
+    cover = make()
+    d, n = cover.d, cover.n
+    streams = _campaign(d, n, cover.delta, 2, 100, 5)[0]
+    streams.append(stepping_rows(*lattice_rows(d, n, cover.delta, 1)))
+    for big, rows in streams:
+        got = routed_rows(verifier._router(cover, big), runs_of(rows))
+        assert got == reference_rows(cover, big, rows)
+    expected = reference_tally(cover, streams)
+    assert expected[0][ROUTE_FALLBACK] > 0 and expected[1]
+    if make is _with_every_other_element:
+        assert expected[2] and expected[3]
+    for report in _by_jobs(monkeypatch, block_rows, lambda: tally(cover, streams)):
+        assert_tally_is_the_reference(report, expected)
+
+
+@pytest.mark.parametrize("d,n,q", [(2, 2, 2), (3, 2, 1), (4, 1, 1)])
+def test_a_piece_checks_each_row_against_its_cell(monkeypatch, d, n, q):
+    # Every piece is sent to one cell, each element's in turn: a row is
+    # routed to the element exactly when the element contains it, so both of
+    # index d's solved links are met at every place of d in perm; any other
+    # row is scanned, with not_contained as its reason.
+    cover = cover_of(d, n)
+    big, rows = lattice_rows(d, n, delta(n), q)
+    for el in cover.elements:
+        monkeypatch.setattr(verifier, "_cell", lambda placed, el=el: (el.kind == KIND_TOP, el.v, el.perm))
+        got = routed_rows(verifier._router(cover, big), runs_of(rows))
+        for X, routed in zip(rows, got):
+            x = tuple(Fraction(c, big) for c in X)
+            if contains(el.simplex, x):
+                assert routed == (el, el.kind, None), (el.key, X)
+            else:
+                scanned = next(e for e in cover.elements if contains(e.simplex, x))
+                assert routed == (scanned, ROUTE_FALLBACK, "not_contained"), (el.key, X)
