@@ -11,9 +11,11 @@ exact, in the same order.
 The lattice and random rows are a ``Rows``: a closed-form number of rows that
 can be entered at any index without making the rows before it, so a tally
 worker makes only the rows of its own blocks.  The lattice's rows also come as
-runs, one prefix and a range of last coordinates each, which the route step
-takes whole.  Each sampler checks its plan (``d``, ``n``, ``eps`` and its own
-size) on the call, before the first row.
+plane segments (``triangulation.Segment``): the rows that share their first
+d-2 coordinates, from one row to another, which the route step takes whole.
+The (5,2) q = 2 lattice of the benchmark's campaign is 1,330 planes.  Each
+sampler checks its plan (``d``, ``n``, ``eps`` and its own size) on the call,
+before the first row.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .arith import IntVector, Point, _point, _scale
 from .cover import delta
 from .simplex import _descends
-from .triangulation import Run, check_dn, weakly_decreasing_runs, weakly_decreasing_vectors
+from .triangulation import Segment, check_dn, weakly_decreasing_planes, weakly_decreasing_vectors
 
 RANDOM_GRID = 10**6
 _DRAW_BITS = (RANDOM_GRID + 1).bit_length()  # randint(0, RANDOM_GRID) draws this many bits
@@ -56,21 +58,21 @@ class Rows:
     i..j-1 without the rows before i.  Each call makes an iterator of its
     own, so a ``Rows`` can be walked any number of times.  ``since(i, j)``, given to the
     constructor, makes rows i..j-1 for ``0 <= i <= j <= len``.  A sampler
-    whose rows come in runs of one prefix also gives ``runs(i, j)``, the same
-    rows as runs ``(prefix, low, high)`` (``triangulation.Run``); the first and
-    last may be cut at i and j.  Otherwise ``runs`` is None."""
+    whose rows come in planes also gives ``planes(i, j)``, the same rows as
+    plane segments (``triangulation.Segment``); the first and last may be cut
+    at i and j.  Otherwise ``planes`` is None."""
 
-    __slots__ = ("_count", "_since", "runs")
+    __slots__ = ("_count", "_since", "planes")
 
     def __init__(
         self,
         count: int,
         since: Callable[[int, int], Iterator[IntVector]],
-        runs: Callable[[int, int], Iterator[Run]] | None = None,
+        planes: Callable[[int, int], Iterator[Segment]] | None = None,
     ) -> None:
         self._count = count
         self._since = since
-        self.runs = runs
+        self.planes = planes
 
     def __len__(self) -> int:
         return self._count
@@ -90,7 +92,10 @@ def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:
     integer rows over ``L = q(n+2)``: ``(L, rows)``.  ``rows`` is a ``Rows``
     of the weakly decreasing vectors with entries at most ``b =
     floor((n+eps)L)``: there are ``C(b+d, d)``, and a slice starts at its
-    first row's rank.  Its ``runs`` are those of ``weakly_decreasing_runs``.
+    first row's rank.  Its ``planes`` are those of
+    ``weakly_decreasing_planes``, the last one cut where the slice ends: a
+    plane from row ``(y0, lo)`` holds the rows before ``(y, x)`` numbered
+    ``y(y+1)/2 + x - y0(y0+1)/2 - lo``, so the cut is a square root away.
 
     The plan is checked on the call, before the first row."""
     _check_plan(d, n, eps)
@@ -102,18 +107,24 @@ def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:
     def since(start: int, stop: int) -> Iterator[IntVector]:
         return islice(weakly_decreasing_vectors(d, bound, start), stop - start)
 
-    def runs(start: int, stop: int) -> Iterator[Run]:
+    def planes(start: int, stop: int) -> Iterator[Segment]:
         left = stop - start
         if left <= 0:
             return
-        for head, low, high in weakly_decreasing_runs(d, bound, start):
-            if high - low >= left:
-                yield head, low, low + left
+        for P, y1, lo, hi in weakly_decreasing_planes(d, bound, start):
+            before = P[-1] * (P[-1] + 1) // 2 + lo  # y0(y0+1)/2 + lo
+            size = y1 * (y1 + 1) // 2 + hi - before
+            if size >= left:
+                # the first row left out, (y, x), has y(y+1)/2 + x = before + left
+                at = before + left
+                y = (math.isqrt(8 * at + 1) - 1) // 2
+                x = at - y * (y + 1) // 2
+                yield (P, y, lo, x) if x else (P, y - 1, lo, y)
                 return
-            yield head, low, high
-            left -= high - low
+            yield P, y1, lo, hi
+            left -= size
 
-    return big, Rows(math.comb(bound + d, d), since, runs)
+    return big, Rows(math.comb(bound + d, d), since, planes)
 
 
 def lattice_samples(d: int, n: int, eps: Fraction, q: int) -> Iterator[Point]:

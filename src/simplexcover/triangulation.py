@@ -62,54 +62,80 @@ def is_admissible(v: IntVector, perm: Permutation, n: int) -> bool:
 
 def weakly_decreasing_vectors(d: int, bound: int, start: int = 0) -> Iterator[IntVector]:
     """All integer vectors with bound >= v_1 >= ... >= v_d >= 0, ascending lex,
-    from the one of rank ``start`` (0 for the first) on: the runs of
-    ``weakly_decreasing_runs``, flattened."""
+    from the one of rank ``start`` (0 for the first) on: for d >= 2 the planes
+    of ``weakly_decreasing_planes``, flattened."""
     if d == 0:
         return iter([()] if start < 1 else [])
+    if d == 1:
+        return ((k,) for k in range(start, bound + 1))
     lasts = [(k,) for k in range(bound + 1)]
-    runs = weakly_decreasing_runs(d, bound, start)
-    return chain.from_iterable(map(head.__add__, lasts[low:high]) for head, low, high in runs)
+    return chain.from_iterable(
+        map((*P[:-1], y).__add__, lasts[lo if y == P[-1] else 0 : hi if y == y1 else y + 1])
+        for P, y1, lo, hi in weakly_decreasing_planes(d, bound, start)
+        for y in range(P[-1], y1 + 1)
+    )
 
 
-Run = tuple[IntVector, int, int]  # a prefix and a range low..high-1 of last entries
+# The rows Q + (y, x) of one plane Q, from (y0, lo) to (y1, hi - 1): the prefix
+# P = Q + (y0,) of the first row, y1, lo and hi.  Every row but the first
+# starts at x = 0 and every row but the last ends at x = y.
+Segment = tuple[IntVector, int, int, int]
 
 
-def weakly_decreasing_runs(d: int, bound: int, start: int = 0) -> Iterator[Run]:
-    """The vectors of ``weakly_decreasing_vectors(d, bound, start)`` as runs
-    ``(head, low, high)``: the vectors ``head + (k,)`` for ``low <= k <
-    high``, in order, one run per prefix head (d >= 1).  Every run but the
-    first has ``low = 0``.
+def _unrank(d: int, bound: int, start: int) -> list[int]:
+    """The vector of rank ``start`` among the weakly decreasing d-vectors with
+    entries at most ``bound``, for ``0 <= start < C(bound+d, d)``.
 
-    The vector of rank ``start`` is found without making those before it:
-    an entry c with k entries after it heads ``C(c+k, k)`` vectors (the
-    weakly decreasing k-vectors with entries <= c), so each entry, first to
-    last, is the c at which those counts for 0, 1, ... stop fitting in the
-    rank left.  From there it is iterative: the last entry runs over
-    0..v_{d-1} for each prefix, and the next prefix raises the rightmost entry
-    that is below its left neighbour (below ``bound`` for the first) and zeroes
-    the entries after it.
-    """
-    if bound < 0 or start >= math.comb(bound + d, d):
-        return
+    An entry c with k entries after it heads ``C(c+k, k)`` vectors, and the
+    entries below c head ``C(c+k, k+1)`` of them together (the hockey-stick
+    sum), so each entry, first to last, is the largest c at most the entry
+    before it with ``C(c+k, k+1) <= start``: a binary search, O(d log bound)
+    ``comb`` calls in all."""
     v = []
+    top = bound
     for k in range(d - 1, -1, -1):
-        c = 0
-        while start >= math.comb(c + k, k):
-            start -= math.comb(c + k, k)
-            c += 1
-        v.append(c)
-    prefix = v[:-1]
-    low = v[-1]  # the last entry of the first vector
+        low, high = 0, top
+        while low < high:
+            mid = (low + high + 1) // 2
+            if math.comb(mid + k, k + 1) <= start:
+                low = mid
+            else:
+                high = mid - 1
+        start -= math.comb(low + k, k + 1)
+        v.append(low)
+        top = low
+    return v
+
+
+def weakly_decreasing_planes(d: int, bound: int, start: int = 0) -> Iterator[Segment]:
+    """The vectors of ``weakly_decreasing_vectors(d, bound, start)`` (d >= 2)
+    as planes, one per prefix Q of the first d-2 entries, in order: the
+    segments ``(Q + (y0,), y1, lo, hi)`` whose rows are ``Q + (y, x)`` for
+    y0 <= y <= y1 and 0 <= x <= y, from ``x = lo`` on the first row and up
+    to ``x = hi - 1`` on the last.  Every plane runs to ``y1 = Q[-1]`` (to
+    ``bound`` when d = 2) and ``hi = y1 + 1``; every plane but the first
+    starts at ``y0 = lo = 0``.
+
+    The vector of rank ``start`` is found without making those before it
+    (``_unrank``).  From there it is iterative: the next prefix raises the
+    rightmost entry of Q that is below its left neighbour (below ``bound``
+    for the first) and zeroes the entries after it.  This is the one
+    enumeration loop of the lattice.
+    """
+    if d < 2 or bound < 0 or start >= math.comb(bound + d, d):
+        return
+    *prefix, y0, low = _unrank(d, bound, start)
     while True:
-        yield tuple(prefix), low, (prefix[-1] if prefix else bound) + 1
-        low = 0
-        j = d - 2
+        top = prefix[-1] if prefix else bound
+        yield (*prefix, y0), top, low, top + 1
+        y0 = low = 0
+        j = d - 3
         while j >= 0 and prefix[j] == (prefix[j - 1] if j else bound):
             j -= 1
         if j < 0:
             return
         prefix[j] += 1
-        prefix[j + 1 :] = [0] * (d - 2 - j)
+        prefix[j + 1 :] = [0] * (d - 3 - j)
 
 
 def tie_respecting_perms(v: IntVector) -> Iterator[Permutation]:

@@ -18,8 +18,9 @@ from simplexcover.triangulation import (
     enumerate_simplex_triangulation,
     is_admissible,
     simplex_groups,
+    _unrank,
     tie_respecting_perms,
-    weakly_decreasing_runs,
+    weakly_decreasing_planes,
     weakly_decreasing_vectors,
 )
 from simplexcover.verifier import in_domain
@@ -56,19 +57,63 @@ def test_weakly_decreasing_vectors_start_at_any_rank(d):
 
 
 @pytest.mark.parametrize("d", range(1, 6))
-def test_weakly_decreasing_runs_flatten_to_the_vectors(d):
-    # a run is one prefix and a range of last entries; from any start rank
-    # the runs, flattened, are the vectors
+def test_weakly_decreasing_planes_flatten_to_the_vectors(d):
+    # a plane is one prefix of d-2 entries, its rows Q + (y, x) for x <= y;
+    # from any start rank the planes, flattened, are the vectors.  A vector
+    # of one entry has no y: d = 1 has no plane
     for bound in range(-1, 6):
         whole = list(weakly_decreasing_vectors(d, bound))
         for start in range(len(whole) + 3):
-            runs = list(weakly_decreasing_runs(d, bound, start))
-            flat = [(*head, k) for head, low, high in runs for k in range(low, high)]
+            planes = list(weakly_decreasing_planes(d, bound, start))
+            if d == 1:
+                assert planes == [] and whole == [(k,) for k in range(bound + 1)]
+                continue
+            flat = [
+                (*P[:-1], y, x)
+                for P, y1, lo, hi in planes
+                for y in range(P[-1], y1 + 1)
+                for x in range(lo if y == P[-1] else 0, hi if y == y1 else y + 1)
+            ]
             assert flat == whole[start:], (bound, start)
-            assert len({head for head, _, _ in runs}) == len(runs)
-            for i, (head, low, high) in enumerate(runs):
-                assert 0 <= low < high == (head[-1] if head else bound) + 1
-                assert low == 0 or i == 0
+            assert len({P[:-1] for P, _, _, _ in planes}) == len(planes)
+            for i, (P, y1, lo, hi) in enumerate(planes):
+                assert y1 == (P[-2] if d > 2 else bound) and hi == y1 + 1
+                assert 0 <= lo <= P[-1] <= y1
+                assert P[-1] == lo == 0 or i == 0
+
+
+def _unrank_by_scan(d, bound, start):
+    """The vector of rank ``start``, each entry found by counting the
+    vectors the entries below it head, one ``comb`` call at a time."""
+    v = []
+    for k in range(d - 1, -1, -1):
+        c = 0
+        while start >= math.comb(c + k, k):
+            start -= math.comb(c + k, k)
+            c += 1
+        v.append(c)
+    return v
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_unrank_matches_the_linear_scan(d):
+    # every start rank of small bounds, and the vectors at those ranks
+    for bound in range(0, 7):
+        whole = list(weakly_decreasing_vectors(d, bound))
+        for start in range(math.comb(bound + d, d)):
+            v = _unrank(d, bound, start)
+            assert v == _unrank_by_scan(d, bound, start) == list(whole[start]), (bound, start)
+
+
+def test_unrank_at_a_large_bound():
+    # the (2, 40) q = 3 lattice's bound and more: a binary search per entry
+    rng = random.Random(5)
+    for d, bound in ((2, 10**5), (3, 3000), (5, 60)):
+        count = math.comb(bound + d, d)
+        for start in (0, 1, count // 2, count - 1, *rng.sample(range(count), 5)):
+            v = _unrank(d, bound, start)
+            assert v == _unrank_by_scan(d, bound, start), (d, bound, start)
+            assert next(weakly_decreasing_vectors(d, bound, start)) == tuple(v)
 
 
 def test_tie_respecting_perms_examples():

@@ -297,11 +297,28 @@ def _orders(rows, seed):
     }
 
 
+def _segment_rows_of(P, y1, lo, hi):
+    """The rows of a plane segment, in order."""
+    Q, y0 = P[:-1], P[-1]
+    return [
+        (*Q, y, x)
+        for y in range(y0, y1 + 1)
+        for x in range(lo if y == y0 else 0, hi if y == y1 else y + 1)
+    ]
+
+
+def _segment_rows(P, y1, lo, hi):
+    """The number of rows of a plane segment, in closed form."""
+    return y1 * (y1 + 1) // 2 + hi - P[-1] * (P[-1] + 1) // 2 - lo
+
+
 def _route_row(route, X):
-    """``(element, route, fallback_reason)`` of X routed as a run of one; the
-    element is None where no element contains the point."""
-    ((_, _, *routed),) = route(X[:-1], X[-1], X[-1] + 1)
-    return tuple(routed)
+    """``(element, route, fallback_reason)`` of X routed as a run of one, a
+    segment of one row; the element is None where no element contains the
+    point."""
+    P = X[:-1]
+    ((*_, element, kind, reason),) = route(P, P[-1] if P else 0, X[-1], X[-1] + 1)
+    return element, kind, reason
 
 
 def _routed(route, X):
@@ -310,7 +327,7 @@ def _routed(route, X):
     return None if routed[0] is None else routed
 
 
-def _assert_memo_agrees(cover, big, rows, seed):
+def _assert_shared_router_agrees(cover, big, rows, seed):
     """Each row routed through one router shared by its stream gives the
     element (by identity), route and fallback reason of a router made for that
     row alone, in every order of ``_orders``; returns the stream's ``tally``
@@ -332,7 +349,7 @@ def _assert_memo_agrees(cover, big, rows, seed):
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 5), (3, 2), (3, 3), (4, 2), (5, 1)])
-def test_prefix_memo_routes_as_a_fresh_router(d, n):
+def test_a_shared_router_routes_as_a_fresh_router(d, n):
     # A router shared by a stream keeps each placement's check; a router made
     # for one row keeps nothing.  Lattice rows share prefixes and cells with
     # their neighbours, and reversed or shuffled rows revisit them after
@@ -342,14 +359,14 @@ def test_prefix_memo_routes_as_a_fresh_router(d, n):
         streams = [lattice_rows(d, n, eps, q) for q in (1, 2, 3)]
         streams += [random_rows(d, n, eps, 200, 10 * d + n), boundary_rows(d, n, eps)]
         for i, (big, rows) in enumerate(streams):
-            reports = _assert_memo_agrees(cover, big, list(rows), seed=i)
+            reports = _assert_shared_router_agrees(cover, big, list(rows), seed=i)
             first = reports["in order"]
             assert first.success
             assert all(report == first for report in reports.values())
 
 
 @pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a])
-def test_prefix_memo_falls_back_row_by_row(make):
+def test_a_shared_router_falls_back_row_by_row(make):
     # A placement whose key failed its checks is kept in the router with the
     # failed check: every row sent to it is scanned on its own and counts its
     # reason, in any order.
@@ -357,7 +374,7 @@ def test_prefix_memo_falls_back_row_by_row(make):
     d, n = cover.d, cover.n
     fallbacks = 0
     for i, (big, rows) in enumerate(_campaign(d, n, cover.delta, 4, 300, 5)[0]):
-        reports = _assert_memo_agrees(cover, big, list(rows), seed=i)
+        reports = _assert_shared_router_agrees(cover, big, list(rows), seed=i)
         # failures and sliver violations are listed in row order
         unordered = {
             name: replace(
@@ -373,7 +390,7 @@ def test_prefix_memo_falls_back_row_by_row(make):
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (3, 2), (5, 2)])
-def test_rows_next_to_a_memoised_prefix(d, n):
+def test_rows_next_to_a_refused_row(d, n):
     # A refused row neither uses nor spoils the checks the router keeps: the
     # rows that follow route as a fresh router routes them.
     cover = build_cover(d, n)
@@ -709,9 +726,9 @@ def test_a_worker_is_forked_before_the_caller_routes(monkeypatch):
     def counted(cover, big):
         route = router(cover, big)
 
-        def counting(P, lo, hi):
-            routed.append(hi - lo)
-            return route(P, lo, hi)
+        def counting(P, y1, lo, hi):
+            routed.append(_segment_rows(P, y1, lo, hi))
+            return route(P, y1, lo, hi)
 
         return counting
 
@@ -732,6 +749,43 @@ def test_a_worker_is_forked_before_the_caller_routes(monkeypatch):
     assert replace(lazy, elapsed_ms=0) == replace(report, elapsed_ms=0)
     assert forks == [200]
     _assert_no_child_left()
+
+
+def test_the_caller_stops_at_a_workers_earlier_error(monkeypatch):
+    # Blocks of 100 rows, 2 workers: a bad row at index 150 ends worker 1's
+    # walk in its first block.  The caller routes its first block (rows
+    # before the error are its own to count), and if it gets to its second
+    # block it waits there until that worker has exited; before its next
+    # block at the latest it takes in the worker's share and stops, as every
+    # row it has left comes after the error.  The error raised is the bad
+    # row's.
+    cover = build_cover(5, 2)
+    big, rows = lattice_rows(5, 2, cover.delta, 2)
+    rows = list(rows)
+    rows.insert(150, (1, 2))
+    caller = os.getpid()
+    routed = []
+    router = verifier._router
+
+    def counted(cover, big):
+        route = router(cover, big)
+
+        def counting(P, y1, lo, hi):
+            if os.getpid() == caller:
+                if sum(routed) == 100:  # the first row of the caller's second block
+                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+                routed.append(_segment_rows(P, y1, lo, hi))
+            return route(P, y1, lo, hi)
+
+        return counting
+
+    monkeypatch.setattr(verifier, "_router", counted)
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 100)
+    with pytest.raises(ValueError, match="^point/cover dimension or scale mismatch$"):
+        tally(cover, [(big, rows)])
+    _assert_no_child_left()
+    assert sum(routed) in (100, 200)  # block 0, and block 2 unless the share came first, of 169
 
 
 def test_workers_are_reaped_after_an_interrupt(monkeypatch):
@@ -806,10 +860,12 @@ def test_lattice_rows_start_at_any_index(d, n, eps, q):
     for i in _starts(len(whole)):
         assert list(rows[i:]) == whole[i:], i
         assert list(rows[i : i + 3]) == whole[i : i + 3], i
-        # the same rows as runs, cut at both ends
+        # the same rows as plane segments, cut at both ends
         for j in (i + 1, i + 3, len(whole)):
-            runs = rows.runs(i, min(j, len(whole)))
-            assert [(*P, x) for P, lo, hi in runs for x in range(lo, hi)] == whole[i:j], (i, j)
+            planes = list(rows.planes(i, min(j, len(whole))))
+            made = [X for segment in planes for X in _segment_rows_of(*segment)]
+            assert made == whole[i:j], (i, j)
+            assert sum(_segment_rows(*segment) for segment in planes) == len(whole[i:j])
 
 
 @pytest.mark.parametrize("eps_of", [lambda n: F(0), delta, lambda n: delta(n) / 3])

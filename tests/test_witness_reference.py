@@ -286,12 +286,15 @@ def reference_rows(cover, big, rows):
     return out
 
 
-def reference_tally(cover, streams):
+def reference_tally(cover, streams, routed=None):
     """``(routes, fallback_reasons, sliver_violations, failures)`` of the
-    streams' rows from ``reference_rows``, in row order."""
+    streams' rows from ``reference_rows``, in row order; ``routed`` gives
+    each stream's ``reference_rows`` where they are made already."""
     routes, reasons, slivers, failures = Counter(dict.fromkeys(ROUTES, 0)), Counter(), [], []
-    for big, rows in streams:
-        for X, (element, route, reason) in zip(rows, reference_rows(cover, big, rows)):
+    if routed is None:
+        routed = [reference_rows(cover, big, rows) for big, rows in streams]
+    for (big, rows), outcomes in zip(streams, routed):
+        for X, (element, route, reason) in zip(rows, outcomes):
             x = tuple(Fraction(c, big) for c in X)
             if element is None:
                 failures.append(x)
@@ -315,25 +318,41 @@ def stepping_rows(big, rows):
     return big, [[*P, k] for P, ks in zip(by_prefix, order) for k in ks]
 
 
-def runs_of(rows):
-    """A stream's rows as the walk reads them: a ``Rows``' own runs, or the
-    rows merged into runs."""
-    if getattr(rows, "runs", None) is not None:
-        return rows.runs(0, len(rows))
+def segments_of(rows):
+    """A stream's rows as the walk reads them: a ``Rows``' own plane
+    segments, or the rows merged into runs, segments of one row."""
+    if getattr(rows, "planes", None) is not None:
+        return rows.planes(0, len(rows))
     return verifier._runs_of(rows)
 
 
-def routed_rows(route, runs):
-    """The router's pieces of each run, one ``(element, route,
-    fallback_reason)`` per row; the pieces must tile the run in order."""
+def routed_rows(route, segments):
+    """The router's patches of each segment, one ``(element, route,
+    fallback_reason)`` per row, in row order.  The patches must tile each
+    segment in row order: on each row, the patches that cover it follow one
+    another in x from the row's first x to its last, and their closed-form
+    counts sum to the segment's rows."""
     out = []
-    for P, lo, hi in runs:
-        at = lo
-        for x0, x1, *routed in route(P, lo, hi):
-            assert x0 == at < x1 <= hi, (P, lo, hi)
-            out += [tuple(routed)] * (x1 - x0)
-            at = x1
-        assert at == hi
+    for P, y1, lo, hi in segments:
+        Q, y0 = P[:-1], P[-1]
+        ends = {y: (lo if y == y0 else 0, hi if y == y1 else y + 1) for y in range(y0, y1 + 1)}
+        at = {y: first for y, (first, _) in ends.items()}  # the next x each row needs
+        routed = {y: [] for y in ends}
+        counted = 0
+        for ya, yb, x0, x1, u0, u1, *outcome in route(P, y1, lo, hi):
+            assert y0 <= ya <= yb <= y1, (P, y1, lo, hi)
+            assert u0 - x0 in (0, yb - ya) and u1 - x1 in (0, yb - ya), (P, y1, lo, hi)
+            counted += (yb - ya + 1) * (x1 - x0 + u1 - u0) // 2
+            for y in range(ya, yb + 1):
+                a = x0 if u0 == x0 else x0 + y - ya
+                b = x1 if u1 == x1 else x1 + y - ya
+                assert a == at[y] < b <= ends[y][1], (P, y1, lo, hi, y)
+                at[y] = b
+                routed[y] += [tuple(outcome)] * (b - a)
+        assert all(at[y] == last for y, (_, last) in ends.items()), (P, y1, lo, hi)
+        rows = [row for y in ends for row in routed[y]]
+        assert counted == len(rows) == y1 * (y1 + 1) // 2 + hi - y0 * (y0 + 1) // 2 - lo
+        out += rows
     return out
 
 
@@ -360,7 +379,7 @@ def test_runs_route_every_row_as_the_reference(d, n, q, eps_of):
         stepping_rows(*lattice),
     ]
     for big, rows in streams:
-        got = routed_rows(verifier._router(cover, big), runs_of(rows))
+        got = routed_rows(verifier._router(cover, big), segments_of(rows))
         expected = reference_rows(cover, big, rows)
         assert got == expected
         assert all(a[0] is b[0] for a, b in zip(got, expected))
@@ -380,7 +399,7 @@ def test_workers_route_broken_covers_as_the_reference(monkeypatch, make, block_r
     streams = _campaign(d, n, cover.delta, 2, 100, 5)[0]
     streams.append(stepping_rows(*lattice_rows(d, n, cover.delta, 1)))
     for big, rows in streams:
-        got = routed_rows(verifier._router(cover, big), runs_of(rows))
+        got = routed_rows(verifier._router(cover, big), segments_of(rows))
         assert got == reference_rows(cover, big, rows)
     expected = reference_tally(cover, streams)
     assert expected[0][ROUTE_FALLBACK] > 0 and expected[1]
@@ -400,7 +419,7 @@ def test_a_piece_checks_each_row_against_its_cell(monkeypatch, d, n, q):
     big, rows = lattice_rows(d, n, delta(n), q)
     for el in cover.elements:
         monkeypatch.setattr(verifier, "_cell", lambda placed, el=el: (el.kind == KIND_TOP, el.v, el.perm))
-        got = routed_rows(verifier._router(cover, big), runs_of(rows))
+        got = routed_rows(verifier._router(cover, big), segments_of(rows))
         for X, routed in zip(rows, got):
             x = tuple(Fraction(c, big) for c in X)
             if contains(el.simplex, x):
@@ -408,3 +427,53 @@ def test_a_piece_checks_each_row_against_its_cell(monkeypatch, d, n, q):
             else:
                 scanned = next(e for e in cover.elements if contains(e.simplex, x))
                 assert routed == (scanned, ROUTE_FALLBACK, "not_contained"), (el.key, X)
+
+
+# --- plane segments against the per-row reference ---------------------------
+
+PLANE_GRID = [(2, 1), (2, 5), (3, 2), (3, 4), (4, 2), (5, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("d,n", PLANE_GRID)
+def test_planes_route_every_row_as_the_reference(monkeypatch, d, n):
+    # d = 2 is one plane with an empty prefix, and n = 1 has no seam.  Every
+    # row of each lattice, routed plane by plane, gets the element, route
+    # and reason of the row located alone; tally counts the patches in
+    # closed form, whole or cut into blocks of 7 and 64 rows.
+    cover = cover_of(d, n)
+    blocks = verifier.BLOCK_ROWS
+    for eps in (delta(n), delta(n) / 3, Fraction(0)):
+        for q in (1, 2, 3):
+            stream = lattice_rows(d, n, eps, q)
+            big, rows = stream
+            expected = reference_rows(cover, big, rows)
+            got = routed_rows(verifier._router(cover, big), segments_of(rows))
+            assert got == expected, (eps, q)
+            assert all(a[0] is b[0] for a, b in zip(got, expected))
+            monkeypatch.setattr(verifier, "BLOCK_ROWS", blocks)
+            monkeypatch.setattr(verifier, "_jobs", lambda: 1)
+            one = replace(tally(cover, [stream]), elapsed_ms=0)
+            assert_tally_is_the_reference(one, reference_tally(cover, [stream], [expected]))
+            monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+            for block_rows in (7, 64):
+                monkeypatch.setattr(verifier, "BLOCK_ROWS", block_rows)
+                assert replace(tally(cover, [stream]), elapsed_ms=0) == one, (eps, q, block_rows)
+
+
+@pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_broken_covers_report_planes_as_rows_alone(make, q):
+    # A patch whose check fails goes one y at a time down the path of a row
+    # routed alone: the same fallbacks and reasons, and the same failures
+    # and sliver violations, in row order.
+    cover = make()
+    d, n = cover.d, cover.n
+    fallbacks = 0
+    for eps in (delta(n), delta(n) / 3, Fraction(0)):
+        big, rows = lattice_rows(d, n, eps, q)
+        planes = replace(tally(cover, [(big, rows)]), elapsed_ms=0)
+        alone = replace(tally(cover, [(big, [X]) for X in rows]), elapsed_ms=0)
+        assert planes == alone, eps
+        assert_tally_is_the_reference(planes, reference_tally(cover, [(big, rows)]))
+        fallbacks += planes.routes[ROUTE_FALLBACK]
+    assert fallbacks > 0
