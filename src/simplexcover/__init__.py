@@ -13,7 +13,7 @@ from .arith import (
     rat_format,
     rat_parse,
 )
-from .cover import CoverElement, CoverSpec, build_cover, cover_count, delta, iter_cover
+from .cover import CoverElement, CoverSpec, ExplicitCover, build_cover, cover_count, delta, iter_cover
 from .samplers import boundary_suite, in_domain, lattice_samples, random_samples
 from .simplex import KuhnSimplex, contains, contains_oracle, vertices
 from .triangulation import (
@@ -33,6 +33,7 @@ __all__ = [
     "CoverElement",
     "CoverSpec",
     "CoverageReport",
+    "ExplicitCover",
     "KuhnSimplex",
     "ParseError",
     "Permutation",

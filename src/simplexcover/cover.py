@@ -21,20 +21,19 @@ The elements of one (kind, v) share one anchor tuple, with one ``Fraction`` per
 distinct numerator: a cover at d=5, n=10 has 120,100 elements on 2,288
 anchors, and 31 distinct numerators.
 
-A ``CoverSpec`` is canonical or explicit.  ``build_cover(d, n)`` returns the
-canonical cover of (d, n), which makes no element until ``elements`` is read:
-``CoverSpec.member`` decides a key ``(kind, v, perm)`` by the construction's
-rule instead (a top key is a cell of the S^{n-1} triangulation, a base key a
-cell of the base slab of S^{n+1}) and makes that one element, with the anchor
-tuple ``elements`` will share.  An explicit cover, ``CoverSpec(d, n,
-elements)`` or ``replace(cover, elements=...)``, holds the tuple it was given,
-and ``member`` looks keys up in it, so a dropped or altered element is caught.
-Each given element must have dimension d and a permutation of 1..d.  A
-canonical cover's ``elements`` carry its (d, n), and a cover of another (d, n)
-refuses them: ``replace(build_cover(2, 2), n=3)`` would otherwise hold the 6
-elements of n = 2 as an explicit n = 3 cover.
-Point location (``verifier._router``'s step) asks ``member`` once per key and
-keeps its verdict on the cover.
+``build_cover(d, n)`` returns the canonical cover ``CoverSpec(d, n)``,
+identified by (d, n) alone: its ``rows`` stream the construction over n+2, and
+it makes no element until ``elements`` is read.  ``CoverSpec.member`` decides
+a key ``(kind, v, perm)`` by the construction's rule instead (a top key is a
+cell of the S^{n-1} triangulation, a base key a cell of the base slab of
+S^{n+1}) and makes that one element, with the anchor tuple ``elements`` will
+share.  ``ExplicitCover(d, n, elements)`` holds the elements given, as a
+tuple, and ``member`` looks keys up in them, so a dropped or altered element
+is caught; each must have dimension d and a permutation of 1..d.  The two
+compare, hash and print as the dataclasses they are: ``replace(build_cover(2,
+2), n=3)`` is ``build_cover(2, 3)``, and no explicit cover equals a canonical
+one.  Point location (``verifier._router``'s step) asks ``member`` once per
+key and keeps its verdict on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -46,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .arith import IntVector, Permutation, Point, _scale, is_permutation
 from .simplex import KuhnSimplex
@@ -89,75 +88,8 @@ Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators over L
 
 
-class _Elements:
-    """``CoverSpec.elements``: the tuple an explicit cover was given, or the
-    canonical cover's elements, made on first read and kept."""
-
-    def __get__(
-        self, cover: CoverSpec | None, owner: type | None = None
-    ) -> tuple[CoverElement, ...] | None:
-        if cover is None:
-            return None  # the field's default: a canonical cover
-        given = cover.__dict__["elements"]
-        return cover._canonical_elements if given is None else given
-
-    def __set__(self, cover: CoverSpec, elements: tuple[CoverElement, ...] | None) -> None:
-        cover.__dict__["elements"] = elements
-
-
-class _CanonicalElements(tuple):
-    """A canonical cover's elements, tagged with its (d, n) as ``dn``."""
-
-    def __new__(cls, elements: Iterable[CoverElement], d: int, n: int) -> _CanonicalElements:
-        tagged = super().__new__(cls, elements)
-        tagged.dn = (d, n)
-        return tagged
-
-
-@dataclass(frozen=True)
-class CoverSpec:
-    """A cover of S^{n+delta}: canonical (``elements`` not given, made from
-    the construction when first read) or explicit (the ``elements`` given).
-    Either way ``elements`` reads as a tuple; a canonical cover's is in
-    canonical order (top, then base).  A canonical cover is identified by
-    (d, n), so its ``repr``, ``hash`` and ``==`` make no element; an explicit
-    cover compares by its elements."""
-
-    d: int
-    n: int
-    elements: tuple[CoverElement, ...] = _Elements()  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        check_dn(self.d, self.n)
-        given = self.__dict__["elements"]
-        if isinstance(given, _CanonicalElements) and given.dn != (self.d, self.n):
-            d, n = given.dn
-            raise ValueError(
-                f"elements are those of build_cover({d}, {n}), given for d = {self.d}, "
-                f"n = {self.n}; the canonical cover of that (d, n) is build_cover({self.d}, {self.n})"
-            )
-        for i, el in enumerate(given or ()):
-            if len(el.v) != self.d or len(el.anchor) != self.d:
-                raise ValueError(f"element {i} is not of dimension d = {self.d}: {el}")
-            if not is_permutation(el.perm, self.d):
-                raise ValueError(f"element {i} perm {el.perm} is not a permutation of 1..{self.d}")
-
-    def __repr__(self) -> str:
-        given = self.__dict__["elements"]
-        tail = "" if given is None else f", elements={given!r}"
-        return f"CoverSpec(d={self.d!r}, n={self.n!r}{tail})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CoverSpec):
-            return NotImplemented
-        # only a canonical cover compared with an explicit one reads its elements
-        canonical = self.__dict__["elements"] is None and other.__dict__["elements"] is None
-        same = (self.d, self.n) == (other.d, other.n)
-        return same and (canonical or self.elements == other.elements)
-
-    def __hash__(self) -> int:
-        # an explicit cover may equal a canonical one, so neither hashes its elements
-        return hash((self.d, self.n))
+class _Cover:
+    """What a cover derives from its (d, n) and elements, made on first read."""
 
     @cached_property
     def delta(self) -> Fraction:
@@ -168,25 +100,48 @@ class CoverSpec:
     def element_index(self) -> dict[Key, CoverElement]:
         return {el.key: el for el in self.elements}
 
+    @cached_property
+    def _verdicts(self) -> dict[Key, Verdict]:
+        """``verifier._check_key``'s verdict per key, filled as points are routed.
+        A verdict depends on this frozen cover and the key alone, so a failed
+        one is kept too; ``replace(cover, ...)`` starts with none."""
+        return {}
+
+
+@dataclass(frozen=True)
+class CoverSpec(_Cover):
+    """The canonical cover of (d, n); ``elements`` is made from the
+    construction when first read, in canonical order (top, then base)."""
+
+    d: int
+    n: int
+
+    def __post_init__(self) -> None:
+        check_dn(self.d, self.n)
+
+    @cached_property
+    def elements(self) -> tuple[CoverElement, ...]:
+        # the elements ``member`` made for routed keys stay the cover's own;
+        # with none made, no element's key is built
+        made = {el.key: el for el, _ in self._verdicts.values() if el is not None}
+        elements = self._stream()
+        if made:
+            elements = (made.get(el.key, el) for el in elements)
+        return tuple(elements)
+
     def rows(self) -> tuple[int, Iterator[Row]]:
-        """``(L, rows)``: the cover's elements, in order, as integer rows
-        ``(kind, v, perm, anchor numerators over L)``.  A canonical cover
-        streams the construction over ``L = n + 2`` and makes no element; an
-        explicit cover's anchors are scaled to ``L = lcm(n + 2, their
-        denominators)``."""
-        given = self.__dict__["elements"]
-        if given is None:
-            return self.n + 2, _canonical_rows(cover_groups(self.d, self.n), self.n)
-        big, anchors = _scale([el.anchor for el in given], self.n)
-        return big, ((el.kind, el.v, el.perm, tuple(nums)) for el, nums in zip(given, anchors))
+        """``(L, rows)``: the elements, in order, as integer rows ``(kind, v,
+        perm, anchor numerators over L)``, streamed from the construction over
+        ``L = n + 2``; no element is made."""
+        return self.n + 2, _canonical_rows(cover_groups(self.d, self.n), self.n)
 
     def member(self, key: Key) -> CoverElement | None:
-        """The cover's element with this key, or None if it has none: the
-        ``element_index`` lookup once the cover holds its elements, else the
+        """The element with this key, or None if the cover has none: the
+        ``element_index`` lookup once ``elements`` is read, else the
         construction's rule, which makes the element with the anchor tuple
         ``elements`` will share.  ``verifier._check_key`` asks once per key and
         keeps the element in its verdict, and ``elements`` reuses it."""
-        if self._held() is not None:
+        if "elements" in self.__dict__:
             return self.element_index.get(key)
         kind, v, perm = key
         n = self.n
@@ -204,14 +159,9 @@ class CoverSpec:
         anchor = self._anchors[kind, v] = self._anchor(kind, v, anchor_numerators(kind, v, n))
         return CoverElement(kind, v, perm, anchor)
 
-    def _held(self) -> tuple[CoverElement, ...] | None:
-        """The elements given, or a canonical cover's once read, else None."""
-        given = self.__dict__["elements"]
-        return self.__dict__.get("_canonical_elements") if given is None else given
-
     def _anchor(self, kind: str, v: IntVector, nums: IntVector) -> Point:
-        """The anchor of the canonical (kind, v) elements, numerators ``nums`` over
-        n+2: the one ``member`` made, else a new tuple of ``_coordinates``."""
+        """The anchor of the (kind, v) elements, numerators ``nums`` over n+2:
+        the one ``member`` made, else a new tuple of ``_coordinates``."""
         anchor = self._anchors.get((kind, v))
         if anchor is None:
             coordinates = self._coordinates
@@ -221,7 +171,7 @@ class CoverSpec:
             anchor = tuple(map(coordinates.__getitem__, nums))
         return anchor
 
-    def _canonical_stream(self) -> Iterator[CoverElement]:
+    def _stream(self) -> Iterator[CoverElement]:
         # the construction's rows on one lattice anchor share its v, so
         # ``_anchor`` is asked once per kind on each v
         last = None
@@ -234,18 +184,8 @@ class CoverSpec:
             yield CoverElement(kind, v, perm, a)
 
     @cached_property
-    def _canonical_elements(self) -> _CanonicalElements:
-        # the elements ``member`` made for routed keys stay the cover's own;
-        # with none made, no element's key is built
-        made = {el.key: el for el, _ in self._verdicts.values() if el is not None}
-        elements = self._canonical_stream()
-        if made:
-            elements = (made.get(el.key, el) for el in elements)
-        return _CanonicalElements(elements, self.d, self.n)
-
-    @cached_property
     def _coordinates(self) -> dict[int, Fraction]:
-        """A canonical cover's anchor coordinates, by numerator over n+2."""
+        """The anchor coordinates, by numerator over n+2."""
         return {}
 
     @cached_property
@@ -253,12 +193,38 @@ class CoverSpec:
         """The anchor tuples ``member`` made, by (kind, v)."""
         return {}
 
-    @cached_property
-    def _verdicts(self) -> dict[Key, Verdict]:
-        """``verifier._check_key``'s verdict per key, filled as points are routed.
-        A verdict depends on this frozen cover and the key alone, so a failed
-        one is kept too; ``replace(cover, ...)`` starts with none."""
-        return {}
+
+@dataclass(frozen=True)
+class ExplicitCover(_Cover):
+    """A cover given as its elements, kept in the given order as a tuple."""
+
+    d: int
+    n: int
+    elements: tuple[CoverElement, ...]
+
+    def __post_init__(self) -> None:
+        check_dn(self.d, self.n)
+        elements = tuple(self.elements)  # a generator is read once, here
+        object.__setattr__(self, "elements", elements)
+        for i, el in enumerate(elements):
+            if len(el.v) != self.d or len(el.anchor) != self.d:
+                raise ValueError(f"element {i} is not of dimension d = {self.d}: {el}")
+            if not is_permutation(el.perm, self.d):
+                raise ValueError(f"element {i} perm {el.perm} is not a permutation of 1..{self.d}")
+
+    def rows(self) -> tuple[int, Iterator[Row]]:
+        """``(L, rows)``: the elements, in order, as integer rows ``(kind, v,
+        perm, anchor numerators over L)``, with ``L = lcm(n + 2, the anchors'
+        denominators)``."""
+        big, anchors = _scale([el.anchor for el in self.elements], self.n)
+        return big, ((el.kind, el.v, el.perm, tuple(nums)) for el, nums in zip(self.elements, anchors))
+
+    def member(self, key: Key) -> CoverElement | None:
+        """The element with this key, or None if the cover has none."""
+        return self.element_index.get(key)
+
+
+Cover = CoverSpec | ExplicitCover
 
 
 def delta(n: int) -> Fraction:
@@ -329,7 +295,7 @@ def iter_cover(d: int, n: int) -> Iterator[CoverElement]:
 
     (d, n) is checked on the call, before the first element is made.
     """
-    return CoverSpec(d, n)._canonical_stream()
+    return CoverSpec(d, n)._stream()
 
 
 def _canonical_rows(groups: Iterator[AnchorGroup], n: int) -> Iterator[Row]:

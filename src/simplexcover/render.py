@@ -1,9 +1,10 @@
 """Static SVG figures of two-dimensional covers, written as a stream of chunks.
 
 The only floating point in the package lives here, and it starts from
-integers.  Each element is read as a row of ``CoverSpec.rows``: its kind, its
-permutation and its anchor numerators over one denominator ``L`` (n+2 for a
-canonical cover, which makes no element; ``CoverSpec`` checks an explicit one).
+integers.  Each element is read as a row of the cover's ``rows``: its kind,
+its permutation and its anchor numerators over one denominator ``L`` (n+2 for
+the canonical cover, which makes no element; ``ExplicitCover`` checks the
+elements it is given).
 Vertex k of an element is its anchor numerators plus ``L`` on the first k
 indices of its permutation.  Each distinct vertex is converted once, by
 ``int / L`` true division (correctly rounded, so the float
@@ -28,7 +29,7 @@ import math
 from typing import Iterator
 
 from .arith import IntVector
-from .cover import CoverSpec
+from .cover import Cover
 
 FILL = {"top": "#4c72b0", "base_a": "#55a868", "base_b": "#dd8452"}
 STROKE = {"top": "#2b4a76", "base_a": "#2f6b3c", "base_b": "#9c5220"}
@@ -41,12 +42,12 @@ CHUNK_LINES = 256  # polygon or label lines per chunk; a chunk stays under 64 Ki
 _EQ = (1.0, -0.5, 0.0, math.sqrt(3.0) / 2.0)
 
 
-def render_svg(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> str:
+def render_svg(cover: Cover, equilateral: bool = False, labels: bool = False) -> str:
     """Render the target outline and every cover element as translucent polygons."""
     return "".join(svg_chunks(cover, equilateral, labels))
 
 
-def svg_chunks(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> Iterator[str]:
+def svg_chunks(cover: Cover, equilateral: bool = False, labels: bool = False) -> Iterator[str]:
     """``render_svg``'s text as a stream of chunks of at most ``CHUNK_LINES``
     lines.  A cover of d other than 2 is a ValueError on the call, and the
     rows are read then too, so the stream itself only formats text."""

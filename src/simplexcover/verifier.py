@@ -48,8 +48,8 @@ built with.
 
 The formula element is then checked: a base anchor must have ``v_1 <= n``
 (``v1_bound``), the cover must hold an element with its key (``missing``:
-``CoverSpec.member``, the construction's rule for a canonical cover, a lookup
-for an explicit one) whose anchor equals the formula (``anchor``, compared by
+the cover's ``member``: the construction's rule for ``CoverSpec``, a lookup
+for ``ExplicitCover``) whose anchor equals the formula (``anchor``, compared by
 cross-multiplying), and that element must exactly contain x
 (``not_contained``).  A failed check (an implementation defect, never
 observed) falls back to an exhaustive scan of the cover so location stays
@@ -122,8 +122,8 @@ from .cover import (
     KIND_BASE_A,
     KIND_BASE_B,
     KIND_TOP,
+    Cover,
     CoverElement,
-    CoverSpec,
     Key,
     Verdict,
     anchor_numerators,
@@ -401,15 +401,7 @@ def _cell(placed: Placed) -> Cell:
     return above, (*v, vd), (*perm[:at], len(perm) + 1, *perm[at:])
 
 
-def _locate(X: Sequence[int], n: int, big: int, unit: int) -> Cell:
-    """The routing rule on one row, the patch of a segment of one row:
-    ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
-    ``big``, with ``unit`` = D = big/(n+2)."""
-    ((*_, placed),) = _placer(len(X), n, big, unit)(X[:-1], X[-2], X[-1], X[-1] + 1)
-    return _cell(placed)
-
-
-def _check_key(cover: CoverSpec, key: Key) -> Verdict:
+def _check_key(cover: Cover, key: Key) -> Verdict:
     """The checks that depend on the key alone: ``(element, anchor numerators)``
     when the key passes ``v1_bound``, ``missing`` and ``anchor``, else
     ``(None, the failed check)``."""
@@ -421,7 +413,7 @@ def _check_key(cover: CoverSpec, key: Key) -> Verdict:
     if known is None:
         return None, "missing"
     nums = anchor_numerators(kind, v, n)
-    # a cover's elements have d coordinates (CoverSpec checks), so zip drops none
+    # a cover's elements have d coordinates (ExplicitCover checks), so zip drops none
     if any(a.numerator * (n + 2) != num * a.denominator for a, num in zip(known.anchor, nums)):
         return None, "anchor"
     return known, nums
@@ -434,7 +426,7 @@ Patch = tuple[int, int, int, int, int, int, CoverElement | None, str | None, str
 Route = Callable[[Sequence[int], int, int, int], list[Patch]]  # route(P, y1, lo, hi)
 
 
-def _router(cover: CoverSpec, big: int) -> Route:
+def _router(cover: Cover, big: int) -> Route:
     """The step that locates a plane segment of points with numerators over
     ``big`` (a multiple of ``cover.n + 2``) in the cover: ``route(P, y1, lo,
     hi)`` routes the rows of the segment (``_placer``, ``triangulation.Segment``)
@@ -571,7 +563,7 @@ def _router(cover: CoverSpec, big: int) -> Route:
     return route
 
 
-def witness(x: Point, d: int, n: int, cover: CoverSpec) -> WitnessResult:
+def witness(x: Point, d: int, n: int, cover: Cover) -> WitnessResult:
     """Produce a cover element exactly containing x, with its route.
 
     The element returned is always the cover's own instance.  Routes other
@@ -730,7 +722,7 @@ def _receive(children: list[Child], child: Child) -> _Share:
 
 
 def _walk(
-    cover: CoverSpec,
+    cover: Cover,
     streams: Iterable[Stream],
     jobs: int,
     children: list[Child],
@@ -883,7 +875,7 @@ def _walk(
     return share, pipe
 
 
-def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
+def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
     """Route every row of every ``(L, rows)`` stream through the cover, verify
     membership exactly, aggregate the outcome.
 
@@ -967,7 +959,7 @@ def tally(cover: CoverSpec, streams: Iterable[Stream]) -> CoverageReport:
 
 
 def coverage_report(
-    cover: CoverSpec, samples: Iterable[Point], eps: Fraction | None = None
+    cover: Cover, samples: Iterable[Point], eps: Fraction | None = None
 ) -> CoverageReport:
     """``tally`` over Fraction points, each scaled to its own row over its own
     L; consecutive points over one L go as one stream.

@@ -13,8 +13,8 @@ from typing import Iterable, Iterator, Sequence
 from simplexcover.arith import IntVector, Permutation, Point
 from simplexcover.cover import (
     KIND_TOP,
+    Cover,
     CoverElement,
-    CoverSpec,
     anchor_coordinate,
     anchor_numerators,
     element_kind,
@@ -116,7 +116,7 @@ class PartitionReport:
         return self.volume_ok and not self.bad_points
 
 
-def bruteforce_containing(cover: CoverSpec, x: Point) -> tuple[CoverElement, ...]:
+def bruteforce_containing(cover: Cover, x: Point) -> tuple[CoverElement, ...]:
     """All cover elements containing x, decided by the barycentric oracle."""
     return tuple(el for el in cover.elements if contains_oracle(el.simplex, x))
 
@@ -217,10 +217,10 @@ def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
 def locate_two_pass(
     X: Sequence[int], n: int, big: int, unit: int
 ) -> tuple[bool, IntVector, Permutation]:
-    """``verifier._locate`` in two passes over the whole row, the reference
-    for its split into prefix and last coordinate: ``(above_seam, v, perm)``
-    for an in-domain x given as numerators X over ``big``, with ``unit`` =
-    big/(n+2).  The type-(a) residuals are all made before the type-(b) test,
+    """The routing rule of ``verifier._placer`` in two passes over the whole
+    row, the reference for its split into prefix and last coordinate:
+    ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
+    ``big``, with ``unit`` = big/(n+2).  The type-(a) residuals are all made before the type-(b) test,
     and ``rank_descending`` orders all d of them."""
     xd = X[-1]
     seam = big + unit
@@ -280,7 +280,7 @@ def _locate(
 
 
 def fraction_witness(
-    x: Point, d: int, n: int, cover: CoverSpec
+    x: Point, d: int, n: int, cover: Cover
 ) -> tuple[str, CoverElement, Point, str | None]:
     """Point location entirely on Fractions, the way ``witness`` decided it
     before its integer kernel: ``(route, element, w, fallback_reason)``, with
@@ -321,7 +321,7 @@ def _to_plane(p: tuple[Fraction, Fraction], equilateral: bool) -> tuple[float, f
     return (x, y)
 
 
-def render_svg_fractions(cover: CoverSpec, equilateral: bool = False, labels: bool = False) -> str:
+def render_svg_fractions(cover: Cover, equilateral: bool = False, labels: bool = False) -> str:
     """``render.render_svg`` on Fractions, the reference for its integer rows:
     every element's ``vertices`` converted with ``float`` one by one, and every
     vertex of every polygon formatted on its own."""

@@ -15,6 +15,7 @@ from simplexcover import cli
 from simplexcover.arith import rat_format
 from simplexcover.cover import (
     CoverElement,
+    ExplicitCover,
     anchor_numerator,
     anchor_numerators,
     build_cover,
@@ -496,13 +497,9 @@ def test_verify_names_fallback_reasons(capsys, monkeypatch):
     cover = build_cover(2, 1)
     key = ("base_b", (1, 0), (2, 1))
     moved = replace(cover.element_index[key], anchor=(Fraction(1), Fraction(0)))
-    broken = replace(
-        cover,
-        elements=tuple(
-            moved if el.key == key else el
-            for el in cover.elements
-            if el.key != ("base_a", (0, 0), (1, 2))
-        ),
+    dropped = ("base_a", (0, 0), (1, 2))
+    broken = ExplicitCover(
+        2, 1, (moved if el.key == key else el for el in cover.elements if el.key != dropped)
     )
     monkeypatch.setattr(cli, "build_cover", lambda d, n: broken)
     code, out, err = run(capsys, "verify", "--d", "2", "--n", "1", "--mode", "lattice", "--q", "2")

@@ -15,6 +15,7 @@ from simplexcover.cover import (
     KINDS,
     CoverElement,
     CoverSpec,
+    ExplicitCover,
     anchor_numerators,
     build_cover,
     cover_count,
@@ -201,7 +202,7 @@ def test_canonical_membership_is_the_explicit_covers(monkeypatch, d, n):
     # not only weakly decreasing ones, every permutation) gets the same
     # verdict and an equal element from the construction's rule as from the
     # explicit tuple; the rule enumerates nothing.
-    explicit = CoverSpec(d, n, tuple(iter_cover(d, n)))
+    explicit = ExplicitCover(d, n, iter_cover(d, n))
     canonical = build_cover(d, n)
 
     def refuse(*args):
@@ -260,7 +261,7 @@ def test_rows_of_an_explicit_cover_are_its_anchors_over_one_denominator(d, n):
     elements = build_cover(d, n).elements
     first = elements[0]
     anchor = (first.anchor[0] + F(1, 7), first.anchor[1] - F(1, 3), *first.anchor[2:])
-    explicit = CoverSpec(d, n, (replace(first, anchor=anchor), *elements[1:]))
+    explicit = ExplicitCover(d, n, (replace(first, anchor=anchor), *elements[1:]))
     big, rows = explicit.rows()
     assert big == math.lcm(n + 2, 21)
     rows = list(rows)
@@ -307,47 +308,60 @@ def test_canonical_repr_hash_and_equality_make_no_element(monkeypatch):
 
 def test_explicit_covers_compare_by_their_elements(monkeypatch):
     canonical = build_cover(3, 2)
-    explicit = CoverSpec(3, 2, tuple(iter_cover(3, 2)))
+    explicit = ExplicitCover(3, 2, iter_cover(3, 2))
     shorter = replace(explicit, elements=explicit.elements[1:])
     made = count_made(monkeypatch)
     assert shorter != explicit and explicit != shorter
-    assert explicit == CoverSpec(3, 2, explicit.elements)
+    assert explicit == ExplicitCover(3, 2, explicit.elements)
+    assert hash(explicit) == hash(ExplicitCover(3, 2, explicit.elements))
     assert made == []  # two explicit covers: no canonical element is read
-    assert explicit == canonical and canonical == explicit
-    assert hash(explicit) == hash(canonical)
-    assert shorter != canonical
-    assert repr(explicit).startswith("CoverSpec(d=3, n=2, elements=(CoverElement(kind='top'")
+    # an explicit cover is never the canonical one, even with its elements
+    assert explicit != canonical and canonical != explicit
+    assert repr(explicit).startswith("ExplicitCover(d=3, n=2, elements=(CoverElement(kind='top'")
+
+
+def test_an_explicit_cover_takes_any_iterable_of_elements():
+    # a generator is read once, before the elements are checked, so the
+    # cover holds them all instead of an exhausted generator
+    elements = tuple(iter_cover(2, 1))
+    held = ExplicitCover(2, 1, elements)
+    x = (F(1, 2), F(1, 3))
+    for given in (iter_cover(2, 1), list(elements)):
+        cover = ExplicitCover(2, 1, given)
+        assert cover.elements == elements and type(cover.elements) is tuple
+        assert cover == held and hash(cover) == hash(held)
+        assert witness(x, 2, 1, cover) == witness(x, 2, 1, held)
 
 
 @pytest.mark.parametrize("change", [{"n": 3}, {"d": 3}, {"d": 3, "n": 3}])
-def test_replace_refuses_a_canonical_cover_of_another_size(change):
-    # replace() reads the source's elements: held for a new (d, n), they would
-    # be an explicit cover missing every element the new (d, n) needs
-    cover = build_cover(2, 2)
+def test_replace_gives_the_canonical_cover_of_another_size(monkeypatch, change):
+    # a canonical cover is its (d, n): replace() reads no element of the
+    # source, even one of about 8 * 10^12 elements at d = 8, n = 40
+    made = count_made(monkeypatch)
     d, n = change.get("d", 2), change.get("n", 2)
-    with pytest.raises(ValueError, match=rf"those of build_cover\(2, 2\), given for d = {d}, n = {n}"):
-        replace(cover, **change)
-    read = build_cover(2, 2)
-    with pytest.raises(ValueError, match=r"build_cover\(2, 2\)"):
-        CoverSpec(d, n, read.elements)
+    assert replace(build_cover(2, 2), **change) == build_cover(d, n)
+    assert replace(build_cover(8, 40), n=41) == build_cover(8, 41)
+    assert made == []
 
 
 def test_replace_with_elements_keeps_an_explicit_cover():
-    cover = build_cover(2, 2)
-    same = replace(cover, elements=cover.elements)
-    assert same.__dict__["elements"] is cover.elements
-    assert same == cover and replace(same) == cover
-    shorter = replace(cover, elements=cover.elements[1:])
-    assert shorter.elements == cover.elements[1:] and shorter != cover
-    assert replace(shorter, n=3).elements == shorter.elements  # a plain tuple is not tagged
+    elements = build_cover(2, 2).elements
+    same = ExplicitCover(2, 2, elements)
+    assert same.elements is elements
+    assert replace(same) == same
+    shorter = replace(same, elements=elements[1:])
+    assert shorter.elements == elements[1:] and shorter != same
+    assert replace(shorter, n=3).elements == shorter.elements
+    with pytest.raises(TypeError):
+        replace(build_cover(2, 2), elements=elements)  # a canonical cover takes none
 
 
 def test_an_explicit_cover_of_a_plain_tuple_keeps_any_n():
     elements = tuple(build_cover(2, 2).elements)
-    explicit = CoverSpec(2, 3, elements)
+    explicit = ExplicitCover(2, 3, elements)
     assert explicit.elements == elements and explicit.n == 3
     assert explicit != build_cover(2, 3)
-    assert CoverSpec(2, 2, elements) == build_cover(2, 2)
+    assert explicit != ExplicitCover(2, 2, elements)
 
 
 @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (4, 2)])

@@ -12,6 +12,7 @@ PUBLIC = {
     "CoverElement",
     "CoverSpec",
     "CoverageReport",
+    "ExplicitCover",
     "KuhnSimplex",
     "ParseError",
     "Permutation",
@@ -58,12 +59,13 @@ NOT_SHIPPED = (
     "strictly_contains",
     "rank_descending",
     "_to_plane",
+    "_locate",
 )
 
 
 def test_package_surface():
     assert all(hasattr(simplexcover, name) for name in simplexcover.__all__)
-    assert len(simplexcover.__all__) == len(PUBLIC) == 29
+    assert len(simplexcover.__all__) == len(PUBLIC) == 30
     assert set(simplexcover.__all__) == PUBLIC
 
     modules = [simplexcover] + [

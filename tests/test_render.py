@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import render_svg_fractions
-from simplexcover.cover import CoverElement, build_cover
+from simplexcover.cover import CoverElement, ExplicitCover, build_cover
 from simplexcover.render import CHUNK_LINES, render_svg, svg_chunks
 
 POINTS_RE = re.compile(r'<polygon points="([^"]+)"')
@@ -93,7 +93,7 @@ def off_grid(elements):
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_explicit_covers_match_the_fraction_render(n, edit, equilateral, labels):
     cover = build_cover(2, n)
-    explicit = replace(cover, elements=edit(cover.elements))
+    explicit = ExplicitCover(2, n, edit(cover.elements))
     expected = render_svg_fractions(explicit, equilateral, labels)
     assert render_svg(explicit, equilateral, labels) == expected
     assert render_svg(explicit, equilateral, labels) != render_svg(cover, equilateral, labels)
@@ -104,7 +104,7 @@ def test_canonical_render_makes_no_element(monkeypatch):
     monkeypatch.setattr(CoverElement, "__post_init__", lambda el: made.append(el))
     cover = build_cover(2, 50)
     svg = render_svg(cover, equilateral=True, labels=True)
-    assert "_canonical_elements" not in cover.__dict__
+    assert "elements" not in cover.__dict__  # the cached_property was never read
     assert made == []
     assert svg.count("<polygon") == 51**2 + 49**2 - 50**2 + 1
 
@@ -123,7 +123,7 @@ def test_rejects_an_element_whose_perm_is_not_a_permutation(perm, anchor):
     cover = build_cover(2, 2)
     bad = CoverElement("base_a", (0, 0), perm, tuple(Fraction(c) for c in anchor))
     with pytest.raises(ValueError, match="is not a permutation of 1..2"):
-        replace(cover, elements=(*cover.elements, bad))
+        ExplicitCover(2, 2, (*cover.elements, bad))
 
 
 def test_an_element_of_another_dimension_is_refused_before_drawing():
@@ -131,7 +131,7 @@ def test_an_element_of_another_dimension_is_refused_before_drawing():
     cover = build_cover(2, 2)
     bad = CoverElement("base_a", (0, 0, 0), (1, 2, 3), (0, 0, 0))
     with pytest.raises(ValueError, match="element 6 is not of dimension d = 2"):
-        replace(cover, elements=(*cover.elements, bad))
+        ExplicitCover(2, 2, (*cover.elements, bad))
 
 
 def side_lengths(poly):
@@ -176,7 +176,7 @@ MAX_CHUNK_CHARS = 64 * 1024
 def test_the_stream_joins_to_the_figure(explicit, labels):
     cover = build_cover(2, STREAM_N)
     if explicit:
-        cover = replace(cover, elements=off_grid(cover.elements)[::-1])
+        cover = ExplicitCover(2, STREAM_N, off_grid(cover.elements)[::-1])
     chunks = list(svg_chunks(cover, True, labels))
     assert len(cover.elements) > 6 * CHUNK_LINES
     assert "".join(chunks) == render_svg(cover, True, labels)

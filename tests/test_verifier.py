@@ -21,7 +21,7 @@ from oracles import (
 )
 from simplexcover import cli, verifier
 from simplexcover.arith import _scale, point_format
-from simplexcover.cover import KIND_BASE_A, build_cover, delta
+from simplexcover.cover import KIND_BASE_A, ExplicitCover, build_cover, delta
 from simplexcover.simplex import KuhnSimplex
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
 from simplexcover.verifier import (
@@ -165,9 +165,8 @@ def test_coverage_report_sliver_violation_fails():
 def _without_origin_base_a():
     """(2, 2) without its base_a element at the origin."""
     cover = build_cover(2, 2)
-    return replace(
-        cover,
-        elements=tuple(el for el in cover.elements if el.key != (KIND_BASE_A, (0, 0), (1, 2))),
+    return ExplicitCover(
+        2, 2, (el for el in cover.elements if el.key != (KIND_BASE_A, (0, 0), (1, 2)))
     )
 
 
@@ -177,13 +176,9 @@ def _with_moved_anchor():
     cover = build_cover(2, 1)
     key = ("base_b", (1, 0), (2, 1))
     moved = replace(cover.element_index[key], anchor=(F(1), F(0)))
-    return replace(
-        cover,
-        elements=tuple(
-            moved if el.key == key else el
-            for el in cover.elements
-            if el.key != (KIND_BASE_A, (0, 0), (1, 2))
-        ),
+    dropped = (KIND_BASE_A, (0, 0), (1, 2))
+    return ExplicitCover(
+        2, 1, (moved if el.key == key else el for el in cover.elements if el.key != dropped)
     )
 
 
@@ -613,7 +608,7 @@ def _with_every_other_element():
     """(3, 2) with every other element dropped: points fall back, some are
     uncovered, some break the sliver rule."""
     cover = build_cover(3, 2)
-    return replace(cover, elements=cover.elements[::2])
+    return ExplicitCover(3, 2, cover.elements[::2])
 
 
 @pytest.mark.parametrize("make", [_with_moved_anchor, _without_origin_base_a, _with_every_other_element])

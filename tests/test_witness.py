@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import locate_two_pass
 from simplexcover import cover as cover_module
 from simplexcover import verifier
 from simplexcover.arith import point_parse
@@ -12,6 +13,7 @@ from simplexcover.cover import (
     KIND_BASE_B,
     KIND_TOP,
     CoverElement,
+    ExplicitCover,
     build_cover,
     delta,
     element_kind,
@@ -165,7 +167,7 @@ def test_witness_soundness_and_invariants(d, n):
 def pruned(cover, drop_key):
     kept = tuple(el for el in cover.elements if el.key != drop_key)
     assert len(kept) == len(cover.elements) - 1
-    return replace(cover, elements=kept)
+    return ExplicitCover(cover.d, cover.n, kept)
 
 
 def test_witness_fallback_on_incomplete_cover():
@@ -192,11 +194,11 @@ def test_an_element_of_another_dimension_is_refused_before_routing():
     kept = tuple(el for el in cover.elements if el.key != key)
     bad = CoverElement("base_a", (0, 0, 0), (1, 2, 3), (0, 0, 0))
     with pytest.raises(ValueError, match=f"element {len(kept)} is not of dimension d = 2"):
-        replace(cover, elements=(*kept, bad))
+        ExplicitCover(2, 2, (*kept, bad))
     with pytest.raises(ValueError, match="element 0 is not of dimension d = 2"):
-        replace(cover, elements=(replace(kept[0], v=(0, 0, 0)), *kept[1:]))
+        ExplicitCover(2, 2, (replace(kept[0], v=(0, 0, 0)), *kept[1:]))
     with pytest.raises(UncoveredPointError, match="no cover element contains"):
-        witness(x, 2, 2, replace(cover, elements=kept))
+        witness(x, 2, 2, ExplicitCover(2, 2, kept))
 
 
 def test_witness_fallback_on_altered_anchor():
@@ -207,9 +209,7 @@ def test_witness_fallback_on_altered_anchor():
     key = (KIND_BASE_A, (0, 0), (1, 2))
     moved = replace(cover.element_index[key], anchor=pt(F(1, 10), F(0)))
     assert contains(moved.simplex, x)
-    broken = replace(
-        cover, elements=tuple(moved if el.key == key else el for el in cover.elements)
-    )
+    broken = ExplicitCover(2, 1, (moved if el.key == key else el for el in cover.elements))
     res = witness(x, 2, 1, broken)
     assert res.route == ROUTE_FALLBACK
     assert res.fallback_reason == "anchor"
@@ -310,12 +310,14 @@ def test_a_failed_verdict_is_kept(monkeypatch):
 
 def test_a_replaced_cover_starts_without_verdicts(monkeypatch):
     cover = build_cover(2, 1)
+    explicit = ExplicitCover(2, 1, cover.elements)
     x = pt(F(9, 10), F(1, 10))
     witness(x, 2, 1, cover)
+    witness(x, 2, 1, explicit)
     calls = counted_check_key(monkeypatch)
-    copy = replace(cover, elements=cover.elements)
-    assert witness(x, 2, 1, copy) == witness(x, 2, 1, cover)
-    assert calls == [(KIND_BASE_A, (0, 0), (1, 2))]
+    for made in (cover, explicit):
+        assert witness(x, 2, 1, replace(made)) == witness(x, 2, 1, made)
+    assert calls == [(KIND_BASE_A, (0, 0), (1, 2))] * 2
 
 
 def counted_construction(monkeypatch):
@@ -378,7 +380,7 @@ def test_tally_makes_one_element_per_routed_key(monkeypatch):
     big, rows = boundary_rows(d, n, delta(n))
     keys = set()
     for X in rows:
-        above, v, perm = verifier._locate(X, n, big, big // (n + 2))
+        above, v, perm = locate_two_pass(X, n, big, big // (n + 2))
         keys.add((element_kind(above, perm), v, perm))
     assert len(keys) < len(rows)
     counts = counted_construction(monkeypatch)

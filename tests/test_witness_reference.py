@@ -3,8 +3,8 @@ location decided on Fractions: route, element (key, anchor and identity), the
 residual ``w`` and the fallback reason must all agree, and so must
 ``UncoveredPointError`` on incomplete covers.  ``tally`` over the streams of
 ``verify --mode all`` must agree with a report made point by point from
-``fraction_witness``, and the one-pass ``verifier._locate`` with
-``oracles.locate_two_pass``.  The route step's pieces, row by row, and
+``fraction_witness``, and the routing rule on one row (``verifier._placer``)
+with ``oracles.locate_two_pass``.  The route step's pieces, row by row, and
 ``tally`` under any block size and worker count must agree with each row
 located by ``locate_two_pass`` and checked by exact ``contains``."""
 
@@ -28,7 +28,7 @@ from test_verifier import (
 
 from simplexcover import verifier
 from simplexcover.simplex import contains
-from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, build_cover, delta, element_kind
+from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, ExplicitCover, build_cover, delta, element_kind
 from simplexcover.verifier import (
     ROUTE_FALLBACK,
     ROUTES,
@@ -103,7 +103,7 @@ def test_witness_matches_fraction_reference_on_every_drop(d, n):
     points = list(lattice_samples(d, n, delta(n), 2))
     fallbacks = uncovered = 0
     for drop in cover.elements:
-        broken = replace(cover, elements=tuple(el for el in cover.elements if el is not drop))
+        broken = ExplicitCover(d, n, (el for el in cover.elements if el is not drop))
         for x in points:
             route = assert_agrees(x, d, n, broken)
             fallbacks += route == ROUTE_FALLBACK
@@ -179,13 +179,21 @@ def test_one_pass_locate_matches_two_passes_on_snapped_points(data):
     assert_locate_agrees(*verifier._scale((x,), n), n)
 
 
+def locate_one_pass(X, n, big, unit):
+    """The routing rule on one row, the patch of a segment of one row:
+    ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
+    ``big``, with ``unit`` = D = big/(n+2)."""
+    ((*_, placed),) = verifier._placer(len(X), n, big, unit)(X[:-1], X[-2], X[-1], X[-1] + 1)
+    return verifier._cell(placed)
+
+
 def assert_locate_agrees(big, rows, n):
-    """``verifier._locate`` equals ``locate_two_pass`` on every row; returns
+    """``locate_one_pass`` equals ``locate_two_pass`` on every row; returns
     the kinds of the cells it found."""
     unit = big // (n + 2)
     kinds = set()
     for X in rows:
-        cell = verifier._locate(X, n, big, unit)
+        cell = locate_one_pass(X, n, big, unit)
         assert cell == locate_two_pass(X, n, big, unit), X
         kinds.add(element_kind(cell[0], cell[2]))
     return kinds
