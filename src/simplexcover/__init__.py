@@ -2,64 +2,43 @@
 
 Construction, deterministic point-location witnesses, exact-rational
 verification campaigns, and d=2 SVG figures.
+
+Each public name resolves on first use: reading it imports its home module
+(PEP 562) and binds the name here.  So ``import simplexcover`` loads no
+submodule, ``build_cover`` loads only the construction (``cover`` and the
+``arith``, ``simplex`` and ``triangulation`` it builds on), and the
+point-location stack (``verifier``, ``samplers``) is loaded by the first name
+that needs it.
 """
 
-from .arith import (
-    ParseError,
-    Permutation,
-    Point,
-    point_format,
-    point_parse,
-    rat_format,
-    rat_parse,
-)
-from .cover import CoverElement, CoverSpec, ExplicitCover, build_cover, cover_count, delta, iter_cover
-from .samplers import boundary_suite, in_domain, lattice_samples, random_samples
-from .simplex import KuhnSimplex, contains, contains_oracle, vertices
-from .triangulation import (
-    enumerate_base_slab,
-    enumerate_simplex_triangulation,
-    is_admissible,
-)
-from .verifier import (
-    CoverageReport,
-    UncoveredPointError,
-    WitnessResult,
-    coverage_report,
-    witness,
-)
+from importlib import import_module as _import_module
 
-__all__ = [
-    "CoverElement",
-    "CoverSpec",
-    "CoverageReport",
-    "ExplicitCover",
-    "KuhnSimplex",
-    "ParseError",
-    "Permutation",
-    "Point",
-    "UncoveredPointError",
-    "WitnessResult",
-    "boundary_suite",
-    "build_cover",
-    "contains",
-    "contains_oracle",
-    "cover_count",
-    "coverage_report",
-    "delta",
-    "enumerate_base_slab",
-    "enumerate_simplex_triangulation",
-    "in_domain",
-    "is_admissible",
-    "iter_cover",
-    "lattice_samples",
-    "point_format",
-    "point_parse",
-    "random_samples",
-    "rat_format",
-    "rat_parse",
-    "vertices",
-    "witness",
-]
+# each public name, by the module that defines it
+_HOMES = {
+    name: module
+    for module, names in {
+        "arith": "ParseError Permutation Point point_format point_parse rat_format rat_parse",
+        "cover": "CoverElement CoverSpec ExplicitCover build_cover cover_count delta iter_cover",
+        "samplers": "boundary_suite in_domain lattice_samples random_samples",
+        "simplex": "KuhnSimplex contains contains_oracle vertices",
+        "triangulation": "enumerate_base_slab enumerate_simplex_triangulation is_admissible",
+        "verifier": "CoverageReport UncoveredPointError WitnessResult coverage_report witness",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

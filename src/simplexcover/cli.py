@@ -40,10 +40,11 @@ from .cover import (
     delta,
     element_kind,
 )
-from .render import svg_chunks
-from .samplers import boundary_rows, lattice_rows, random_rows
 from .triangulation import check_dn
-from .verifier import ROUTE_FALLBACK, UncoveredPointError, format_points, tally, witness
+
+# A subcommand imports the modules only it runs in its handler, so count, cover
+# and render never load the point-location stack (verifier, samplers), and
+# witness and verify never load render.
 
 
 def cover_record(el: CoverElement) -> dict:
@@ -206,6 +207,8 @@ def _coordinate_texts(n: int) -> dict[str, list[str]]:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
+    from .verifier import UncoveredPointError, witness
+
     try:
         x = point_parse(args.point, args.d)
     except ParseError as exc:
@@ -229,6 +232,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .samplers import boundary_rows, lattice_rows, random_rows
+    from .verifier import ROUTE_FALLBACK, format_points, tally
+
     # The samplers check the plan on the call; every stream is made, whatever
     # the mode, so a bad --q or --samples is a usage error in every mode.
     try:
@@ -258,6 +264,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import svg_chunks
+
     spec = build_cover(args.d, args.n)
     return _write(args.out, svg_chunks(spec, equilateral=args.equilateral, labels=args.labels))
 

@@ -11,7 +11,7 @@ import pytest
 
 from fractions import Fraction
 
-from simplexcover import cli
+from simplexcover import cli, verifier
 from simplexcover.arith import rat_format
 from simplexcover.cover import (
     CoverElement,
@@ -484,7 +484,7 @@ def test_verify_sliver_violation_exits_1(capsys, monkeypatch):
         elapsed_ms=0,
         sliver_violations=(sliver,),
     )
-    monkeypatch.setattr(cli, "tally", lambda spec, samples: report)
+    monkeypatch.setattr(verifier, "tally", lambda spec, samples: report)
     code, out, err = run(capsys, "verify", "--d", "2", "--n", "1", "--mode", "boundary")
     assert code == 1
     assert out == json.dumps(report.to_json()) + "\n"

@@ -6,13 +6,15 @@ residual ``w`` and the fallback reason must all agree, and so must
 ``fraction_witness``, and the routing rule on one row (``verifier._placer``)
 with ``oracles.locate_two_pass``.  The route step's pieces, row by row, and
 ``tally`` under any block size and worker count must agree with each row
-located by ``locate_two_pass`` and checked by exact ``contains``."""
+located by ``locate_two_pass`` and checked by exact containment, on the
+row's integers (``contains_row``, itself checked against ``contains``)."""
 
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, floor, gcd
+from itertools import product
+from math import ceil, comb, floor, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,7 @@ from test_verifier import (
 )
 
 from simplexcover import verifier
-from simplexcover.simplex import contains
+from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, ExplicitCover, build_cover, delta, element_kind
 from simplexcover.verifier import (
     ROUTE_FALLBACK,
@@ -267,31 +269,83 @@ def test_tally_matches_fraction_reference(d, n, q, dropped):
 
 def reference_rows(cover, big, rows):
     """Per row over ``big``: ``(element, route, fallback_reason)``, the cell
-    from ``locate_two_pass``, its element checked by exact ``contains``, and
+    from ``locate_two_pass``, its element checked by exact containment, and
     a scan where a check fails; element and route are None where no element
-    contains the row."""
+    contains the row.  Each cell's verdict is made once per call and a row is
+    checked on its integers: only a scanned row is made into Fractions."""
     n = cover.n
     unit = big // (n + 2)
+    verdicts = {}
     out = []
     for X in rows:
-        x = tuple(Fraction(c, big) for c in X)
-        above, v, perm = locate_two_pass(X, n, big, unit)
-        formula = make_element(above, v, perm, n)
-        known = cover.element_index.get(formula.key)
-        if not (above or v[0] <= n):
-            reason = "v1_bound"
-        elif known is None:
-            reason = "missing"
-        elif known != formula:
-            reason = "anchor"
-        elif not contains(known.simplex, x):
+        cell = locate_two_pass(X, n, big, unit)
+        verdict = verdicts.get(cell)
+        if verdict is None:
+            verdict = verdicts[cell] = cell_verdict(cover, big, *cell)
+        known, reason, scaled = verdict
+        if reason is None:
+            if contains_row(*scaled, X):
+                out.append((known, known.kind, None))
+                continue
             reason = "not_contained"
-        else:
-            out.append((known, known.kind, None))
-            continue
+        x = tuple(Fraction(c, big) for c in X)
         scanned = next((el for el in cover.elements if contains(el.simplex, x)), None)
         out.append((scanned, scanned and ROUTE_FALLBACK, reason))
     return out
+
+
+def cell_verdict(cover, big, above, v, perm):
+    """``(element, reason, scaled)`` for the cell: the cover's element on it,
+    the reason a row located there is scanned whatever its coordinates (None
+    when only containment decides), and the element's ``scaled_simplex``."""
+    if not (above or v[0] <= cover.n):
+        return None, "v1_bound", None
+    formula = make_element(above, v, perm, cover.n)
+    known = cover.element_index.get(formula.key)
+    if known is None:
+        return None, "missing", None
+    if known != formula:
+        return known, "anchor", None
+    return known, None, scaled_simplex(known.simplex, big)
+
+
+def scaled_simplex(simplex, big):
+    """``(L, m, A, perm)``: the simplex's anchor as numerators ``A`` over
+    ``L = m * big``, the least multiple of ``big`` that holds them."""
+    L = lcm(big, *(c.denominator for c in simplex.anchor))
+    A = tuple(c.numerator * (L // c.denominator) for c in simplex.anchor)
+    return L, L // big, A, simplex.perm
+
+
+def contains_row(L, m, A, perm, X):
+    """``contains`` for the point ``X / big`` on integers, with the simplex
+    given as ``scaled_simplex(simplex, big)``: the chain
+    ``L >= m X_p1 - A_p1 >= ... >= m X_pd - A_pd >= 0`` along perm.  Written
+    out here, not taken from ``simplex._descends``, so that the reference
+    shares no code with the route step it checks."""
+    prev = L
+    for p in perm:
+        s = m * X[p - 1] - A[p - 1]
+        if s > prev:
+            return False
+        prev = s
+    return prev >= 0
+
+
+@pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("shift", [Fraction(0), Fraction(1, 3), Fraction(-5, 7)])
+def test_integer_containment_is_contains(d, n, shift):
+    # Over a multiple of n+2 and over denominators coprime to the anchor's,
+    # every row in and around each element's box, the element's anchor moved
+    # by shift in its first coordinate: boundary rows and ties included.
+    for big in (n + 2, 2 * (n + 2), 5):
+        for el in cover_of(d, n).elements:
+            simplex = KuhnSimplex((el.anchor[0] + shift, *el.anchor[1:]), el.perm)
+            scaled = scaled_simplex(simplex, big)
+            box = [range(floor(c * big) - 1, ceil((c + 1) * big) + 2) for c in simplex.anchor]
+            for X in product(*box):
+                x = tuple(Fraction(c, big) for c in X)
+                assert contains_row(*scaled, X) == contains(simplex, x), (el.key, shift, big, X)
 
 
 def reference_tally(cover, streams, routed=None):
@@ -301,17 +355,18 @@ def reference_tally(cover, streams, routed=None):
     routes, reasons, slivers, failures = Counter(dict.fromkeys(ROUTES, 0)), Counter(), [], []
     if routed is None:
         routed = [reference_rows(cover, big, rows) for big, rows in streams]
+    sliver = cover.delta
     for (big, rows), outcomes in zip(streams, routed):
         for X, (element, route, reason) in zip(rows, outcomes):
-            x = tuple(Fraction(c, big) for c in X)
             if element is None:
-                failures.append(x)
+                failures.append(tuple(Fraction(c, big) for c in X))
                 continue
             routes[route] += 1
             if reason is not None:
                 reasons[reason] += 1
-            if route != KIND_BASE_A and x[-1] <= cover.delta:
-                slivers.append(x)
+            # x_d <= delta, on the integers
+            if route != KIND_BASE_A and X[-1] * sliver.denominator <= sliver.numerator * big:
+                slivers.append(tuple(Fraction(c, big) for c in X))
     return dict(routes), dict(sorted(reasons.items())), tuple(slivers), tuple(failures)
 
 
