@@ -16,7 +16,7 @@ import stat
 import sys
 from functools import partial
 from itertools import groupby
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Iterable, Iterator
 
 from .arith import (
     IntVector,
@@ -111,11 +111,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _open_output(path: str) -> TextIO:
-    """Open ``path`` for writing as a new file.
+def _open_output(path: str) -> BinaryIO:
+    """Open ``path`` for writing as a new binary file.
 
     A writable regular file already at ``path`` is unlinked, not truncated; a
-    symlink, a device or a FIFO is written through as ``open(path, "w")`` would.
+    symlink, a device or a FIFO is written through as ``open(path, "wb")`` would.
     On ext4, truncating a file to length zero makes its ``close`` start
     writeback (``auto_da_alloc``), and the next truncation of that file waits
     until the disk has taken all of it.  Rewriting one output again and again,
@@ -128,14 +128,14 @@ def _open_output(path: str) -> TextIO:
     with contextlib.suppress(OSError):
         if stat.S_ISREG(os.lstat(path).st_mode) and os.access(path, os.W_OK):
             os.unlink(path)
-    return open(path, "w", encoding="utf-8", buffering=1 << 18)
+    return open(path, "wb", buffering=1 << 18)
 
 
 def _write(path: str, chunks: Iterable[str]) -> int:
-    """Write ``chunks`` to a new file at ``path``; exit 1 if that fails."""
+    """Write ``chunks``, UTF-8 encoded, to a new file at ``path``; exit 1 if that fails."""
     try:
         with _open_output(path) as fh:
-            fh.writelines(chunks)
+            fh.writelines(map(str.encode, chunks))
     except OSError as exc:
         print(f"error: cannot write {path}: {exc}", file=sys.stderr)
         return 1
@@ -152,8 +152,9 @@ def _cover_chunks(d: int, n: int) -> Iterator[str]:
     # prints as its JSON text, so a line is its kind's head and tail on that
     # anchor around the text of its perm.  An anchor's lines are runs of
     # consecutive perms of one kind; a run is one str.join of its perms' text
-    # with the kind's tail and head between them, and the anchor's runs are
-    # joined into one chunk.  A tail's anchor text is joined from the JSON text
+    # with the kind's tail and head between them, and the anchor's heads, runs
+    # and tails are joined into one chunk by one join, so a line is copied once
+    # more there, not twice.  A tail's anchor text is joined from the JSON text
     # of each coordinate, made once per (kind, v_j).
     coordinates = _coordinate_texts(n)
     # cover_groups shares one perms tuple between the anchors of a tie pattern,
@@ -175,7 +176,10 @@ def _cover_chunks(d: int, n: int) -> Iterator[str]:
             heads.append(head)
             seps.append(tail + head)
             tails.append(tail)
-        yield "".join([heads[i] + seps[i].join(texts) + tails[i] for i, texts in runs])
+        parts = []
+        for i, texts in runs:
+            parts += heads[i], seps[i].join(texts), tails[i]
+        yield "".join(parts)
 
 
 # an anchor's kinds, and its runs: (index into the kinds, the run's perms' text)
@@ -270,62 +274,78 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return _write(args.out, svg_chunks(spec, equilateral=args.equilateral, labels=args.labels))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _cover_arguments(p: argparse.ArgumentParser) -> None:
+    _add_dn(p)
+    p.add_argument("--out", required=True, help="output path")
+
+
+def _witness_arguments(p: argparse.ArgumentParser) -> None:
+    _add_dn(p)
+    p.add_argument(
+        "--point",
+        required=True,
+        help="comma-separated rationals; a value starting with '-' needs '=' (--point=-0,0)",
+    )
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    _add_dn(p)
+    p.add_argument(
+        "--eps",
+        default=None,
+        help="margin (rational, <= 1/(n+2); default 1/(n+2)); "
+        "a value starting with '-' needs '=' (--eps=-1/9)",
+    )
+    p.add_argument("--mode", choices=("lattice", "random", "boundary", "all"), default="all")
+    p.add_argument("--q", type=int, default=2, help="lattice resolution (step = delta/q)")
+    p.add_argument("--samples", type=int, default=10_000, help="random sample count")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
+
+
+def _render_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="target scale (>= 1)")
+    p.add_argument("--out", required=True, help="output path")
+    p.add_argument("--equilateral", action="store_true", help="shear to equilateral triangles")
+    p.add_argument("--labels", action="store_true", help="label each element")
+    p.set_defaults(d=2)
+
+
+# name -> (help line, handler, the function that adds the subcommand's arguments)
+_COMMANDS = {
+    "count": ("print the cover size and kind breakdown", _cmd_count, _add_dn),
+    "cover": ("write the cover as JSON-lines", _cmd_cover, _cover_arguments),
+    "witness": ("locate a point in the cover", _cmd_witness, _witness_arguments),
+    "verify": ("run a coverage campaign, print a JSON report", _cmd_verify, _verify_arguments),
+    "render": ("write an SVG figure (d = 2)", _cmd_render, _render_arguments),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given a ``command``, only that one gets its
+    arguments, the others only the name and help line the top level prints."""
     parser = argparse.ArgumentParser(
         prog="simplexcover",
         description="Cover a right d-simplex of side n + 1/(n+2) with "
         "(n+1)^d + (n-1)^d - n^d unit right simplices, and verify it exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", help="print the cover size and kind breakdown")
-    _add_dn(p_count)
-    p_count.set_defaults(func=_cmd_count, parser=p_count)
-
-    p_cover = sub.add_parser("cover", help="write the cover as JSON-lines")
-    _add_dn(p_cover)
-    p_cover.add_argument("--out", required=True, help="output path")
-    p_cover.set_defaults(func=_cmd_cover, parser=p_cover)
-
-    p_witness = sub.add_parser("witness", help="locate a point in the cover")
-    _add_dn(p_witness)
-    p_witness.add_argument(
-        "--point",
-        required=True,
-        help="comma-separated rationals; a value starting with '-' needs '=' (--point=-0,0)",
-    )
-    p_witness.set_defaults(func=_cmd_witness, parser=p_witness)
-
-    p_verify = sub.add_parser("verify", help="run a coverage campaign, print a JSON report")
-    _add_dn(p_verify)
-    p_verify.add_argument(
-        "--eps",
-        default=None,
-        help="margin (rational, <= 1/(n+2); default 1/(n+2)); "
-        "a value starting with '-' needs '=' (--eps=-1/9)",
-    )
-    p_verify.add_argument(
-        "--mode", choices=("lattice", "random", "boundary", "all"), default="all"
-    )
-    p_verify.add_argument("--q", type=int, default=2, help="lattice resolution (step = delta/q)")
-    p_verify.add_argument("--samples", type=int, default=10_000, help="random sample count")
-    p_verify.add_argument("--seed", type=int, default=0, help="random seed")
-    p_verify.set_defaults(func=_cmd_verify, parser=p_verify)
-
-    p_render = sub.add_parser("render", help="write an SVG figure (d = 2)")
-    p_render.add_argument("--n", type=int, required=True, help="target scale (>= 1)")
-    p_render.add_argument("--out", required=True, help="output path")
-    p_render.add_argument("--equilateral", action="store_true", help="shear to equilateral triangles")
-    p_render.add_argument("--labels", action="store_true", help="label each element")
-    p_render.set_defaults(func=_cmd_render, parser=p_render, d=2)
+    for name, (help_line, func, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command in (None, name):
+            add_arguments(p)
+            p.set_defaults(func=func, parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Each subcommand's parser rides on args as args.parser: an error found
-    # after parsing is reported under that subcommand's usage, as argparse
-    # reports its own.
-    args = build_parser().parse_args(argv)
+    # A call fills only the subcommand its first argument names: argparse hands
+    # every later argument to that subcommand's parser.  Anything else (no
+    # arguments, -h, --, a typo) fills every subcommand.  Each subcommand's
+    # parser rides on args as args.parser: an error found after parsing is
+    # reported under that subcommand's usage, as argparse reports its own.
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         check_dn(args.d, args.n)
     except ValueError as exc:

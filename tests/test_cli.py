@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -549,3 +550,84 @@ def test_render_rejects_bad_n(capsys):
             cli.main(argv)
         assert exc.value.code == 2
         assert "n must be at least 1, got 0" in capsys.readouterr().err
+
+
+# Argument lists that reach every part of argparse's parse: the top level
+# (nothing, help, an unknown command, "--"), each subcommand's help, its errors
+# (missing, mistyped and unknown values, an abbreviated option, an extra
+# argument) and the checks after parsing.  Help text differs between Python
+# versions, so it is compared with the full parser's on this interpreter, not
+# pinned.
+CORPUS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["cnt", "--d", "2", "--n", "1"],
+    ["--", "count", "--d", "2", "--n", "1"],
+    *([command, "--help"] for command in ("count", "cover", "witness", "verify", "render")),
+    ["count", "--d", "2", "--n", "1", "-h"],
+    ["verify", "--d", "2", "--n", "1", "--mode", "lattice", "-h"],
+    ["count", "--d", "2"],
+    ["cover", "--d", "2", "--n", "1"],
+    ["count", "--d", "x", "--n", "1"],
+    ["witness", "--d", "1", "--n", "1", "--point", "0"],
+    ["verify", "--d", "2", "--n", "1", "--mode", "foo"],
+    ["verify", "--d", "2", "--n", "1", "--q", "0"],
+    ["verify", "--d", "2", "--n", "1", "--eps=-1/9"],
+    ["witness", "--d", "2", "--n", "1", "--point", "-0,0"],
+    ["witness", "--d", "2", "--n", "2", "--poi", "9/8,9/8"],
+    ["count", "--d", "3", "--n", "2", "extra"],
+    ["render", "--n", "0", "--out", "fig.svg"],
+    ["count", "--d", "3", "--n", "2"],
+    ["cover", "--d", "2", "--n", "1", "--out", "cover.jsonl"],
+    ["witness", "--d", "2", "--n", "2", "--point", "9/8,9/8"],
+    ["render", "--n", "1", "--out", "fig.svg"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_each_call_prints_what_the_full_parser_prints(tmp_path, capsys, monkeypatch):
+    # main fills only the subcommand it runs; the reference is main with every
+    # subcommand filled, as build_parser() with no command gives.  The corpus
+    # runs twice, in two orders, so a call that left state behind would show
+    monkeypatch.chdir(tmp_path)
+    full = cli.build_parser
+    with monkeypatch.context() as m:
+        m.setattr(cli, "build_parser", lambda command=None: full())
+        expected = [outcome(capsys, argv) for argv in CORPUS]
+    for order in (range(len(CORPUS)), reversed(range(len(CORPUS)))):
+        for k in order:
+            assert outcome(capsys, CORPUS[k]) == expected[k], CORPUS[k]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", "--d", "2", "--n", "2", "--point", "9/8,9/8"],
+        ["verify", "--d", "2", "--n", "1", "--mode", "lattice", "--q", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_call_adds_arguments_to_its_own_subcommand_only(capsys, monkeypatch, argv):
+    filled = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(parser, *args, **kwargs):
+        if args != ("-h", "--help"):
+            filled.append(parser.prog)
+        return add_argument(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert cli.main(argv) == 0
+    assert set(filled) == {f"simplexcover {argv[0]}"}
+    filled.clear()
+    cli.build_parser()
+    assert set(filled) == {f"simplexcover {command}" for command in cli._COMMANDS}
