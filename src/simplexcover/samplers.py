@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from itertools import islice, repeat
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arith import IntVector, Point, _point, _scale
 from .cover import delta
@@ -35,9 +35,6 @@ from .triangulation import Segment, check_dn, weakly_decreasing_planes, weakly_d
 RANDOM_GRID = 10**6
 _DRAW_BITS = (RANDOM_GRID + 1).bit_length()  # randint(0, RANDOM_GRID) draws this many bits
 _descending = partial(sorted, reverse=True)
-
-Stream = tuple[int, Iterable[Sequence[int]]]  # (L, integer rows over L)
-
 
 def in_domain(x: Point, n: int, eps: Fraction) -> bool:
     """Exact test for n+eps >= x_1 >= ... >= x_d >= 0."""
@@ -85,6 +82,9 @@ class Rows:
             raise TypeError("a Rows takes only a slice of step 1")
         start, stop, _ = part.indices(self._count)
         return self._since(start, max(start, stop))
+
+
+Stream = tuple[int, Rows | Sequence[Sequence[int]]]  # (L, integer rows over L)
 
 
 def lattice_rows(d: int, n: int, eps: Fraction, q: int) -> Stream:

@@ -57,49 +57,46 @@ total; the result is flagged as ``fallback`` and names the check in
 ``fallback_reason``.
 
 One private step does all of the above for a segment, the scan included:
-``_router(cover, L)`` makes it for the segments over ``L`` and sets up what
-``L`` fixes (D, the seam, the target side, ``1-delta``) once.  It is the one
-place a row is checked: a length other than d, or a point outside the target,
-is a ValueError; for a segment the domain test is the first row's chain,
-``y1 <= x_(d-2)`` and ``hi - 1 <= y1``.  The first three checks depend on the
-key ``(kind, v, perm)`` alone: ``_check_key`` makes that verdict once per key
-and cover, and it is kept on the cover, failed or not.  On a cell's first
-patch over an L, the step turns the verdict into that L's containment check,
-the cell's chain with index d's two links solved for x_d.  Every link is
-affine in ``(y, x_d)``, so a patch runs it on its first and last rows, whose
-corners decide every row between them: the prefix links, then ``lower <= x_d
-<= upper`` for each row's ends.  A patch that fails goes one y at a time, and
-a row's piece that fails goes row by row to the scan.  The step has two
-callers: ``witness`` routes its one scaled point as a segment of one row and
-builds its ``WitnessResult``; ``tally`` makes one per L and worker, counts
-each patch's rows in closed form in the ``CoverageReport`` and makes no
-``Fraction`` unless a point must be scanned or shown.
+``_router(cover, L)`` makes it for the segments over ``L``, which must be a
+positive multiple of n+2, and sets up what ``L`` fixes (D, the seam, the
+target side, ``1-delta``) once.  It is the one place a row is checked: a
+length other than d, or a point outside the target, is a ValueError; for a
+segment the domain test is the first row's chain, ``y1 <= x_(d-2)`` and
+``hi - 1 <= y1``.  The first three checks depend on the key ``(kind, v,
+perm)`` alone: ``_check_key`` makes that verdict once per key and cover, and it is
+kept on the cover, failed or not.  On a cell's first patch over an L, the step
+turns the verdict into that L's containment check, the cell's chain with index
+d's two links solved for x_d.  Every link is affine in ``(y, x_d)``, so a
+patch runs it on its first and last rows, whose corners decide every row
+between them: the prefix links, then ``lower <= x_d <= upper`` for each row's
+ends.  A patch that fails goes one y at a time, and a row's piece that fails
+goes row by row to the scan.  The step has two callers: ``witness`` routes its
+one scaled point as a segment of one row and builds its ``WitnessResult``;
+``tally`` makes one per L and worker, counts each patch's rows in closed form
+in the ``CoverageReport`` and makes no ``Fraction`` unless a point must be
+scanned or shown.
 
-``tally`` uses every CPU this process may run on.  It splits a campaign into
-blocks of ``BLOCK_ROWS`` consecutive rows, counted across streams, and gives
-block b to worker ``b % jobs``; a segment that a block boundary falls inside
-is cut there.  Worker 0 is the calling process; it forks the others as soon
-as it enters a stream of known length that holds their first block, or, in
-any other iterable, when it reaches that block.  A worker makes only the rows
-of its own blocks when it can: it reads a lattice ``Rows`` (``samplers``) as
-plane segments and slices a list, a tuple or another ``Rows`` at each of its
-blocks, stepping over the others' blocks in O(1).  It pulls any other
-iterable's rows in C and drops those of the others' blocks.  The rows of
-every stream but a lattice are merged into runs where consecutive rows share
-a prefix and step x_d by 1.  A forked worker sends its counts back over a
-pipe; between its blocks the caller takes in the counts that have come, and
-stops once one holds an error at a row before its next block.  The merged
-report is the one a single worker makes, down to the row order of failures
-and the error raised.  Since a fork copies each stream's state, the streams
-must be in-memory iterables: forked workers would share an open file's
-offset.
+``tally`` uses every CPU this process may run on.  It takes sized streams
+only, whose rows are a list, a tuple or a ``Rows`` (``samplers``).  It splits
+a campaign into blocks of ``BLOCK_ROWS`` consecutive rows, counted across
+streams, and gives block b to worker ``b % jobs``; a segment that a block
+boundary falls inside is cut there.  Worker 0 is the calling process; it
+forks the others before the walk, one for each block up to ``jobs`` that the
+streams reach.  A worker makes only the rows of its own blocks: it reads a
+lattice ``Rows`` as plane segments and slices a list, a tuple or another
+``Rows`` at each of its blocks, stepping over the others' blocks in O(1).
+The rows of every stream but a lattice are merged into runs where
+consecutive rows share a prefix and step x_d by 1.  A forked worker sends
+its counts back over a pipe; between its blocks the caller takes in the
+counts that have come, and stops once one holds an error at a row before its
+next block.  The merged report is the one a single worker makes, down to the
+row order of failures and the error raised.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.  The
-samplers make their points as streams ``(L, rows)`` in ``samplers``, and the
-names are importable from here too.  ``coverage_report`` scales each Fraction
-point to its own row and feeds ``tally`` consecutive points over one L as one
-stream.
+samplers make their points as streams ``(L, rows)`` in ``samplers``.
+``coverage_report`` scales each Fraction point to its own row and feeds
+``tally`` consecutive points over one L as one list.
 """
 
 from __future__ import annotations
@@ -109,11 +106,11 @@ import select
 import sys
 import time
 from bisect import bisect_left, insort
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter, sub
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
@@ -129,19 +126,7 @@ from .cover import (
     anchor_numerators,
     element_kind,
 )
-from .samplers import (  # the samplers stay importable from here
-    RANDOM_GRID,
-    Rows,
-    Stream,
-    _check_plan,
-    boundary_rows,
-    boundary_suite,
-    in_domain,
-    lattice_rows,
-    lattice_samples,
-    random_rows,
-    random_samples,
-)
+from .samplers import Rows, Stream, _check_plan, in_domain
 from .simplex import _descends, contains
 from .triangulation import Segment
 
@@ -428,11 +413,11 @@ Route = Callable[[Sequence[int], int, int, int], list[Patch]]  # route(P, y1, lo
 
 def _router(cover: Cover, big: int) -> Route:
     """The step that locates a plane segment of points with numerators over
-    ``big`` (a multiple of ``cover.n + 2``) in the cover: ``route(P, y1, lo,
-    hi)`` routes the rows of the segment (``_placer``, ``triangulation.Segment``)
-    and returns their patches ``(ya, yb, x0, x1, u0, u1, element, route,
-    fallback_reason)``, which tile it: band by band in y order, and within a
-    band in x order.  A run, the rows ``P + (x,)`` for ``lo <= x < hi``, is
+    ``big`` (a positive multiple of ``cover.n + 2``, else a ValueError) in the
+    cover: ``route(P, y1, lo, hi)`` routes the rows of the segment
+    (``_placer``, ``triangulation.Segment``) and returns their patches
+    ``(ya, yb, x0, x1, u0, u1, element, route, fallback_reason)``, which tile
+    it: band by band in y order, and within a band in x order.  A run, the rows ``P + (x,)`` for ``lo <= x < hi``, is
     the segment of one row ``(P, P[-1], lo, hi)``.
 
     A patch is a piece of a band, a range of rows in one cell that passes
@@ -461,6 +446,8 @@ def _router(cover: Cover, big: int) -> Route:
     verdict, None and the failed check.
     """
     d, n = cover.d, cover.n
+    if big <= 0 or big % (n + 2):
+        raise ValueError("point/cover dimension or scale mismatch")
     unit = big // (n + 2)
     side = n * big + unit
     verdicts = cover._verdicts
@@ -684,24 +671,18 @@ def _runs_of(rows: Iterable[Sequence[int]]) -> Iterator[Segment]:
     """The rows as runs, segments of one y ``(prefix, prefix[-1], low,
     high)``: consecutive rows that share a prefix and step x_d by 1 form one.
     An empty or one-entry row is a run with an empty prefix, which the route
-    step refuses.  If pulling a row fails, the run before it comes first,
-    then the error."""
+    step refuses."""
     prefix: Sequence[int] | None = None
     lo = hi = 0
-    try:
-        for X in rows:
-            P = X[:-1]
-            if P == prefix and X[-1] == hi:
-                hi += 1
-                continue
-            if prefix is not None:
-                yield prefix, (prefix[-1] if prefix else 0), lo, hi
-            prefix, lo = P, (X[-1] if X else 0)
-            hi = lo + 1
-    except Exception:
+    for X in rows:
+        P = X[:-1]
+        if P == prefix and X[-1] == hi:
+            hi += 1
+            continue
         if prefix is not None:
             yield prefix, (prefix[-1] if prefix else 0), lo, hi
-        raise
+        prefix, lo = P, (X[-1] if X else 0)
+        hi = lo + 1
     if prefix is not None:
         yield prefix, (prefix[-1] if prefix else 0), lo, hi
 
@@ -723,7 +704,7 @@ def _receive(children: list[Child], child: Child) -> _Share:
 
 def _walk(
     cover: Cover,
-    streams: Iterable[Stream],
+    streams: list[Stream],
     jobs: int,
     children: list[Child],
     received: list[_Share],
@@ -732,42 +713,39 @@ def _walk(
     streams; route the rows of this worker's blocks as plane segments and
     skip the others.
 
-    A ``Rows`` that gives plane segments (the lattice) is read as segments,
-    cut where a block boundary falls inside one.  The rows of any other
-    stream are merged into runs, segments of one y (``_runs_of``); a
-    random row is a run of one.  A ``Rows``, list or tuple is sliced at each
-    of this worker's blocks, so another worker's block is skipped in O(1)
-    and its rows are never made; the rows of any other iterable are pulled
-    in C.  The caller is worker 0.  It forks worker k < jobs as soon as its
-    walk enters a ``Rows``, list or tuple that holds the first row of block
-    k, or, in any other iterable, when it reaches that row; worker k goes on
-    from there.  If the fork fails, worker 0 routes block k's rows too.
-    Before each of its blocks the caller takes in, into ``received``, the
-    share of every forked worker that has sent it, without waiting; it stops
-    its walk once one of them holds an error at a row before that block.
-    Returns this worker's share and, in a forked worker, the write end of
-    its pipe.  An error stops the walk; it is kept in the share with the
-    index of its row, or of the first row of its segment: either orders it
-    among the workers' errors, as a segment lies in one block."""
+    The caller, worker 0, first forks worker k for each block k < jobs that
+    the streams reach; worker k routes the blocks ``b % jobs == k``, or,
+    where its fork fails, worker 0 routes them too.  A ``Rows`` that gives
+    plane segments (the lattice) is read as segments, cut where a block
+    boundary falls inside one; any other stream is sliced at each of this
+    worker's blocks and its rows merged into runs, segments of one y
+    (``_runs_of``); a random row is a run of one.  Another worker's block is
+    skipped in O(1) and its rows are never made.  Before each of its blocks
+    the caller takes in, into ``received``, the share of every forked worker
+    that has sent it, without waiting; it stops its walk once one of them
+    holds an error at a row before that block.  Returns this worker's share
+    and, in a forked worker, the write end of its pipe.  An error stops the
+    walk; it is kept in the share with the index of its row, of the first
+    row of its segment, or, for an L that has no router, of its stream:
+    each orders it among the workers' errors, as a segment lies in one
+    block."""
     share = _Share()
     m = cover.n + 2
     base_a = KIND_BASE_A
     mine = {0}  # the workers whose blocks this one routes
-    spawn = 1  # the next worker to fork
     pipe = None
     routers: dict[int, Route] = {}
     index = 0  # the rows walked so far
-
-    def fork(block: int) -> None:
-        nonlocal mine, spawn, share, pipe
-        spawn += 1
+    blocks = -(-sum(len(rows) for _, rows in streams) // BLOCK_ROWS)
+    for k in range(1, min(jobs, blocks)):
         try:
             pipe = _fork(children)
         except OSError:
-            mine.add(block)
-            return
-        if pipe is not None:  # worker `block`: its share starts here
-            mine, spawn, share = {block}, jobs, _Share()
+            mine.add(k)
+            continue
+        if pipe is not None:  # worker k, which routes its own blocks alone
+            mine = {k}
+            break
 
     def stopped(start: int) -> bool:
         """In the caller: whether a forked worker's share holds an error at
@@ -782,12 +760,12 @@ def _walk(
             received.append(_receive(children, child))
         return any(done.error is not None and done.error[0] < start for done in received)
 
-    def count_segments(route: Route, big: int, segments: Iterable[Segment], start: int) -> int:
+    def count_segments(route: Route, big: int, segments: Iterable[Segment], start: int) -> None:
         """Route the segments, the first row with index ``start``, and count
-        their rows; returns the index after the last row.  A patch's rows
-        are counted in closed form, and listed only as failures or sliver
-        violations.  An error is kept with the index of its segment's first
-        row, in the block of the row that raised it."""
+        their rows.  A patch's rows are counted in closed form, and listed
+        only as failures or sliver violations.  An error is kept with the
+        index of its segment's first row, in the block of the row that
+        raised it."""
         routes, reasons = share.routes, share.reasons
         failures, slivers = share.failures, share.slivers
         plane = big // m  # the sliver plane x_d = delta
@@ -813,64 +791,31 @@ def _walk(
                         listed += [(row + x, _point((*Q, y, x), big)) for x in range(a, b)]
                 y0 = P[-1]
                 start += hi - lo if y1 == y0 else (y1 - y0) * (y1 + y0 + 1) // 2 + hi - lo
-        except Exception as exc:  # a segment was refused, or the stream failed to give a row
+        except Exception as exc:  # a segment was refused
             raise _RowError(start) from exc
-        return start
 
     try:
         for big, rows in streams:
             route = routers.get(big)
             if route is None:
                 route = routers[big] = _router(cover, big)
-            if isinstance(rows, (Rows, list, tuple)):
-                first, end = index, index + len(rows)
-                while spawn < jobs and spawn * BLOCK_ROWS < end:
-                    fork(spawn)
-                planes = rows.planes if isinstance(rows, Rows) else None
-                while index < end:
-                    block = index // BLOCK_ROWS
-                    stop = min(end, (block + 1) * BLOCK_ROWS)
-                    if block % jobs in mine:
-                        if stopped(index):
-                            return share, pipe
-                        i, j = index - first, stop - first
-                        part = _runs_of(rows[i:j]) if planes is None else planes(i, j)
-                        count_segments(route, big, part, index)
-                    index = stop
-                continue
-            rows = iter(rows)
-            while True:
-                block, offset = divmod(index, BLOCK_ROWS)
-                take = BLOCK_ROWS - offset
-                segment = islice(rows, take)
-                if block == spawn < jobs:
-                    try:
-                        head = next(segment, None)
-                    except Exception as exc:
-                        raise _RowError(index) from exc
-                    if head is None:
-                        break
-                    segment = chain((head,), segment)
-                    fork(block)
+            first, end = index, index + len(rows)
+            planes = rows.planes if isinstance(rows, Rows) else None
+            while index < end:
+                block = index // BLOCK_ROWS
+                stop = min(end, (block + 1) * BLOCK_ROWS)
                 if block % jobs in mine:
                     if stopped(index):
                         return share, pipe
-                    end = count_segments(route, big, _runs_of(segment), index)
-                else:
-                    counter = count(index)
-                    try:
-                        deque(zip(segment, counter), maxlen=0)  # pulls the block in C
-                    except Exception as exc:
-                        raise _RowError(next(counter)) from exc
-                    end = next(counter)
-                pulled, index = end - index, end
-                if pulled < take:
-                    break
+                    i, j = index - first, stop - first
+                    part = _runs_of(rows[i:j]) if planes is None else planes(i, j)
+                    count_segments(route, big, part, index)
+                index = stop
     except _WorkerFailed:  # a forked worker's failure is no row's error
         raise
     except _RowError as err:
         share.error = err.args[0], err.__cause__
-    except Exception as exc:  # the streams failed between rows
+    except Exception as exc:  # no router for the stream's L, or no slice of its rows
         share.error = index, exc
     return share, pipe
 
@@ -891,25 +836,26 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
     decides it for every point of the patch, whose rows are counted in
     closed form.
 
-    The rows go in blocks of BLOCK_ROWS, counted across streams, to one
-    worker per CPU this process may run on (``_jobs``, ``_walk``).  A worker
-    makes only its own blocks' rows of a list, a tuple or a ``Rows`` (what
-    ``lattice_rows`` and ``random_rows`` give; the lattice's come as plane
-    segments); it pulls and drops the rest of any other iterable.  A worker
-    is forked as soon as the walk enters a stream of known length that holds
-    its first block.  Worker 0 is this process; a forked worker sends its
-    share back over a pipe and ends with ``os._exit``, and every one is
-    reaped before this returns or raises.  Worker 0 takes in each share as
-    it comes, between its blocks, and stops its walk once one holds an
-    error at a row before its next block.  Merged, the shares give the
-    report of one worker: failures and sliver violations in row order, and
-    the error of the earliest failing row, with its type and message; a
-    forked worker's error is raised from its traceback, sent as text.  The
-    streams must be in-memory iterables: a fork copies their state, so every
-    worker sees the same rows, but workers reading one open file would share
-    its offset.
+    Each stream's rows must be a list, a tuple or a ``Rows`` (what
+    ``lattice_rows`` and ``random_rows`` give), else this raises TypeError
+    before any worker is forked.  The rows go in blocks of BLOCK_ROWS,
+    counted across streams, to one worker per CPU this process may run on
+    (``_jobs``, ``_walk``), and each worker makes only its own blocks' rows.
+    Worker 0 is this process; a forked worker sends its share back over a
+    pipe and ends with ``os._exit``, and every one is reaped before this
+    returns or raises.  Worker 0 takes in each share as it comes, between
+    its blocks, and stops its walk once one holds an error at a row before
+    its next block.  Merged, the shares give the report of one worker:
+    failures and sliver violations in row order, and the error of the
+    earliest failing row, with its type and message; a forked worker's error
+    is raised from its traceback, sent as text.
     """
     t0 = time.perf_counter()
+    streams = list(streams)
+    for _, rows in streams:
+        if not isinstance(rows, (list, tuple, Rows)):
+            kind = type(rows).__name__
+            raise TypeError(f"tally takes rows as a list, a tuple or a Rows, not {kind}")
     caller = os.getpid()
     children: list[Child] = []
     try:
@@ -962,7 +908,7 @@ def coverage_report(
     cover: Cover, samples: Iterable[Point], eps: Fraction | None = None
 ) -> CoverageReport:
     """``tally`` over Fraction points, each scaled to its own row over its own
-    L; consecutive points over one L go as one stream.
+    L; consecutive points over one L go as one list, made before any fork.
 
     Passing ``eps`` asserts the caller's sampling contract — every sample must
     lie in S^{n+eps} — before any point is routed.
@@ -975,7 +921,7 @@ def coverage_report(
                 raise ValueError(f"sample {x} violates the S^(n+eps) precondition")
     scaled = (_scale((x,), cover.n) for x in samples)
     return tally(
-        cover, ((big, (X for _, (X,) in run)) for big, run in groupby(scaled, itemgetter(0)))
+        cover, [(big, [X for _, (X,) in run]) for big, run in groupby(scaled, itemgetter(0))]
     )
 
 

@@ -20,9 +20,10 @@ from simplexcover.cover import (
     element_kind,
 )
 from simplexcover.render import _EQ, FILL, LABEL_PREFIX, MARGIN, STROKE, WIDTH
+from simplexcover.samplers import RANDOM_GRID, in_domain
 from simplexcover.simplex import KuhnSimplex, contains, contains_oracle, vertices
 from simplexcover.triangulation import Cell, check_dn, is_admissible
-from simplexcover.verifier import RANDOM_GRID, ROUTE_FALLBACK, UncoveredPointError, in_domain
+from simplexcover.verifier import ROUTE_FALLBACK, UncoveredPointError
 
 
 def unit_volume(d: int) -> Fraction:

@@ -24,9 +24,10 @@ from simplexcover.cover import (
     element_kind,
     iter_cover,
 )
+from simplexcover.samplers import in_domain, random_samples
 from simplexcover.simplex import contains_oracle, vertices
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import _check_key, in_domain, random_samples, witness
+from simplexcover.verifier import _check_key, witness
 
 F = Fraction
 

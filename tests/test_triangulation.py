@@ -23,7 +23,7 @@ from simplexcover.triangulation import (
     weakly_decreasing_planes,
     weakly_decreasing_vectors,
 )
-from simplexcover.verifier import in_domain
+from simplexcover.samplers import in_domain
 
 F = Fraction
 

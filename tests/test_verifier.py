@@ -22,20 +22,22 @@ from oracles import (
 from simplexcover import cli, verifier
 from simplexcover.arith import _scale, point_format
 from simplexcover.cover import KIND_BASE_A, ExplicitCover, build_cover, delta
-from simplexcover.simplex import KuhnSimplex
-from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import (
-    ROUTES,
-    UncoveredPointError,
+from simplexcover.samplers import (
     boundary_rows,
     boundary_suite,
-    coverage_report,
-    format_points,
     in_domain,
     lattice_rows,
     lattice_samples,
     random_rows,
     random_samples,
+)
+from simplexcover.simplex import KuhnSimplex
+from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
+from simplexcover.verifier import (
+    ROUTES,
+    UncoveredPointError,
+    coverage_report,
+    format_points,
     tally,
     witness,
 )
@@ -638,25 +640,20 @@ def test_workers_report_one_row_streams(monkeypatch, make):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
-def _streams_with(big, rows, bad, raise_at):
-    """``rows`` with each row of ``bad`` put in at its index, as two streams:
-    the first 5 rows, and a generator of the rest that raises RuntimeError
-    when it is asked for row ``raise_at``."""
+def _streams_with(big, rows, bad, cut):
+    """``rows`` with each row of ``bad`` put in at its index, as streams: the
+    first 5 rows as a list, then the rest as a list or, split at row ``cut``,
+    as a list and a tuple."""
     rows = list(rows)
     for at, X in sorted(bad.items()):
         rows.insert(at, X)
-
-    def rest():
-        for i in range(5, len(rows)):
-            if i == raise_at:
-                raise RuntimeError(f"the stream broke at row {i}")
-            yield rows[i]
-
-    return [(big, rows[:5]), (big, rest())]
+    if cut is None:
+        return [(big, rows[:5]), (big, rows[5:])]
+    return [(big, rows[:5]), (big, rows[5:cut]), (big, tuple(rows[cut:]))]
 
 
 @pytest.mark.parametrize(
-    "bad,raise_at,message",
+    "bad,cut,message",
     [
         ({25: (1, 2)}, None, "^point/cover dimension or scale mismatch$"),
         ({15: (100, 0, 0)}, None, "^point 25,0,0 is outside the target simplex$"),
@@ -665,12 +662,9 @@ def _streams_with(big, rows, bad, raise_at):
         ({25: (100, 0, 0), 32: (1, 2)}, 30, "^point 25,0,0 is outside the target simplex$"),
         ({22: (1, 2)}, 27, "^point/cover dimension or scale mismatch$"),
         ({25: (1, 2)}, 26, "^point/cover dimension or scale mismatch$"),
-        ({25: (1, 2)}, 21, "^the stream broke at row 21$"),
-        ({38: (1, 2)}, 15, "^the stream broke at row 15$"),
-        ({45: (1, 2)}, 32, "^the stream broke at row 32$"),
     ],
 )
-def test_workers_raise_the_serial_error(monkeypatch, bad, raise_at, message):
+def test_workers_raise_the_serial_error(monkeypatch, bad, cut, message):
     # Blocks of 10 rows, the first 5 in a stream of their own.  Block 1
     # (rows 10-19) is worker 1's; block 2 is worker 2's of 3, the caller's of
     # 2; block 3 is the caller's of 3, worker 1's of 2.  The error of the
@@ -678,9 +672,7 @@ def test_workers_raise_the_serial_error(monkeypatch, bad, raise_at, message):
     cover = build_cover(3, 2)
     big, rows = lattice_rows(3, 2, cover.delta, 1)
     rows = list(rows)
-    outcomes = _by_jobs(
-        monkeypatch, 10, lambda: tally(cover, _streams_with(big, rows, bad, raise_at))
-    )
+    outcomes = _by_jobs(monkeypatch, 10, lambda: tally(cover, _streams_with(big, rows, bad, cut)))
     assert all(type(exc) is type(outcomes[0]) for exc in outcomes), outcomes
     for exc in outcomes:
         assert re.search(message, str(exc)), exc
@@ -710,9 +702,8 @@ def test_a_campaign_of_one_block_forks_nothing(monkeypatch):
 
 
 def test_a_worker_is_forked_before_the_caller_routes(monkeypatch):
-    # Worker 1's first block lies in the stream: the caller forks it on
-    # entering the stream, before routing a row of its own block.  A generic
-    # iterable keeps the lazy rule: the fork waits for the row it starts at.
+    # The caller forks worker 1 before the walk, before routing a row of its
+    # own block.
     cover = build_cover(3, 2)
     big, rows = lattice_rows(3, 2, cover.delta, 1)
     routed, forks = [], []
@@ -738,11 +729,6 @@ def test_a_worker_is_forked_before_the_caller_routes(monkeypatch):
     report = tally(cover, [(big, rows)])
     assert forks == [0]
     assert report.success and report.total == len(rows) == 220
-    routed.clear()
-    forks.clear()
-    lazy = tally(cover, [(big, iter(list(rows)))])
-    assert replace(lazy, elapsed_ms=0) == replace(report, elapsed_ms=0)
-    assert forks == [200]
     _assert_no_child_left()
 
 
@@ -785,24 +771,38 @@ def test_the_caller_stops_at_a_workers_earlier_error(monkeypatch):
 
 def test_workers_are_reaped_after_an_interrupt(monkeypatch):
     # An interrupt in the caller stops the workers; one in a worker fails the tally.
+    # The interrupt comes from the route step, once a process has routed 100
+    # rows: in the caller, or in each forked worker.
     cover = build_cover(3, 2)
     caller = os.getpid()
     big, rows = lattice_rows(3, 2, cover.delta, 2)
     rows = list(rows)
+    router = verifier._router
 
-    def interrupted(in_caller):
-        for i, X in enumerate(rows):
-            if i == 200 and (os.getpid() == caller) == in_caller:
-                raise KeyboardInterrupt
-            yield X
+    def interrupting(in_caller):
+        def make(cover, big):
+            route = router(cover, big)
+            routed = []
+
+            def step(P, y1, lo, hi):
+                if sum(routed) >= 100 and (os.getpid() == caller) == in_caller:
+                    raise KeyboardInterrupt
+                routed.append(_segment_rows(P, y1, lo, hi))
+                return route(P, y1, lo, hi)
+
+            return step
+
+        return make
 
     monkeypatch.setattr(verifier, "BLOCK_ROWS", 50)
     monkeypatch.setattr(verifier, "_jobs", lambda: 3)
+    monkeypatch.setattr(verifier, "_router", interrupting(True))
     with pytest.raises(KeyboardInterrupt):
-        tally(cover, [(big, interrupted(True))])
+        tally(cover, [(big, rows)])
     _assert_no_child_left()
+    monkeypatch.setattr(verifier, "_router", interrupting(False))
     with pytest.raises(RuntimeError, match=r"^a tally worker failed \(exit status 1\)$"):
-        tally(cover, [(big, interrupted(False))])
+        tally(cover, [(big, rows)])
     _assert_no_child_left()
 
 
@@ -906,7 +906,7 @@ def test_campaign_random_rows_are_pinned():
 
 
 def _mixed_streams(cover):
-    """Seekable, list, tuple and generator streams of one (3, 2) campaign."""
+    """Seekable, list and tuple streams of one (3, 2) campaign."""
     eps = cover.delta
     lattice = lattice_rows(3, 2, eps, 2)
     big, rows = random_rows(3, 2, eps, 150, 4)
@@ -915,7 +915,6 @@ def _mixed_streams(cover):
         lattice,
         (big, rows),
         (small, list(points)),
-        (big, (X for X in list(rows)[:40])),
         boundary_rows(3, 2, eps),
         (small, tuple(list(points)[::3])),
         random_rows(3, 2, eps, 90, 5),
@@ -925,13 +924,11 @@ def _mixed_streams(cover):
 @pytest.mark.parametrize("make", [lambda: build_cover(3, 2), _with_every_other_element])
 @pytest.mark.parametrize("block_rows", [1, 7, 100])
 def test_workers_report_mixed_streams(monkeypatch, make, block_rows):
-    # workers enter seekable streams part-way, slice lists and tuples and pull
-    # generators; every report is the one worker's
+    # workers enter seekable streams part-way and slice lists and tuples;
+    # every report is the one worker's
     cover = make()
     reports = _by_jobs(monkeypatch, block_rows, lambda: tally(cover, _mixed_streams(cover)))
-    pulled = [(big, iter(list(rows))) for big, rows in _mixed_streams(cover)]
-    assert reports[0] == replace(tally(cover, pulled), elapsed_ms=0)
-    assert reports[0].total == 1919
+    assert reports[0].total == 1879
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
@@ -979,3 +976,66 @@ def test_coverage_report_sends_runs_of_one_denominator(monkeypatch):
     assert all(a[0] != b[0] for a, b in zip(streams, streams[1:]))
     assert len(streams) == 1 + sum(a[0] != b[0] for a, b in zip(scaled, scaled[1:])) == 439
     assert replace(report, elapsed_ms=0) == replace(tally(cover, scaled), elapsed_ms=0)
+
+
+def test_tally_takes_sized_streams_only(monkeypatch, tmp_path):
+    # rows that are not a list, a tuple or a Rows are refused by their type,
+    # before any worker is forked
+    cover = build_cover(3, 2)
+    big, rows = lattice_rows(3, 2, cover.delta, 1)
+    rows = list(rows)
+    path = tmp_path / "rows.txt"
+    path.write_text("".join(f"{X}\n" for X in rows))
+    forks = []
+
+    def no_fork():
+        forks.append(1)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    monkeypatch.setattr(verifier.os, "fork", no_fork)
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 10)
+    with open(path) as lines:
+        kinds = {"generator": (X for X in rows), "list_iterator": iter(rows), "TextIOWrapper": lines}
+        for kind, stream in kinds.items():
+            message = f"^tally takes rows as a list, a tuple or a Rows, not {kind}$"
+            with pytest.raises(TypeError, match=message):
+                tally(cover, [(big, rows[:15]), (big, stream)])
+    assert forks == []
+    _assert_no_child_left()
+
+
+def test_coverage_report_makes_every_point_before_forking(monkeypatch):
+    # coverage_report scales each point in the caller: a generator of points
+    # has been pulled to its end when the first worker is forked
+    cover = build_cover(3, 2)
+    points = list(lattice_samples(3, 2, cover.delta, 2))
+    pulled, forks = [], []
+
+    def pulling():
+        for x in points:
+            pulled.append(x)
+            yield x
+
+    def no_fork():
+        forks.append(len(pulled))
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    monkeypatch.setattr(verifier.os, "fork", no_fork)
+    monkeypatch.setattr(verifier, "BLOCK_ROWS", 100)
+    report = coverage_report(cover, pulling())
+    assert forks == [len(points)] and len(points) == 1330
+    assert report.success and report.total == len(points)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("d,n,big", [(3, 2, 5), (3, 2, 0), (8, 40, 41)])
+def test_router_refuses_a_denominator_off_the_grid(d, n, big):
+    # the route step works on numerators over L = k(n+2), k >= 1: any other L
+    # is refused when the step is made, and so in tally at its stream
+    cover = build_cover(d, n)
+    with pytest.raises(ValueError, match="^point/cover dimension or scale mismatch$"):
+        verifier._router(cover, big)
+    with pytest.raises(ValueError, match="^point/cover dimension or scale mismatch$"):
+        tally(cover, [(big, [(big,) + (0,) * (d - 1)])])

@@ -18,17 +18,9 @@ from simplexcover.cover import (
     delta,
     element_kind,
 )
+from simplexcover.samplers import boundary_rows, in_domain, lattice_rows, random_samples
 from simplexcover.simplex import contains, contains_oracle
-from simplexcover.verifier import (
-    ROUTE_FALLBACK,
-    UncoveredPointError,
-    boundary_rows,
-    in_domain,
-    lattice_rows,
-    random_samples,
-    tally,
-    witness,
-)
+from simplexcover.verifier import ROUTE_FALLBACK, UncoveredPointError, tally, witness
 
 F = Fraction
 

@@ -31,10 +31,7 @@ from test_verifier import (
 from simplexcover import verifier
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, ExplicitCover, build_cover, delta, element_kind
-from simplexcover.verifier import (
-    ROUTE_FALLBACK,
-    ROUTES,
-    UncoveredPointError,
+from simplexcover.samplers import (
     boundary_rows,
     boundary_suite,
     in_domain,
@@ -42,9 +39,8 @@ from simplexcover.verifier import (
     lattice_samples,
     random_rows,
     random_samples,
-    tally,
-    witness,
 )
+from simplexcover.verifier import ROUTE_FALLBACK, ROUTES, UncoveredPointError, tally, witness
 
 GRID = [(2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 DROP_GRID = [(2, 1), (2, 2), (3, 1)]
