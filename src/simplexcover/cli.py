@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import stat
 import sys
@@ -104,9 +105,36 @@ def _add_dn(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="target scale (>= 1)")
 
 
+def _count_over(d: int, n: int, limit: int) -> bool:
+    """Whether the cover size of (d, n) has more than ``limit`` decimal digits,
+    told without computing it unless it lies within a millionth of a digit of
+    the limit.
+
+    n^d <= size <= (n+1)^d, so log10(size) is d log10(n+1) plus the log10 of
+    1 + a^d - b^d, a = (n-1)/(n+1), b = n/(n+1), a number in [1/2, 1] that floats
+    give to about 1e-15.
+    """
+    try:
+        log = d * math.log10(n + 1) + math.log10(1 + ((n - 1) / (n + 1)) ** d - (n / (n + 1)) ** d)
+    except OverflowError:  # d past the range of a float
+        return True
+    if abs(log - limit) > 1e-6 * limit:
+        return log > limit
+    return cover_count(d, n) >= 10**limit
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
+    # The interpreter refuses to print an int of more digits than its limit
+    # (none when 0; the limit came in 3.10.7), and the powers of a size far
+    # past it take longer to compute than anyone waits.
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and _count_over(args.d, args.n, limit):
+        args.parser.error(
+            f"the cover size at d={args.d}, n={args.n} has more than {limit} digits, "
+            "the most this interpreter prints (sys.get_int_max_str_digits())"
+        )
     top, base = cover_split(args.d, args.n)
-    print(cover_count(args.d, args.n))
+    print(top + base)
     print(f"top={top} base={base}")
     return 0
 
@@ -320,32 +348,45 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; given a ``command``, only that one gets its
-    arguments, the others only the name and help line the top level prints."""
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """``p`` with the arguments of subcommand ``name``, its handler and itself as
+    defaults: an error found after parsing is reported under ``p``'s usage."""
+    _, func, add_arguments = _COMMANDS[name]
+    add_arguments(p)
+    p.set_defaults(func=func, parser=p)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = argparse.ArgumentParser(
         prog="simplexcover",
         description="Cover a right d-simplex of side n + 1/(n+2) with "
         "(n+1)^d + (n-1)^d - n^d unit right simplices, and verify it exactly.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, func, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_arguments(p)
-            p.set_defaults(func=func, parser=p)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    # A first argument that names a subcommand exactly gets that subcommand's
+    # parser alone, made and run as the full parser's subcommand action makes and
+    # runs it: ArgumentParser(prog="simplexcover NAME"), parse_known_args on the
+    # later arguments.  Only the top level refuses leftover arguments, so those
+    # go to the full parser, which prints its usage and "unrecognized
+    # arguments".  Anything else (no arguments, -h, --, a typo) goes there too.
+    if argv and argv[0] in _COMMANDS:
+        parser = _fill(argparse.ArgumentParser(prog=f"simplexcover {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    # A call fills only the subcommand its first argument names: argparse hands
-    # every later argument to that subcommand's parser.  Anything else (no
-    # arguments, -h, --, a typo) fills every subcommand.  Each subcommand's
-    # parser rides on args as args.parser: an error found after parsing is
-    # reported under that subcommand's usage, as argparse reports its own.
-    argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         check_dn(args.d, args.n)
     except ValueError as exc:

@@ -2,9 +2,11 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -60,6 +62,52 @@ def test_count_rejects_d1(tmp_path, capsys):
         assert exc.value.code == 2
         assert "d must be at least 2, got 1" in capsys.readouterr().err
     assert not (tmp_path / "unused.jsonl").exists()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit")
+@pytest.mark.parametrize("d,n", [(2000, 200), (30000000, 2)])
+def test_count_past_the_digit_limit_exits_2(capsys, d, n):
+    # about 4,606 and 14.3M digits: the first raised from print, the second was
+    # still computing powers after 20 s
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count", "--d", str(d), "--n", str(n)])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: simplexcover count [-h]")
+    assert f"the cover size at d={d}, n={n} has more than {DIGIT_LIMIT} digits" in err
+
+
+def test_count_prints_a_size_under_the_digit_limit(capsys):
+    code, out, _ = run(capsys, "count", "--d", "1400", "--n", "1000")
+    assert code == 0
+    assert out.splitlines()[0] == str(1001**1400 + 999**1400 - 1000**1400)  # 4,201 digits
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int() digit limit")
+def test_count_at_the_digit_limit_is_told_exactly(capsys):
+    # 10^1000 + 8^1000 - 9^1000 has 1000 digits, and its log10 is within 1e-45
+    # of 1000: floats alone cannot tell it from a size of 1001 digits
+    try:
+        sys.set_int_max_str_digits(1000)
+        code, out, _ = run(capsys, "count", "--d", "1000", "--n", "9")
+        assert code == 0
+        assert out.splitlines()[0] == str(10**1000 + 8**1000 - 9**1000)
+        sys.set_int_max_str_digits(999)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["count", "--d", "1000", "--n", "9"])
+        assert exc.value.code == 2
+    finally:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+
+def test_count_digit_bound_matches_the_exact_size():
+    for d in range(2, 80):
+        for n in (*range(1, 30), 99, 999, 10**6):
+            digits = len(str(cover_count(d, n)))
+            assert not cli._count_over(d, n, digits), (d, n)
+            assert cli._count_over(d, n, digits - 1), (d, n)
 
 
 def test_cover_writes_canonical_jsonl(tmp_path, capsys):
@@ -582,6 +630,28 @@ CORPUS = [
     ["cover", "--d", "2", "--n", "1", "--out", "cover.jsonl"],
     ["witness", "--d", "2", "--n", "2", "--point", "9/8,9/8"],
     ["render", "--n", "1", "--out", "fig.svg"],
+    # "--" before, between and after the arguments, and a command name after it
+    ["count", "--", "--d", "2", "--n", "1"],
+    ["count", "--d", "2", "--n", "1", "--"],
+    ["count", "--d", "2", "--", "--n", "1"],
+    ["count", "--d", "2", "--n", "1", "--", "--"],
+    ["count", "--", "count"],
+    # arguments left over, help before one, "=" joined values
+    ["witness", "--d", "2", "--n", "2", "--point", "9/8,9/8", "x", "y"],
+    ["count", "-h", "extra"],
+    ["count", "extra", "--d", "2", "--n", "1"],
+    ["count", "--d=2", "--n=1"],
+    # a repeated option, unknown and missing values
+    ["count", "--d", "2", "--d", "3", "--n", "1"],
+    ["count", "-d", "2"],
+    ["count", "--x"],
+    ["count", "--d", "2", "--n", "1", "-x"],
+    ["witness", "--d", "2", "--n", "2", "--point"],
+    ["render", "--n", "1", "--out"],
+    # an abbreviation that is one option, one that is two, and "--" after options
+    ["verify", "--d", "2", "--n", "1", "--m", "boundary"],
+    ["verify", "--d", "2", "--n", "1", "--mode", "boundary", "--s", "3"],
+    ["verify", "--d", "2", "--n", "1", "--mode", "boundary", "--", "x"],
 ]
 
 
@@ -591,17 +661,17 @@ def outcome(capsys, argv):
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    return code, captured.out, captured.err
+    # a verify report's time is the one part of an outcome that may differ
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', captured.out), captured.err
 
 
 def test_each_call_prints_what_the_full_parser_prints(tmp_path, capsys, monkeypatch):
-    # main fills only the subcommand it runs; the reference is main with every
-    # subcommand filled, as build_parser() with no command gives.  The corpus
-    # runs twice, in two orders, so a call that left state behind would show
+    # main parses a call that names its subcommand with that subcommand's parser
+    # alone; the reference is main parsing every call with the full parser.  The
+    # corpus runs twice, in two orders, so a call that left state behind would show
     monkeypatch.chdir(tmp_path)
-    full = cli.build_parser
     with monkeypatch.context() as m:
-        m.setattr(cli, "build_parser", lambda command=None: full())
+        m.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
         expected = [outcome(capsys, argv) for argv in CORPUS]
     for order in (range(len(CORPUS)), reversed(range(len(CORPUS)))):
         for k in order:
@@ -631,3 +701,51 @@ def test_a_call_adds_arguments_to_its_own_subcommand_only(capsys, monkeypatch, a
     filled.clear()
     cli.build_parser()
     assert set(filled) == {f"simplexcover {command}" for command in cli._COMMANDS}
+
+
+def spy_on_parsers(monkeypatch):
+    """The prog of each ArgumentParser made from now on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(parser, *args, **kwargs):
+        init(parser, *args, **kwargs)
+        built.append(parser.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "3", "--n", "2"],
+        ["cover", "--d", "2", "--n", "1", "--out", "cover.jsonl"],
+        ["witness", "--d", "2", "--n", "2", "--point", "9/8,9/8"],
+        ["verify", "--d", "2", "--n", "1", "--mode", "lattice", "--q", "1"],
+        ["render", "--n", "1", "--out", "fig.svg"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_call_builds_its_own_subcommand_parser_only(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    built = spy_on_parsers(monkeypatch)
+    assert cli.main(argv) == 0
+    assert built == [f"simplexcover {argv[0]}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--d", "3", "--n", "2", "extra"],
+        ["cnt", "--d", "3", "--n", "2"],
+        ["--", "count", "--d", "3", "--n", "2"],
+        ["-h"],
+    ],
+    ids=["leftover", "typo", "double-dash", "help"],
+)
+def test_other_calls_reach_the_full_parser(capsys, monkeypatch, argv):
+    built = spy_on_parsers(monkeypatch)
+    outcome(capsys, argv)
+    full = ["simplexcover", *(f"simplexcover {command}" for command in cli._COMMANDS)]
+    assert built[-len(full) :] == full
