@@ -6,9 +6,9 @@ verification campaigns, and d=2 SVG figures.
 Each public name resolves on first use: reading it imports its home module
 (PEP 562) and binds the name here.  So ``import simplexcover`` loads no
 submodule, ``build_cover`` loads only the construction (``cover`` and the
-``arith``, ``simplex`` and ``triangulation`` it builds on), and the
-point-location stack (``verifier``, ``samplers``) is loaded by the first name
-that needs it.
+``arith``, ``simplex`` and ``triangulation`` it builds on), ``witness`` adds
+point location (``locate``) alone, and the campaign stack (``verifier``,
+``samplers``) is loaded by the first name that needs it.
 """
 
 from importlib import import_module as _import_module
@@ -19,10 +19,11 @@ _HOMES = {
     for module, names in {
         "arith": "ParseError Permutation Point point_format point_parse rat_format rat_parse",
         "cover": "CoverElement CoverSpec ExplicitCover build_cover cover_count delta iter_cover",
+        "locate": "UncoveredPointError WitnessResult witness",
         "samplers": "boundary_suite in_domain lattice_samples random_samples",
         "simplex": "KuhnSimplex contains contains_oracle vertices",
         "triangulation": "enumerate_base_slab enumerate_simplex_triangulation is_admissible",
-        "verifier": "CoverageReport UncoveredPointError WitnessResult coverage_report witness",
+        "verifier": "CoverageReport coverage_report",
     }.items()
     for name in names.split()
 }

@@ -44,8 +44,8 @@ from .cover import (
 from .triangulation import check_dn
 
 # A subcommand imports the modules only it runs in its handler, so count, cover
-# and render never load the point-location stack (verifier, samplers), and
-# witness and verify never load render.
+# and render never load point location (locate) or the campaign stack
+# (verifier, samplers), witness loads locate alone, and only render loads render.
 
 
 def cover_record(el: CoverElement) -> dict:
@@ -239,7 +239,7 @@ def _coordinate_texts(n: int) -> dict[str, list[str]]:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    from .verifier import UncoveredPointError, witness
+    from .locate import UncoveredPointError, witness
 
     try:
         x = point_parse(args.point, args.d)
@@ -264,8 +264,9 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .locate import ROUTE_FALLBACK
     from .samplers import boundary_rows, lattice_rows, random_rows
-    from .verifier import ROUTE_FALLBACK, format_points, tally
+    from .verifier import format_points, tally
 
     # The samplers check the plan on the call; every stream is made, whatever
     # the mode, so a bad --q or --samples is a usage error in every mode.
@@ -279,6 +280,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     modes = streams if args.mode == "all" else (args.mode,)
+    for mode in modes:
+        # len() raises OverflowError past sys.maxsize, the most rows a campaign indexes
+        size = streams[mode][1].__len__()
+        if size > sys.maxsize:
+            args.parser.error(
+                f"the {mode} stream holds {size} rows, more than a campaign can index "
+                f"(sys.maxsize = {sys.maxsize})"
+            )
     spec = build_cover(args.d, args.n)
     report = tally(spec, [streams[mode] for mode in modes])
     print(json.dumps(report.to_json()))

@@ -32,7 +32,7 @@ tuple, and ``member`` looks keys up in them, so a dropped or altered element
 is caught; each must have dimension d and a permutation of 1..d.  The two
 compare, hash and print as the dataclasses they are: ``replace(build_cover(2,
 2), n=3)`` is ``build_cover(2, 3)``, and no explicit cover equals a canonical
-one.  Point location (``verifier._router``'s step) asks ``member`` once per
+one.  Point location (``locate._router``'s step) asks ``member`` once per
 key and keeps its verdict on the cover.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
@@ -82,7 +82,7 @@ class CoverElement:
         return (self.kind, self.v, self.perm)
 
 
-# verifier._check_key's verdict on a key: the element and its anchor numerators,
+# locate._check_key's verdict on a key: the element and its anchor numerators,
 # or None and the failed check
 Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators over L
@@ -102,7 +102,7 @@ class _Cover:
 
     @cached_property
     def _verdicts(self) -> dict[Key, Verdict]:
-        """``verifier._check_key``'s verdict per key, filled as points are routed.
+        """``locate._check_key``'s verdict per key, filled as points are routed.
         A verdict depends on this frozen cover and the key alone, so a failed
         one is kept too; ``replace(cover, ...)`` starts with none."""
         return {}
@@ -139,7 +139,7 @@ class CoverSpec(_Cover):
         """The element with this key, or None if the cover has none: the
         ``element_index`` lookup once ``elements`` is read, else the
         construction's rule, which makes the element with the anchor tuple
-        ``elements`` will share.  ``verifier._check_key`` asks once per key and
+        ``elements`` will share.  ``locate._check_key`` asks once per key and
         keeps the element in its verdict, and ``elements`` reuses it."""
         if "elements" in self.__dict__:
             return self.element_index.get(key)

@@ -7,7 +7,7 @@ oracle (exact linear solve) is kept alongside it for cross-checking.
 
 That chain, ``top >= s_1 >= ... >= s_d >= 0``, is written once, in
 ``_descends``: ``contains`` runs it on Fraction residuals,
-``samplers.in_domain`` on the coordinates themselves, and ``verifier._router``'s
+``samplers.in_domain`` on the coordinates themselves, and ``locate._router``'s
 step on integer numerators over a common denominator.
 """
 

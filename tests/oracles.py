@@ -23,7 +23,7 @@ from simplexcover.render import _EQ, FILL, LABEL_PREFIX, MARGIN, STROKE, WIDTH
 from simplexcover.samplers import RANDOM_GRID, in_domain
 from simplexcover.simplex import KuhnSimplex, contains, contains_oracle, vertices
 from simplexcover.triangulation import Cell, check_dn, is_admissible
-from simplexcover.verifier import ROUTE_FALLBACK, UncoveredPointError
+from simplexcover.locate import ROUTE_FALLBACK, UncoveredPointError
 
 
 def unit_volume(d: int) -> Fraction:
@@ -37,7 +37,7 @@ def rank_descending(values: Sequence[Fraction] | Sequence[int]) -> Permutation:
     """Indices 1..d ordered by value, largest first; ties keep ascending index.
 
     Sorting is stable, also in reverse, so equal values come out in ascending
-    original-index order.  ``verifier._placer`` gets the same order by
+    original-index order.  ``locate._placer`` gets the same order by
     sorting the prefix residuals ranked with their index and placing index d
     after its ties.
     """
@@ -218,7 +218,7 @@ def generic_interior_cube_samples(d: int, count: int, seed: int) -> list[Point]:
 def locate_two_pass(
     X: Sequence[int], n: int, big: int, unit: int
 ) -> tuple[bool, IntVector, Permutation]:
-    """The routing rule of ``verifier._placer`` in two passes over the whole
+    """The routing rule of ``locate._placer`` in two passes over the whole
     row, the reference for its split into prefix and last coordinate:
     ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
     ``big``, with ``unit`` = big/(n+2).  The type-(a) residuals are all made before the type-(b) test,

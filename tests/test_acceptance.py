@@ -25,7 +25,8 @@ from simplexcover.cover import KIND_BASE_A, KIND_TOP, build_cover, cover_count, 
 from simplexcover.samplers import boundary_suite, random_samples
 from simplexcover.simplex import contains, contains_oracle
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import coverage_report, witness
+from simplexcover.locate import witness
+from simplexcover.verifier import coverage_report
 
 F = Fraction
 

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import runpy
@@ -418,6 +419,35 @@ def test_verify_bad_plan_exits_2(capsys, monkeypatch, extra):
         cli.main(["verify", "--d", "2", "--n", "2", *extra])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,mode,rows",
+    [
+        # the lattice of step delta/q holds C(floor((n+delta) q(n+2)) + d, d) rows
+        ("--d 8 --n 40", "lattice", math.comb(40 * 84 + 2 + 8, 8)),
+        ("--d 8 --n 40 --mode lattice --q 100", "lattice", math.comb(40 * 4200 + 100 + 8, 8)),
+        ("--d 5 --n 2 --samples 10000000000000000000000", "random", 10**22),
+    ],
+)
+def test_verify_refuses_a_stream_past_sys_maxsize(capsys, argv, mode, rows):
+    # len() of such a stream raised OverflowError from inside tally
+    assert rows > sys.maxsize
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", *argv.split()])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: simplexcover verify [-h]")
+    assert f"the {mode} stream holds {rows} rows, more than a campaign can index" in err
+
+
+def test_verify_runs_a_short_stream_beside_one_past_sys_maxsize(capsys):
+    # every stream is made whatever the mode; only the chosen ones must fit
+    code, out, _ = run(capsys, "verify", "--d", "8", "--n", "40", "--mode", "random", "--samples", "20")
+    assert code == 0
+    assert json.loads(out)["total"] == 20
 
 
 def test_verify_deterministic_modulo_elapsed(capsys):

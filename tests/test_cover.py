@@ -27,7 +27,7 @@ from simplexcover.cover import (
 from simplexcover.samplers import in_domain, random_samples
 from simplexcover.simplex import contains_oracle, vertices
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import _check_key, witness
+from simplexcover.locate import _check_key, witness
 
 F = Fraction
 

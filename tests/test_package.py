@@ -21,8 +21,8 @@ PUBLIC = {
     "ParseError": "arith",
     "Permutation": "arith",
     "Point": "arith",
-    "UncoveredPointError": "verifier",
-    "WitnessResult": "verifier",
+    "UncoveredPointError": "locate",
+    "WitnessResult": "locate",
     "boundary_suite": "samplers",
     "build_cover": "cover",
     "contains": "simplex",
@@ -42,7 +42,7 @@ PUBLIC = {
     "rat_format": "arith",
     "rat_parse": "arith",
     "vertices": "simplex",
-    "witness": "verifier",
+    "witness": "locate",
 }
 
 # Test-only oracles (now in tests/oracles.py) and names nothing used.
@@ -138,32 +138,34 @@ SETUP = {
     "simplexcover.simplex",
     "simplexcover.triangulation",
 }
-POINT_LOCATION = {"simplexcover.verifier", "simplexcover.samplers"}
+LOCATE = {"simplexcover.locate"}
+CAMPAIGN = {"simplexcover.verifier", "simplexcover.samplers"}
 RENDER = {"simplexcover.render"}
 
 
 def test_build_cover_loads_only_the_construction():
     # the set-up each `count`, `cover` and `render` pays: the cover, and what
-    # it is built from; no point-location stack
+    # it is built from; no point location and no campaign
     loaded = fresh_interpreter("import simplexcover; simplexcover.build_cover(5, 10)" + LOADED)
     assert set(json.loads(loaded)) == SETUP
 
 
 @pytest.mark.parametrize(
-    "argv,never",
+    "argv,loads,never",
     [
-        (["count", "--d", "5", "--n", "2"], POINT_LOCATION | RENDER),
-        (["cover", "--d", "3", "--n", "3", "--out", "{out}"], POINT_LOCATION | RENDER),
-        (["render", "--n", "4", "--out", "{out}"], POINT_LOCATION),
-        (["witness", "--d", "5", "--n", "10", "--point", "7/2,3,2,1,1/3"], RENDER),
+        (["count", "--d", "5", "--n", "2"], set(), LOCATE | CAMPAIGN | RENDER),
+        (["cover", "--d", "3", "--n", "3", "--out", "{out}"], set(), LOCATE | CAMPAIGN | RENDER),
+        (["render", "--n", "4", "--out", "{out}"], RENDER, LOCATE | CAMPAIGN),
+        (["witness", "--d", "5", "--n", "10", "--point", "7/2,3,2,1,1/3"], LOCATE, CAMPAIGN | RENDER),
+        (["verify", "--d", "3", "--n", "2", "--samples", "50"], LOCATE | CAMPAIGN, RENDER),
     ],
-    ids=["count", "cover", "render", "witness"],
+    ids=["count", "cover", "render", "witness", "verify"],
 )
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, never):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, loads, never):
     argv = [arg.format(out=tmp_path / "out") for arg in argv]
     code = f"from simplexcover import cli; assert cli.main({argv!r}) == 0" + LOADED
     loaded = set(json.loads(fresh_interpreter(code).splitlines()[-1]))
-    assert SETUP | {"simplexcover.cli"} <= loaded
+    assert SETUP | {"simplexcover.cli"} | loads <= loaded
     assert not loaded & never, sorted(loaded & never)
 
 

@@ -33,14 +33,8 @@ from simplexcover.samplers import (
 )
 from simplexcover.simplex import KuhnSimplex
 from simplexcover.triangulation import enumerate_base_slab, enumerate_simplex_triangulation
-from simplexcover.verifier import (
-    ROUTES,
-    UncoveredPointError,
-    coverage_report,
-    format_points,
-    tally,
-    witness,
-)
+from simplexcover.locate import ROUTES, UncoveredPointError, witness
+from simplexcover.verifier import coverage_report, format_points, tally
 
 F = Fraction
 
@@ -821,7 +815,7 @@ def test_a_forked_workers_error_keeps_its_traceback(monkeypatch):
     cause = caught.value.__cause__
     assert cause is not None and "Traceback (most recent call last)" in str(cause)
     text = "".join(traceback.format_exception(caught.value))
-    assert re.search(r'verifier\.py", line \d+, in route\n', text), text
+    assert re.search(r'locate\.py", line \d+, in route\n', text), text
     assert "ValueError: point/cover dimension or scale mismatch" in str(cause)
     # the caller's own error is raised as it is, with its own frames
     monkeypatch.setattr(verifier, "_jobs", lambda: 1)

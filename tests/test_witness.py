@@ -6,7 +6,7 @@ import pytest
 
 from oracles import locate_two_pass
 from simplexcover import cover as cover_module
-from simplexcover import verifier
+from simplexcover import locate
 from simplexcover.arith import point_parse
 from simplexcover.cover import (
     KIND_BASE_A,
@@ -20,7 +20,8 @@ from simplexcover.cover import (
 )
 from simplexcover.samplers import boundary_rows, in_domain, lattice_rows, random_samples
 from simplexcover.simplex import contains, contains_oracle
-from simplexcover.verifier import ROUTE_FALLBACK, UncoveredPointError, tally, witness
+from simplexcover.locate import ROUTE_FALLBACK, UncoveredPointError, witness
+from simplexcover.verifier import tally
 
 F = Fraction
 
@@ -223,7 +224,7 @@ def test_witness_fallback_names_the_failed_check(monkeypatch, cell, reason):
     cover = build_cover(2, 1)
     x = pt(F(1, 8), F(1, 8))
     expected = witness(x, 2, 1, cover).element
-    monkeypatch.setattr(verifier, "_cell", lambda *args: cell)
+    monkeypatch.setattr(locate, "_cell", lambda *args: cell)
     res = witness(x, 2, 1, cover)
     assert res.route == ROUTE_FALLBACK
     assert res.fallback_reason == reason
@@ -238,15 +239,15 @@ def test_witness_uncovered_error_on_incomplete_cover():
 
 
 def counted_check_key(monkeypatch):
-    """Wrap ``verifier._check_key``; the list it returns collects each key it checks."""
+    """Wrap ``locate._check_key``; the list it returns collects each key it checks."""
     calls = []
-    check_key = verifier._check_key
+    check_key = locate._check_key
 
     def counted(cover, key):
         calls.append(key)
         return check_key(cover, key)
 
-    monkeypatch.setattr(verifier, "_check_key", counted)
+    monkeypatch.setattr(locate, "_check_key", counted)
     return calls
 
 
@@ -344,11 +345,14 @@ def test_witness_makes_one_element(monkeypatch, d, n, point):
 
 
 def test_an_out_of_target_point_is_named_in_wire_form():
-    # the message is what the CLI prints after "error: ", with no Fraction repr
+    # the message is what the CLI prints after "error: ", with no Fraction repr;
+    # so is an uncovered point's
     with pytest.raises(ValueError, match=r"^point 3,0 is outside the target simplex$"):
         witness(pt(3, 0), 2, 2, build_cover(2, 2))
     with pytest.raises(ValueError, match=r"^point 5/2,-1/8 is outside the target simplex$"):
         tally(build_cover(2, 2), [(8, [(20, -1)])])
+    with pytest.raises(UncoveredPointError, match=r"^no cover element contains in-domain point 1,1,1$"):
+        witness(pt(1, 1, 1), 3, 2, ExplicitCover(3, 2, []))
 
 
 @pytest.mark.parametrize("row", [(5, 3, 1), (1,), ()], ids=["long", "short", "empty"])

@@ -3,7 +3,7 @@ location decided on Fractions: route, element (key, anchor and identity), the
 residual ``w`` and the fallback reason must all agree, and so must
 ``UncoveredPointError`` on incomplete covers.  ``tally`` over the streams of
 ``verify --mode all`` must agree with a report made point by point from
-``fraction_witness``, and the routing rule on one row (``verifier._placer``)
+``fraction_witness``, and the routing rule on one row (``locate._placer``)
 with ``oracles.locate_two_pass``.  The route step's pieces, row by row, and
 ``tally`` under any block size and worker count must agree with each row
 located by ``locate_two_pass`` and checked by exact containment, on the
@@ -28,7 +28,7 @@ from test_verifier import (
     _without_origin_base_a,
 )
 
-from simplexcover import verifier
+from simplexcover import locate, verifier
 from simplexcover.simplex import KuhnSimplex, contains
 from simplexcover.cover import KIND_BASE_A, KINDS, KIND_TOP, ExplicitCover, build_cover, delta, element_kind
 from simplexcover.samplers import (
@@ -40,7 +40,8 @@ from simplexcover.samplers import (
     random_rows,
     random_samples,
 )
-from simplexcover.verifier import ROUTE_FALLBACK, ROUTES, UncoveredPointError, tally, witness
+from simplexcover.locate import ROUTE_FALLBACK, ROUTES, UncoveredPointError, witness
+from simplexcover.verifier import tally
 
 GRID = [(2, 1), (2, 2), (2, 5), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)]
 DROP_GRID = [(2, 1), (2, 2), (3, 1)]
@@ -181,8 +182,8 @@ def locate_one_pass(X, n, big, unit):
     """The routing rule on one row, the patch of a segment of one row:
     ``(above_seam, v, perm)`` for an in-domain x given as numerators X over
     ``big``, with ``unit`` = D = big/(n+2)."""
-    ((*_, placed),) = verifier._placer(len(X), n, big, unit)(X[:-1], X[-2], X[-1], X[-1] + 1)
-    return verifier._cell(placed)
+    ((*_, placed),) = locate._placer(len(X), n, big, unit)(X[:-1], X[-2], X[-1], X[-1] + 1)
+    return locate._cell(placed)
 
 
 def assert_locate_agrees(big, rows, n):
@@ -477,7 +478,7 @@ def test_a_piece_checks_each_row_against_its_cell(monkeypatch, d, n, q):
     cover = cover_of(d, n)
     big, rows = lattice_rows(d, n, delta(n), q)
     for el in cover.elements:
-        monkeypatch.setattr(verifier, "_cell", lambda placed, el=el: (el.kind == KIND_TOP, el.v, el.perm))
+        monkeypatch.setattr(locate, "_cell", lambda placed, el=el: (el.kind == KIND_TOP, el.v, el.perm))
         got = routed_rows(verifier._router(cover, big), segments_of(rows))
         for X, routed in zip(rows, got):
             x = tuple(Fraction(c, big) for c in X)
