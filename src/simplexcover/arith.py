@@ -72,8 +72,14 @@ def is_permutation(perm: Sequence[int], d: int) -> bool:
 
 def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
     """The points as integer rows over one common denominator
-    ``L = lcm(n+2, denominators of the points)``: ``(L, [X, ...])``."""
-    big = math.lcm(n + 2, *(c.denominator for x in points for c in x))
+    ``L = lcm(n+2, denominators of the points)``: ``(L, [X, ...])``.  A
+    coordinate that is not an int or a Fraction is a TypeError naming its
+    point."""
+    try:
+        big = math.lcm(n + 2, *(c.denominator for x in points for c in x))
+    except AttributeError:  # no denominator: a float, say
+        bad = next(x for x in points if not all(hasattr(c, "denominator") for c in x))
+        raise TypeError(f"point {tuple(bad)}: coordinates must be int or Fraction") from None
     return big, [[c.numerator * (big // c.denominator) for c in x] for x in points]
 
 

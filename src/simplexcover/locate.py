@@ -133,14 +133,18 @@ def _placer(
     A band is a range of full rows (x from 0 to y) over which the cells and
     their order stay fixed.  Along it every breakpoint is fixed (Q's, the
     seam, the v_d blocks) or moves with y (y's residual plus one, and the
-    row's end y + 1), so a band holds while, in each regime, y's floor
-    stays, y's residual passes no residual of Q, and no moving breakpoint
-    passes a fixed one: y + 1 the seam, type (a)'s end on y's residual a
-    type-(b) breakpoint of Q, y's type-(b) breakpoint type (a)'s end on Q's.
-    Where a piece would close up as y's residual meets one of Q's, the band
-    ends just before.  Each band ends at the first such y, worked out from
-    the values the placement holds; no row inside it is placed.  The first
-    and last rows of a segment, when cut, are bands of their own.
+    row's end y + 1).  Six cuts keep the cells: y's floor stays in each
+    regime, y's residual passes none of Q's in type (a) and above the seam,
+    and y + 1 stays at or below the seam.  Type (b) needs only its floor: a
+    full row always places type (a) (no type-(a) residual is below its first
+    x, 0), rows with y < D never reach type (b), and y's type-(a) and
+    type-(b) residuals are equal except on rows with y = D (mod (n+1)D),
+    where type (a)'s floor already ends the band.  So type (a)'s residual
+    cut is type (b)'s too, and y's type-(b) breakpoint can sit under type
+    (a)'s end only on those rows.  The order stays while no piece closes up:
+    a piece whose start moves and whose end does not ends the band its width
+    minus one rows after y.  A band ends at the first y a cut names, found
+    from its first row alone; a cut first or last row is a band of its own.
     """
     seam = big + unit  # 1 + delta
     shrink = (n + 1) * unit  # 1 - delta
@@ -186,20 +190,17 @@ def _placer(
                     va, ra, ka = v, ranks, last - wa * d
             if ra is not None:
                 least = -(ra[-1] // d)  # the least residual: Q's, unless it is y's
-                moving = ra[-1] == ka  # type (a) ends on y's residual
                 end = least + 1 if least < top else top
                 perm = tuple([r % d for r in ra])
                 out.append((y, y, x, end, x, end, (False, tuple(va), perm, 0, last)))
                 x = end
                 if span:
-                    moves.append(moving)
+                    moves.append(ra[-1] == ka)  # type (a) ends on y's residual
                     ia = bisect_left(ra, ka)
                     if big - wa < span:  # y's floor
                         span = big - wa
                     if ia and -(ra[ia - 1] // d) - wa < span:  # y's residual passes one of Q's
                         span = -(ra[ia - 1] // d) - wa
-                    if moving and seam - 2 - wa < span and wa < seam - 1:
-                        span = seam - 2 - wa  # type (a) would end at the seam, leaving no type (b)
             if x < top and (x < seam or n < 2):  # type (b): every residual lands in [delta, 1)
                 vy = (y - unit) // shrink
                 w = y - vy * shrink
@@ -218,23 +219,8 @@ def _placer(
                     rb.sort()
                 kb = ry
                 stop = seam if n >= 2 and seam < top else top
-                if span:
-                    ib = bisect_left(rb, ry)
-                    if big - 1 - w < span:  # y's floor
-                        span = big - 1 - w
-                    if ib:  # y's residual passes one of Q's; where y's breakpoint lies
-                        q = -(rb[ib - 1] // d)  # inside, the piece between them closes first
-                        cut = (q - w - 1 if q > w else 0) if w >= x and vy > 0 else q - w
-                        if cut < span:
-                            span = cut
-                    if moving:  # type (a)'s end passes the breakpoint of one of Q's
-                        k = bisect_left(rb, -wa * d)  # the residuals above wa, y's maybe
-                        if k > (ib < k):
-                            cut = -(rb[k - 1 if ib != k - 1 else k - 2] // d) - 1 - wa
-                            if cut < span:
-                                span = cut
-                    elif w <= least and least - w < span:  # y's breakpoint passes type (a)'s end
-                        span = least - w
+                if big - 1 - w < span:  # y's floor
+                    span = big - 1 - w
                 vt, perm = tuple(vb), tuple([r % d for r in rb])
                 while x < stop:
                     at = bisect_left(rb, (1 - x) * d)
@@ -274,14 +260,8 @@ def _placer(
                     iu = bisect_left(ru, ry)
                     if vy < n - 2 and big - 1 - w < span:  # y's floor
                         span = big - 1 - w
-                    inside = vy > 0 and w + 1 < big  # y's breakpoints in the blocks below
-                    if inside and big - 2 - w < span:
-                        span = big - 2 - w
-                    if iu:  # y's residual passes one of Q's
-                        q = -(ru[iu - 1] // d)
-                        cut = (q - w - 1 if q > w else 0) if inside else q - w
-                        if cut < span:
-                            span = cut
+                    if iu and -(ru[iu - 1] // d) - w < span:  # y's residual passes one of Q's
+                        span = -(ru[iu - 1] // d) - w
                 vt, perm = tuple(vu), tuple([r % d for r in ru])
                 while x < top:
                     vd = min((x - seam) // big, n - 2)
@@ -297,6 +277,14 @@ def _placer(
                     x = end
                     if span:
                         moves.append(move)
+            if span:  # a piece whose start moves and whose end does not closes up
+                moved = False  # the first piece starts at x = 0
+                for i, move in enumerate(moves, first):
+                    if moved and not move:
+                        width = out[i][3] - out[i][2]
+                        if width <= span:
+                            span = width - 1
+                    moved = move
             if span:  # each end on the band's last row is the first row's, plus span if it moves
                 yb = y + span
                 moved = False  # the first piece starts at x = 0

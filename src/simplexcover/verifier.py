@@ -258,7 +258,7 @@ def _walk(
                     if element is None:
                         listed, cap = failures, x1
                     else:
-                        rows = x1 - x0 if ya == yb else (yb - ya + 1) * (x1 - x0 + u1 - u0) // 2
+                        rows = (yb - ya + 1) * (x1 - x0 + u1 - u0) // 2
                         routes[kind] += rows
                         if reason is not None:
                             reasons[reason] += rows
@@ -273,7 +273,7 @@ def _walk(
                         b = min(x1 if u1 == x1 else x1 + y - ya, cap)
                         listed += [(row + x, _point((*Q, y, x), big)) for x in range(a, b)]
                 y0 = P[-1]
-                start += hi - lo if y1 == y0 else (y1 - y0) * (y1 + y0 + 1) // 2 + hi - lo
+                start += (y1 - y0) * (y1 + y0 + 1) // 2 + hi - lo
         except Exception as exc:  # a segment was refused
             raise _RowError(start) from exc
 
@@ -320,8 +320,10 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
     closed form.
 
     Each stream's rows must be a list, a tuple or a ``Rows`` (what
-    ``lattice_rows`` and ``random_rows`` give), else this raises TypeError
-    before any worker is forked.  The rows go in blocks of BLOCK_ROWS,
+    ``lattice_rows`` and ``random_rows`` give), else this raises TypeError,
+    and hold at most ``sys.maxsize`` rows, the most a campaign indexes, else
+    this raises ValueError naming the stream; both before any worker is
+    forked.  The rows go in blocks of BLOCK_ROWS,
     counted across streams, to one worker per CPU this process may run on
     (``_jobs``, ``_walk``), and each worker makes only its own blocks' rows.
     Worker 0 is this process; a forked worker sends its share back over a
@@ -335,10 +337,16 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
     """
     t0 = time.perf_counter()
     streams = list(streams)
-    for _, rows in streams:
+    for i, (big, rows) in enumerate(streams):
         if not isinstance(rows, (list, tuple, Rows)):
             kind = type(rows).__name__
             raise TypeError(f"tally takes rows as a list, a tuple or a Rows, not {kind}")
+        size = rows.__len__()  # len() raises OverflowError past sys.maxsize
+        if size > sys.maxsize:
+            raise ValueError(
+                f"stream {i} (L = {big}) holds {size} rows, more than a campaign can index "
+                f"(sys.maxsize = {sys.maxsize})"
+            )
     caller = os.getpid()
     children: list[Child] = []
     try:

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import sys
 import traceback
 from collections import Counter
 from dataclasses import replace
@@ -997,6 +998,32 @@ def test_tally_takes_sized_streams_only(monkeypatch, tmp_path):
                 tally(cover, [(big, rows[:15]), (big, stream)])
     assert forks == []
     _assert_no_child_left()
+
+
+def test_tally_refuses_a_stream_past_sys_maxsize(monkeypatch):
+    # the (8, 40) lattice holds more rows than len() can return: tally names
+    # the stream, its L and its row count, before any worker is forked
+    big, rows = lattice_rows(8, 40, delta(40), 2)
+    size = rows.__len__()
+    assert size > sys.maxsize
+    forks = []
+    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
+    monkeypatch.setattr(verifier.os, "fork", lambda: forks.append(1))
+    message = rf"^stream 1 \(L = {big}\) holds {size} rows, more than a campaign can index "
+    with pytest.raises(ValueError, match=message):
+        tally(build_cover(8, 40), [(big, [[0] * 8]), (big, rows)])
+    assert forks == []
+
+
+def test_a_float_coordinate_is_a_type_error():
+    # a float has no denominator to scale by: witness and coverage_report
+    # name the point and the coordinate types they take
+    cover = build_cover(3, 2)
+    message = r"^point \(1\.0, 0\.5, 0\.0\): coordinates must be int or Fraction$"
+    with pytest.raises(TypeError, match=message):
+        witness((1.0, 0.5, 0.0), 3, 2, cover)
+    with pytest.raises(TypeError, match=message):
+        coverage_report(cover, [(F(1), F(1, 2), 0), (1.0, 0.5, 0.0)])
 
 
 def test_coverage_report_makes_every_point_before_forking(monkeypatch):

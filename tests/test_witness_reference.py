@@ -537,3 +537,53 @@ def test_broken_covers_report_planes_as_rows_alone(make, q):
         assert_tally_is_the_reference(planes, reference_tally(cover, [(big, rows)]))
         fallbacks += planes.routes[ROUTE_FALLBACK]
     assert fallbacks > 0
+
+
+def cuts(y1):
+    """The cuts ``(ya, xa, yb, xb)`` of a plane up to ``y = y1``: first row
+    ``(ya, xa)`` and last row ``(yb, xb)`` each at the start, the middle or
+    the end of its range, the plane's own first and last rows included."""
+    def marks(a, b):
+        return sorted({a, (a + b) // 2, b})
+
+    return [
+        (ya, xa, yb, xb)
+        for ya in marks(0, y1)
+        for xa in marks(0, ya)
+        for yb in marks(ya, y1)
+        for xb in marks(xa if yb == ya else 0, yb)
+    ]
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2)])
+def test_cut_planes_route_every_row_as_the_reference(d, n):
+    # Every plane of each lattice, cut at a coarse grid of first and last
+    # rows, as a block boundary cuts it: each row of each cut segment gets
+    # the element, route and reason of the row located alone.  A plane's
+    # row (y, x) is its row number y(y+1)/2 + x.
+    cover = cover_of(d, n)
+    for eps in (delta(n), Fraction(0)):
+        for q in (1, 2, 3):
+            big, rows = lattice_rows(d, n, eps, q)
+            expected = reference_rows(cover, big, rows)
+            route = verifier._router(cover, big)
+            first = 0  # the plane's first row number in the lattice
+            for P, y1, _, hi in rows.planes(0, len(rows)):
+                for ya, xa, yb, xb in cuts(y1):
+                    segment = ((*P[:-1], ya), yb, xa, xb + 1)
+                    a, b = ya * (ya + 1) // 2 + xa, yb * (yb + 1) // 2 + xb
+                    got = routed_rows(route, [segment])
+                    assert got == expected[first + a : first + b + 1], segment
+                first += y1 * (y1 + 1) // 2 + hi
+
+
+def test_a_band_runs_until_a_piece_would_close():
+    # (d, n) = (2, 1), L = 3: rows 0..3 each lie whole in type (a), whose end
+    # y + 1 moves with the row's end, so they are one band; row 4 floors y
+    # anew and splits at its type-(a) end
+    place = locate._placer(2, 1, 3, 1)
+    assert place((0,), 4, 0, 5) == [
+        (0, 3, 0, 1, 0, 4, (False, (0,), (1,), 0, 1)),
+        (4, 4, 0, 3, 0, 3, (False, (1,), (1,), 0, 1)),
+        (4, 4, 3, 5, 3, 5, (False, (1,), (1,), 0, 0)),
+    ]
