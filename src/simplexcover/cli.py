@@ -266,10 +266,11 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .locate import ROUTE_FALLBACK
     from .samplers import boundary_rows, lattice_rows, random_rows
-    from .verifier import format_points, tally
+    from .verifier import _refuse_unindexable, format_points, tally
 
     # The samplers check the plan on the call; every stream is made, whatever
-    # the mode, so a bad --q or --samples is a usage error in every mode.
+    # the mode, so a bad --q or --samples is a usage error in every mode; so
+    # is a chosen stream of more rows than a campaign indexes.
     try:
         eps = delta(args.n) if args.eps is None else rat_parse(args.eps)
         streams = {
@@ -277,17 +278,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             "random": random_rows(args.d, args.n, eps, args.samples, args.seed),
             "boundary": boundary_rows(args.d, args.n, eps),
         }
+        modes = streams if args.mode == "all" else (args.mode,)
+        for mode in modes:
+            _refuse_unindexable(f"the {mode} stream", streams[mode][1])
     except ValueError as exc:
         args.parser.error(str(exc))
-    modes = streams if args.mode == "all" else (args.mode,)
-    for mode in modes:
-        # len() raises OverflowError past sys.maxsize, the most rows a campaign indexes
-        size = streams[mode][1].__len__()
-        if size > sys.maxsize:
-            args.parser.error(
-                f"the {mode} stream holds {size} rows, more than a campaign can index "
-                f"(sys.maxsize = {sys.maxsize})"
-            )
     spec = build_cover(args.d, args.n)
     report = tally(spec, [streams[mode] for mode in modes])
     print(json.dumps(report.to_json()))

@@ -15,13 +15,10 @@ boundary falls inside is cut there.  Worker 0 is the calling process; it
 forks the others before the walk, one for each block up to ``jobs`` that the
 streams reach.  A worker makes only the rows of its own blocks: it reads a
 lattice ``Rows`` as plane segments and slices a list, a tuple or another
-``Rows`` at each of its blocks, stepping over the others' blocks in O(1).
-The rows of every stream but a lattice are merged into runs where
-consecutive rows share a prefix and step x_d by 1.  A forked worker sends
-its counts back over a pipe; between its blocks the caller takes in the
-counts that have come, and stops once one holds an error at a row before its
-next block.  The merged report is the one a single worker makes, down to the
-row order of failures and the error raised.
+``Rows`` at each of its blocks, one segment per row, stepping over the
+others' blocks in O(1).  A forked worker sends its counts back over a pipe,
+which the caller reads after its own walk.  The merged report is the one a
+single worker makes, down to the row order of failures and the error raised.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.
@@ -32,7 +29,6 @@ where tractable, seeded random streams plus a boundary suite elsewhere.
 from __future__ import annotations
 
 import os
-import select
 import sys
 import time
 from collections import Counter
@@ -40,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from .arith import Point, _point, _scale, point_format
 from .cover import KIND_BASE_A, Cover
@@ -150,24 +146,22 @@ class _WorkerFailed(RuntimeError):
     fails with it, and no row's error stands in for it."""
 
 
-def _runs_of(rows: Iterable[Sequence[int]]) -> Iterator[Segment]:
-    """The rows as runs, segments of one y ``(prefix, prefix[-1], low,
-    high)``: consecutive rows that share a prefix and step x_d by 1 form one.
-    An empty or one-entry row is a run with an empty prefix, which the route
-    step refuses."""
-    prefix: Sequence[int] | None = None
-    lo = hi = 0
-    for X in rows:
-        P = X[:-1]
-        if P == prefix and X[-1] == hi:
-            hi += 1
-            continue
-        if prefix is not None:
-            yield prefix, (prefix[-1] if prefix else 0), lo, hi
-        prefix, lo = P, (X[-1] if X else 0)
-        hi = lo + 1
-    if prefix is not None:
-        yield prefix, (prefix[-1] if prefix else 0), lo, hi
+def _refuse_unindexable(name: str, rows: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError naming ``name`` if ``rows`` holds more rows than
+    ``sys.maxsize``, the most a campaign indexes."""
+    size = rows.__len__()  # len() raises OverflowError past sys.maxsize
+    if size > sys.maxsize:
+        raise ValueError(
+            f"{name} holds {size} rows, more than a campaign can index "
+            f"(sys.maxsize = {sys.maxsize})"
+        )
+
+
+def _run(X: Sequence[int]) -> Segment:
+    """The row as a segment of one row.  An empty or one-entry row gets an
+    empty prefix, which the route step refuses."""
+    P, x = X[:-1], (X[-1] if X else 0)
+    return P, (P[-1] if P else 0), x, x + 1
 
 
 def _receive(children: list[Child], child: Child) -> _Share:
@@ -190,7 +184,6 @@ def _walk(
     streams: list[Stream],
     jobs: int,
     children: list[Child],
-    received: list[_Share],
 ) -> tuple[_Share, int | None]:
     """Walk the rows of ``streams`` in blocks of BLOCK_ROWS, counted across
     streams; route the rows of this worker's blocks as plane segments and
@@ -201,17 +194,13 @@ def _walk(
     where its fork fails, worker 0 routes them too.  A ``Rows`` that gives
     plane segments (the lattice) is read as segments, cut where a block
     boundary falls inside one; any other stream is sliced at each of this
-    worker's blocks and its rows merged into runs, segments of one y
-    (``_runs_of``); a random row is a run of one.  Another worker's block is
-    skipped in O(1) and its rows are never made.  Before each of its blocks
-    the caller takes in, into ``received``, the share of every forked worker
-    that has sent it, without waiting; it stops its walk once one of them
-    holds an error at a row before that block.  Returns this worker's share
-    and, in a forked worker, the write end of its pipe.  An error stops the
-    walk; it is kept in the share with the index of its row, of the first
-    row of its segment, or, for an L that has no router, of its stream:
-    each orders it among the workers' errors, as a segment lies in one
-    block."""
+    worker's blocks, one segment per row (``_run``).  Another worker's block
+    is skipped in O(1) and its rows are never made.  Returns this worker's
+    share and, in a forked worker, the write end of its pipe.  An error
+    stops the walk; it is kept in the share with the index of its row, of
+    the first row of its segment, or, for an L that has no router, of its
+    stream: each orders it among the workers' errors, as a segment lies in
+    one block."""
     share = _Share()
     m = cover.n + 2
     base_a = KIND_BASE_A
@@ -229,19 +218,6 @@ def _walk(
         if pipe is not None:  # worker k, which routes its own blocks alone
             mine = {k}
             break
-
-    def stopped(start: int) -> bool:
-        """In the caller: whether a forked worker's share holds an error at
-        a row before ``start``, after taking in those that are ready."""
-        if pipe is not None or not children:
-            return False
-        poller = select.poll()  # not select.select, which refuses a descriptor past FD_SETSIZE
-        for _, fh in children:
-            poller.register(fh, select.POLLIN)
-        ready = {fd for fd, _ in poller.poll(0)}  # written to, or closed
-        for child in [child for child in children if child[1].fileno() in ready]:
-            received.append(_receive(children, child))
-        return any(done.error is not None and done.error[0] < start for done in received)
 
     def count_segments(route: Route, big: int, segments: Iterable[Segment], start: int) -> None:
         """Route the segments, the first row with index ``start``, and count
@@ -288,14 +264,10 @@ def _walk(
                 block = index // BLOCK_ROWS
                 stop = min(end, (block + 1) * BLOCK_ROWS)
                 if block % jobs in mine:
-                    if stopped(index):
-                        return share, pipe
                     i, j = index - first, stop - first
-                    part = _runs_of(rows[i:j]) if planes is None else planes(i, j)
+                    part = map(_run, rows[i:j]) if planes is None else planes(i, j)
                     count_segments(route, big, part, index)
                 index = stop
-    except _WorkerFailed:  # a forked worker's failure is no row's error
-        raise
     except _RowError as err:
         share.error = err.args[0], err.__cause__
     except Exception as exc:  # no router for the stream's L, or no slice of its rows
@@ -328,9 +300,8 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
     (``_jobs``, ``_walk``), and each worker makes only its own blocks' rows.
     Worker 0 is this process; a forked worker sends its share back over a
     pipe and ends with ``os._exit``, and every one is reaped before this
-    returns or raises.  Worker 0 takes in each share as it comes, between
-    its blocks, and stops its walk once one holds an error at a row before
-    its next block.  Merged, the shares give the report of one worker:
+    returns or raises.  Worker 0 reads the shares in fork order after its
+    own walk.  Merged, the shares give the report of one worker:
     failures and sliver violations in row order, and the error of the
     earliest failing row, with its type and message; a forked worker's error
     is raised from its traceback, sent as text.
@@ -341,17 +312,11 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
         if not isinstance(rows, (list, tuple, Rows)):
             kind = type(rows).__name__
             raise TypeError(f"tally takes rows as a list, a tuple or a Rows, not {kind}")
-        size = rows.__len__()  # len() raises OverflowError past sys.maxsize
-        if size > sys.maxsize:
-            raise ValueError(
-                f"stream {i} (L = {big}) holds {size} rows, more than a campaign can index "
-                f"(sys.maxsize = {sys.maxsize})"
-            )
+        _refuse_unindexable(f"stream {i} (L = {big})", rows)
     caller = os.getpid()
     children: list[Child] = []
     try:
-        received: list[_Share] = []
-        share, pipe = _walk(cover, streams, _jobs(), children, received)
+        share, pipe = _walk(cover, streams, _jobs(), children)
         if pipe is not None:  # a forked worker: hand the share over and end
             import pickle
 
@@ -362,7 +327,7 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
             with open(pipe, "wb") as fh:
                 pickle.dump(share, fh)
             os._exit(0)
-        shares = [share, *received]
+        shares = [share]
         while children:
             shares.append(_receive(children, children[0]))
     finally:

@@ -657,6 +657,8 @@ def _streams_with(big, rows, bad, cut):
         ({25: (100, 0, 0), 32: (1, 2)}, 30, "^point 25,0,0 is outside the target simplex$"),
         ({22: (1, 2)}, 27, "^point/cover dimension or scale mismatch$"),
         ({25: (1, 2)}, 26, "^point/cover dimension or scale mismatch$"),
+        ({25: ()}, None, "^point/cover dimension or scale mismatch$"),
+        ({15: (7,)}, None, "^point/cover dimension or scale mismatch$"),
     ],
 )
 def test_workers_raise_the_serial_error(monkeypatch, bad, cut, message):
@@ -725,43 +727,6 @@ def test_a_worker_is_forked_before_the_caller_routes(monkeypatch):
     assert forks == [0]
     assert report.success and report.total == len(rows) == 220
     _assert_no_child_left()
-
-
-def test_the_caller_stops_at_a_workers_earlier_error(monkeypatch):
-    # Blocks of 100 rows, 2 workers: a bad row at index 150 ends worker 1's
-    # walk in its first block.  The caller routes its first block (rows
-    # before the error are its own to count), and if it gets to its second
-    # block it waits there until that worker has exited; before its next
-    # block at the latest it takes in the worker's share and stops, as every
-    # row it has left comes after the error.  The error raised is the bad
-    # row's.
-    cover = build_cover(5, 2)
-    big, rows = lattice_rows(5, 2, cover.delta, 2)
-    rows = list(rows)
-    rows.insert(150, (1, 2))
-    caller = os.getpid()
-    routed = []
-    router = verifier._router
-
-    def counted(cover, big):
-        route = router(cover, big)
-
-        def counting(P, y1, lo, hi):
-            if os.getpid() == caller:
-                if sum(routed) == 100:  # the first row of the caller's second block
-                    os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
-                routed.append(_segment_rows(P, y1, lo, hi))
-            return route(P, y1, lo, hi)
-
-        return counting
-
-    monkeypatch.setattr(verifier, "_router", counted)
-    monkeypatch.setattr(verifier, "_jobs", lambda: 2)
-    monkeypatch.setattr(verifier, "BLOCK_ROWS", 100)
-    with pytest.raises(ValueError, match="^point/cover dimension or scale mismatch$"):
-        tally(cover, [(big, rows)])
-    _assert_no_child_left()
-    assert sum(routed) in (100, 200)  # block 0, and block 2 unless the share came first, of 169
 
 
 def test_workers_are_reaped_after_an_interrupt(monkeypatch):

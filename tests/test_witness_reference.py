@@ -380,10 +380,10 @@ def stepping_rows(big, rows):
 
 def segments_of(rows):
     """A stream's rows as the walk reads them: a ``Rows``' own plane
-    segments, or the rows merged into runs, segments of one row."""
+    segments, or one segment per row."""
     if getattr(rows, "planes", None) is not None:
         return rows.planes(0, len(rows))
-    return verifier._runs_of(rows)
+    return map(verifier._run, rows)
 
 
 def routed_rows(route, segments):
@@ -429,6 +429,8 @@ def assert_tally_is_the_reference(report, expected):
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("eps_of", ["delta", "delta/2", "zero"])
 def test_runs_route_every_row_as_the_reference(d, n, q, eps_of):
+    # The lattice reaches the route step as planes; the random and boundary
+    # rows and the stepping list reach it one row per segment.
     cover = cover_of(d, n)
     eps = {"delta": delta(n), "delta/2": delta(n) / 2, "zero": Fraction(0)}[eps_of]
     lattice = lattice_rows(d, n, eps, q)
@@ -451,9 +453,9 @@ def test_runs_route_every_row_as_the_reference(d, n, q, eps_of):
 )
 @pytest.mark.parametrize("block_rows", [1, 7, 100])
 def test_workers_route_broken_covers_as_the_reference(monkeypatch, make, block_rows):
-    # fallbacks, failures and sliver violations, with runs cut at every
-    # block boundary and merged from lists whose x_d repeats, skips and
-    # descends
+    # fallbacks, failures and sliver violations, with planes cut at every
+    # block boundary and lists, one row per segment, whose x_d repeats,
+    # skips and descends
     cover = make()
     d, n = cover.d, cover.n
     streams = _campaign(d, n, cover.delta, 2, 100, 5)[0]
