@@ -15,7 +15,7 @@ import math
 import os
 import stat
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import groupby
 from typing import BinaryIO, Iterable, Iterator
 
@@ -374,16 +374,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _subparser(name: str) -> argparse.ArgumentParser:
+    """Subcommand ``name``'s parser alone, made as the full parser's subcommand
+    action makes it, once per process: parsing leaves a parser as it was (each
+    call gets a new Namespace, and no default is mutable), and building one
+    cost more than the point location of a ``witness`` call."""
+    return _fill(argparse.ArgumentParser(prog=f"simplexcover {name}"), name)
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     # A first argument that names a subcommand exactly gets that subcommand's
-    # parser alone, made and run as the full parser's subcommand action makes and
-    # runs it: ArgumentParser(prog="simplexcover NAME"), parse_known_args on the
-    # later arguments.  Only the top level refuses leftover arguments, so those
-    # go to the full parser, which prints its usage and "unrecognized
-    # arguments".  Anything else (no arguments, -h, --, a typo) goes there too.
+    # parser alone, run as the full parser's subcommand action runs it:
+    # parse_known_args on the later arguments.  Only the top level refuses
+    # leftover arguments, so those go to the full parser, made anew, which
+    # prints its usage and "unrecognized arguments".  Anything else (no
+    # arguments, -h, --, a typo) goes there too.
     if argv and argv[0] in _COMMANDS:
-        parser = _fill(argparse.ArgumentParser(prog=f"simplexcover {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _subparser(argv[0]).parse_known_args(argv[1:])
         if not rest:
             return args
     return build_parser().parse_args(argv)

@@ -717,20 +717,26 @@ def test_each_call_prints_what_the_full_parser_prints(tmp_path, capsys, monkeypa
     ids=lambda argv: argv[0],
 )
 def test_a_call_adds_arguments_to_its_own_subcommand_only(capsys, monkeypatch, argv):
+    # a subcommand's parser is filled on its first call and kept for later ones
     filled = []
     add_argument = argparse.ArgumentParser.add_argument
 
     def spy(parser, *args, **kwargs):
         if args != ("-h", "--help"):
-            filled.append(parser.prog)
+            filled.append((parser.prog, args))
         return add_argument(parser, *args, **kwargs)
 
+    cli._subparser.cache_clear()
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
     assert cli.main(argv) == 0
-    assert set(filled) == {f"simplexcover {argv[0]}"}
+    once = list(filled)
+    assert {prog for prog, _ in once} == {f"simplexcover {argv[0]}"}
+    assert len(set(once)) == len(once)
+    assert cli.main(argv) == 0
+    assert filled == once
     filled.clear()
     cli.build_parser()
-    assert set(filled) == {f"simplexcover {command}" for command in cli._COMMANDS}
+    assert {prog for prog, _ in filled} == {f"simplexcover {command}" for command in cli._COMMANDS}
 
 
 def spy_on_parsers(monkeypatch):
@@ -758,10 +764,36 @@ def spy_on_parsers(monkeypatch):
     ids=lambda argv: argv[0],
 )
 def test_a_call_builds_its_own_subcommand_parser_only(tmp_path, capsys, monkeypatch, argv):
+    # the first call builds its subcommand's parser, and a second call reuses it
     monkeypatch.chdir(tmp_path)
+    cli._subparser.cache_clear()
     built = spy_on_parsers(monkeypatch)
     assert cli.main(argv) == 0
+    assert cli.main(argv) == 0
     assert built == [f"simplexcover {argv[0]}"]
+
+
+def test_a_call_gets_a_namespace_of_its_own():
+    # a kept parser hands each call a new Namespace, so what one call does to
+    # its arguments does not reach the next call's
+    argv = ["verify", "--d", "2", "--n", "1", "--mode", "lattice"]
+    first = cli._parse(argv)
+    first.d, first.q, first.eps, first.mode = 99, 7, "1/9", "random"
+    del first.seed
+    second = cli._parse(argv)
+    assert second is not first
+    assert second.parser is first.parser
+    assert vars(second) == {
+        "d": 2,
+        "n": 1,
+        "eps": None,
+        "mode": "lattice",
+        "q": 2,
+        "samples": 10_000,
+        "seed": 0,
+        "func": cli._cmd_verify,
+        "parser": cli._subparser("verify"),
+    }
 
 
 @pytest.mark.parametrize(

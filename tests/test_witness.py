@@ -238,6 +238,79 @@ def test_witness_uncovered_error_on_incomplete_cover():
         witness(pt(F(1, 8), F(1, 8)), 2, 1, broken)
 
 
+def residual(res):
+    """w by Fraction arithmetic: x - anchor (top), x - (1 - delta) v (base)."""
+    el = res.element
+    if el.kind == KIND_TOP:
+        return tuple(xj - aj for xj, aj in zip(res.x, el.anchor))
+    return tuple(xj - (1 - res.delta) * vj for xj, vj in zip(res.x, el.v))
+
+
+@pytest.mark.parametrize(
+    "d,n,point",
+    [
+        (2, 2, "9/4,9/4"),
+        (2, 2, "2,3/2"),
+        (3, 2, "9/4,9/4,9/4"),
+        (2, 3, "16/5,16/5"),
+        (2, 2, "1/8,1/8"),
+        (2, 1, "0,0"),
+        (2, 2, "8/5,1/20"),
+        (2, 2, "9/8,9/8"),
+        (2, 1, "4/3,4/3"),
+        (2, 2, "1/2,1/2"),
+        (2, 2, "5/4,5/4"),
+        (3, 2, "9/8,9/8,1/8"),
+        (5, 10, "7/2,3,2,1,1/3"),
+        (8, 40, "30,20,10,5,4,3,2,1/2"),
+    ],
+)
+def test_w_is_the_residual_at_the_pinned_points(d, n, point):
+    res = witness(point_parse(point, d), d, n, build_cover(d, n))
+    assert res.w == residual(res)
+    assert all(type(c) is F for c in res.w)
+
+
+@pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 2), (4, 3), (5, 4)])
+def test_w_is_the_residual_on_every_route(d, n):
+    cover = build_cover(d, n)
+    routes = Counter()
+    for x in random_samples(d, n, cover.delta, count=300, seed=7 * d + n):
+        res = witness(x, d, n, cover)
+        routes[res.route] += 1
+        assert res.w == residual(res)
+    assert routes[KIND_BASE_A] and routes[KIND_BASE_B] and (routes[KIND_TOP] or n == 1)
+
+
+def test_w_is_the_residual_on_the_fallback_routes(monkeypatch):
+    cover = build_cover(2, 1)
+    x = pt(F(9, 10), F(1, 10))
+    res = witness(x, 2, 1, pruned(cover, (KIND_BASE_A, (0, 0), (1, 2))))
+    assert (res.route, res.fallback_reason) == (ROUTE_FALLBACK, "missing")
+    assert res.w == residual(res)
+    # a top element moved to an anchor off the grid Z/(n+2) that still holds x:
+    # the only top element at (2, 2), so the scan returns it
+    cover = build_cover(2, 2)
+    x = pt(2, F(3, 2))
+    key = witness(x, 2, 2, cover).element.key
+    assert key[0] == KIND_TOP
+    moved = replace(cover.element_index[key], anchor=pt(F(27, 20), F(27, 20)))
+    assert contains(moved.simplex, x)
+    broken = ExplicitCover(2, 2, (moved if el.key == key else el for el in cover.elements))
+    res = witness(x, 2, 2, broken)
+    assert (res.route, res.fallback_reason, res.element) == (ROUTE_FALLBACK, "anchor", moved)
+    assert res.w == residual(res) == pt(F(13, 20), F(3, 20))
+    for cell, reason in [
+        ((False, (2, 0), (1, 2)), "v1_bound"),
+        ((False, (1, 0), (2, 1)), "not_contained"),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(locate, "_cell", lambda *args: cell)
+            res = witness(pt(F(1, 8), F(1, 8)), 2, 1, build_cover(2, 1))
+        assert (res.route, res.fallback_reason) == (ROUTE_FALLBACK, reason)
+        assert res.w == residual(res)
+
+
 def counted_check_key(monkeypatch):
     """Wrap ``locate._check_key``; the list it returns collects each key it checks."""
     calls = []
