@@ -33,7 +33,11 @@ is caught; each must have dimension d and a permutation of 1..d.  The two
 compare, hash and print as the dataclasses they are: ``replace(build_cover(2,
 2), n=3)`` is ``build_cover(2, 3)``, and no explicit cover equals a canonical
 one.  Point location (``locate._router``'s step) asks ``member`` once per
-key and keeps its verdict on the cover.
+key and keeps the check it makes of the answer on the cover, in ``_checks``:
+one per key routed to, none per point or denominator; ``elements`` reuses
+the elements those checks hold.  ``cli`` keeps the cover of the last (d, n)
+that ``witness`` or ``verify`` ran at, checks and all, so repeated calls in
+one process check each key once; a call at another (d, n) releases it.
 
 Total: (n+1)^d + (n-1)^d - n^d elements.  Covers may overlap and overhang the
 target; nothing here asserts containment in S^{n+delta}.
@@ -82,9 +86,6 @@ class CoverElement:
         return (self.kind, self.v, self.perm)
 
 
-# locate._check_key's verdict on a key: the element and its anchor numerators,
-# or None and the failed check
-Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators over L
 
 
@@ -101,10 +102,13 @@ class _Cover:
         return {el.key: el for el in self.elements}
 
     @cached_property
-    def _verdicts(self) -> dict[Key, Verdict]:
-        """``locate._check_key``'s verdict per key, filled as points are routed.
-        A verdict depends on this frozen cover and the key alone, so a failed
-        one is kept too; ``replace(cover, ...)`` starts with none."""
+    def _checks(self) -> dict[tuple, tuple]:
+        """``locate._check_of``'s check per placement routed to, filled as
+        points are routed: the element (or None) first, and nothing that
+        depends on a denominator.  A placement names one key, so this holds
+        one entry per key routed to; a check depends on this frozen cover and
+        the key alone, so a failed one is kept too; ``replace(cover, ...)``
+        starts with none."""
         return {}
 
 
@@ -123,7 +127,7 @@ class CoverSpec(_Cover):
     def elements(self) -> tuple[CoverElement, ...]:
         # the elements ``member`` made for routed keys stay the cover's own;
         # with none made, no element's key is built
-        made = {el.key: el for el, _ in self._verdicts.values() if el is not None}
+        made = {el.key: el for el, *_ in self._checks.values() if el is not None}
         elements = self._stream()
         if made:
             elements = (made.get(el.key, el) for el in elements)
@@ -140,7 +144,7 @@ class CoverSpec(_Cover):
         ``element_index`` lookup once ``elements`` is read, else the
         construction's rule, which makes the element with the anchor tuple
         ``elements`` will share.  ``locate._check_key`` asks once per key and
-        keeps the element in its verdict, and ``elements`` reuses it."""
+        keeps the element in its check, and ``elements`` reuses it."""
         if "elements" in self.__dict__:
             return self.element_index.get(key)
         kind, v, perm = key

@@ -37,9 +37,17 @@ total; the result is flagged as ``fallback`` and names the check in
 One private step does all of the above for a segment, the scan included:
 ``_router(cover, L)`` makes it for the segments over ``L``.  It is the one
 place a row is checked: a length other than d, or a point outside the target,
-is a ValueError.  ``_check_key`` makes a key's verdict once per key and cover,
-and a patch's containment is decided on its first and last rows.  ``witness``
-routes its one scaled point as a segment of one row.
+is a ValueError.  A patch's containment is decided on its first and last
+rows.  ``witness`` routes its one scaled point as a segment of one row.
+
+``_check_key`` makes a key's verdict once per key and cover, and
+``_check_of`` makes from it the check of the placement that names the key,
+free of any denominator.  The cover keeps that check by placement
+(``_checks``), and each ``_router`` scales it to its own L.  So what a cover
+keeps grows with the keys routed to (at most one per element when the routing
+rule is sound), never with the points or the denominators; a router and its
+scaled checks end with the call that made it.  ``cli`` keeps the cover of the
+last (d, n) only.
 """
 
 from __future__ import annotations
@@ -59,7 +67,6 @@ from .cover import (
     Cover,
     CoverElement,
     Key,
-    Verdict,
     anchor_numerators,
     element_kind,
 )
@@ -320,6 +327,16 @@ def _cell(placed: Placed) -> Cell:
     return above, (*v, vd), (*perm[:at], len(perm) + 1, *perm[at:])
 
 
+# _check_key's verdict on a key: the element and its anchor numerators, or
+# None and the failed check
+Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
+# a placement's check, over no denominator: the element, its kind, the getter
+# of the prefix entries in perm order, their anchor numerators, index d's
+# numerator, index d's place in perm and y's place among the prefix indices;
+# for a failed verdict, None, the failed check and five Nones
+Check = tuple
+
+
 def _check_key(cover: Cover, key: Key) -> Verdict:
     """The checks that depend on the key alone: ``(element, anchor numerators)``
     when the key passes ``v1_bound``, ``missing`` and ``anchor``, else
@@ -338,6 +355,21 @@ def _check_key(cover: Cover, key: Key) -> Verdict:
     return known, nums
 
 
+def _check_of(cover: Cover, placed: Placed) -> Check:
+    """The check of the cell ``placed`` lands in, from its key's verdict: a
+    placement names one cell and a cell one key, so a cover keeps one check
+    per key routed to."""
+    above, v, perm = _cell(placed)
+    known, nums = _check_key(cover, (element_kind(above, perm), v, perm))
+    if known is None:  # a failed verdict holds its check in place of nums
+        return None, nums, None, None, None, None, None
+    d = len(perm)
+    rest = [j - 1 for j in perm if j != d]
+    pick = itemgetter(*rest) if d > 2 else itemgetter(slice(1))  # a sequence either way
+    prefix = tuple([nums[i] for i in rest])
+    return known, known.kind, pick, prefix, nums[d - 1], perm.index(d), rest.index(d - 2)
+
+
 # a band's first and last y, the first row's x_d from and to (exclusive), the
 # last row's, element, route, fallback_reason; the element and route are None
 # for rows that no element contains
@@ -351,13 +383,14 @@ def _router(cover: Cover, big: int) -> Route:
     cover: ``route(P, y1, lo, hi)`` routes the rows of the segment
     (``_placer``, ``triangulation.Segment``) and returns their patches
     ``(ya, yb, x0, x1, u0, u1, element, route, fallback_reason)``, which tile
-    it: band by band in y order, and within a band in x order.  A run, the rows ``P + (x,)`` for ``lo <= x < hi``, is
-    the segment of one row ``(P, P[-1], lo, hi)``.
+    it: band by band in y order, and within a band in x order.  A run, the
+    rows ``P + (x,)`` for ``lo <= x < hi``, is the segment of one row ``(P,
+    P[-1], lo, hi)``.
 
     A patch is a piece of a band, a range of rows in one cell that passes
     one exact check.  The cell's element is returned on its kind's route
-    when its key's verdict (``_check_key``, made once per key and kept on the
-    cover) passes and every row of the patch is contained in it.
+    when its placement's check (``_check_of``, made once per placement and
+    kept on the cover) passes and every row of the patch is contained in it.
     Containment is the cell's chain: the links between prefix entries, and
     index d's two links solved for x_d, ``lower <= x_d <= upper``.  Every
     link is affine in ``(y, x_d)``, so the chain holds on the whole patch
@@ -373,39 +406,31 @@ def _router(cover: Cover, big: int) -> Route:
     row's chain ``side >= P_1 >= ... >= P_{d-1} >= lo >= 0``, ``y1 <=
     P_{d-2}`` (``side`` for d = 2) and ``hi - 1 <= y1``); the message names
     the first such row.  The constants of ``big`` and the routing rule are
-    set up once here, and each placement's check the first time a band
-    lands in it: the element and its kind, the prefix indices in perm order
-    with their anchor numerators over ``big``, index d's numerator and its
-    place in perm, and y's place among the prefix indices; or, for a failed
-    verdict, None and the failed check.
+    set up once here, and each placement's check is scaled to ``big`` the
+    first time a band lands in it: the cover's check with its anchor
+    numerators times ``big/(n+2)``, or, for a failed verdict, as it is.
     """
     d, n = cover.d, cover.n
     if big <= 0 or big % (n + 2):
         raise ValueError("point/cover dimension or scale mismatch")
     unit = big // (n + 2)
     side = n * big + unit
-    verdicts = cover._verdicts
+    kept = cover._checks
     last = d - 1  # the prefix entries, and index d's place when it sorts last
     place = _placer(d, n, big, unit)
-    checks: dict[Placed, tuple] = {}
+    checks: dict[Placed, Check] = {}
 
     def outside(row: Sequence[int]) -> ValueError:
         return ValueError(f"point {point_format(_point(row, big))} is outside the target simplex")
 
-    def check_of(placed: Placed) -> tuple:
-        above, v, perm = _cell(placed)
-        key = (element_kind(above, perm), v, perm)
-        verdict = verdicts.get(key)
-        if verdict is None:
-            verdict = verdicts[key] = _check_key(cover, key)
-        known, nums = verdict  # a failed verdict holds its check in place of nums
+    def check_of(placed: Placed) -> Check:
+        check = kept.get(placed)
+        if check is None:
+            check = kept[placed] = _check_of(cover, placed)
+        known, kind, pick, prefix, od, at, p = check
         if known is None:
-            return None, nums, None, None, None, None, None
-        rest = [j - 1 for j in perm if j != d]
-        pick = itemgetter(*rest) if d > 2 else itemgetter(slice(1))  # a sequence either way
-        offsets = tuple([nums[i] * unit for i in rest])
-        od, at, p = nums[d - 1] * unit, perm.index(d), rest.index(d - 2)
-        return known, known.kind, pick, offsets, od, at, p
+            return check
+        return known, kind, pick, tuple([num * unit for num in prefix]), od * unit, at, p
 
     def scan(R: Sequence[int], x: int, reason: str) -> Patch:
         y = R[-1]

@@ -8,6 +8,7 @@ import runpy
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 from fractions import Fraction
 
-from simplexcover import cli, verifier
+from simplexcover import cli, locate, verifier
 from simplexcover.arith import rat_format
 from simplexcover.cover import (
     CoverElement,
@@ -34,6 +35,15 @@ from simplexcover.verifier import CoverageReport
 DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 LONG = "1" * (DIGIT_LIMIT + 1)
 BENCHMARK_CONFIG = Path(__file__).resolve().parents[1] / "benchmarks" / "config.py"
+
+
+@pytest.fixture(autouse=True)
+def no_kept_cover():
+    """Each test starts and ends without the cover ``witness`` and ``verify``
+    keep, so a test that patches ``cli.build_cover`` reaches its patch."""
+    cli._kept_cover.cache_clear()
+    yield
+    cli._kept_cover.cache_clear()
 
 
 def run(capsys, *argv):
@@ -811,3 +821,115 @@ def test_other_calls_reach_the_full_parser(capsys, monkeypatch, argv):
     outcome(capsys, argv)
     full = ["simplexcover", *(f"simplexcover {command}" for command in cli._COMMANDS)]
     assert built[-len(full) :] == full
+
+
+# --- the cover that witness and verify keep --------------------------------
+
+KEPT_POINTS = {
+    # the last lands in the first one's cell, over another denominator
+    (5, 4): [
+        "7/2,3,2,1,1/3", "4,3,2,1,0", "1/2,1/3,1/4,1/5,1/6", "3,3,3,3,3", "25/6,0,0,0,0",
+        "7/2,3,2,1,1/4",
+    ],
+    (3, 2): ["9/8,9/8,1/8", "9/4,9/4,9/4", "2,1,0"],
+}
+
+
+def witness_argv(d, n, point):
+    return ["witness", "--d", str(d), "--n", str(n), "--point", point]
+
+
+def fresh_process(argv):
+    """Exit code, stdout and stderr bytes of ``simplexcover ARGV`` run in a new
+    interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "simplexcover.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        capture_output=True,
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def in_process(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    return code, out.encode(), err.encode()
+
+
+def test_repeated_witness_calls_check_each_key_once(capsys, monkeypatch):
+    calls = []
+    check_key = locate._check_key
+
+    def counted(cover, key):
+        calls.append(key)
+        return check_key(cover, key)
+
+    monkeypatch.setattr(locate, "_check_key", counted)
+    routed = set()
+    for _ in range(3):
+        for point in KEPT_POINTS[5, 4]:
+            code, out, _ = run(capsys, *witness_argv(5, 4, point))
+            assert code == 0
+            element = json.loads(out)["element"]
+            routed.add((element["kind"], tuple(element["v"]), tuple(element["pi"])))
+    assert len(calls) == len(set(calls)) == len(routed) > 1
+    assert set(calls) == routed
+
+
+def test_a_call_at_another_dn_releases_the_kept_cover(capsys):
+    assert run(capsys, *witness_argv(5, 4, KEPT_POINTS[5, 4][0]))[0] == 0
+    kept = cli._kept_cover(5, 4)
+    assert len(kept._checks) == 1  # the call's check is kept on the cover
+    released = weakref.ref(kept)
+    del kept
+    assert run(capsys, *witness_argv(3, 2, KEPT_POINTS[3, 2][0]))[0] == 0
+    assert released() is None
+    kept = cli._kept_cover(3, 2)
+    released = weakref.ref(kept)
+    del kept
+    assert run(capsys, "verify", "--d", "2", "--n", "2", "--mode", "boundary")[0] == 0
+    assert released() is None
+
+
+def test_a_certificate_run_keeps_at_most_one_check_per_element(capsys, monkeypatch):
+    # The caller routes every row, so every key routed to is checked here.
+    monkeypatch.setattr(verifier, "_jobs", lambda: 1)
+    code, out, _ = run(capsys, "verify", "--d", "3", "--n", "2", "--mode", "lattice", "--q", "4")
+    assert code == 0 and json.loads(out)["routes"]["fallback"] == 0
+    checks = cli._kept_cover(3, 2)._checks
+    assert 0 < len(checks) <= cover_count(3, 2)
+    assert all(check[0] is not None for check in checks.values())
+
+
+def test_kept_cover_witness_prints_what_a_fresh_process_prints(capsys):
+    # a first call, a repeat, its cell over another L, other points, a (d, n)
+    # switch and back
+    p, q = KEPT_POINTS[5, 4], KEPT_POINTS[3, 2]
+    calls = [(5, 4, p[0]), (5, 4, p[0]), (5, 4, p[5]), (5, 4, p[1]), (3, 2, q[0]), (3, 2, q[1])]
+    for d, n, point in [*calls, (5, 4, p[0]), (5, 4, p[2])]:
+        argv = witness_argv(d, n, point)
+        assert in_process(capsys, argv) == fresh_process(argv), argv
+
+
+def test_kept_cover_answers_inside_after_outside(capsys):
+    outside, inside = witness_argv(5, 4, "5,0,0,0,0"), witness_argv(5, 4, KEPT_POINTS[5, 4][4])
+    first = in_process(capsys, outside)
+    assert first[0] == 1 and first[1] == b""
+    assert first == fresh_process(outside)
+    second = in_process(capsys, inside)
+    assert second[0] == 0
+    assert second == fresh_process(inside)
+
+
+def test_kept_cover_verify_reports_what_a_fresh_process_reports(capsys):
+    argv = ["verify", "--d", "3", "--n", "2", "--mode", "all", "--q", "2"]
+    argv += ["--samples", "500", "--seed", "3"]
+
+    def timeless(result):
+        code, out, err = result
+        return code, re.sub(rb'"elapsed_ms": \d+', b'"elapsed_ms": 0', out), err
+
+    expected = timeless(fresh_process(argv))
+    assert expected[0] == 0 and b'"elapsed_ms": 0' in expected[1]
+    for _ in range(2):
+        assert timeless(in_process(capsys, argv)) == expected

@@ -221,14 +221,17 @@ def test_witness_fallback_on_altered_anchor():
 def test_witness_fallback_names_the_failed_check(monkeypatch, cell, reason):
     # The routing pass is replaced by one that returns a wrong cell, so the
     # check that catches it is named and the scan still finds the element.
-    cover = build_cover(2, 1)
+    # The patched call routes on a fresh cover: a cover keeps each
+    # placement's check, so one that had routed x would not ask for its cell.
     x = pt(F(1, 8), F(1, 8))
-    expected = witness(x, 2, 1, cover).element
+    expected = witness(x, 2, 1, build_cover(2, 1)).element
+    cover = build_cover(2, 1)
     monkeypatch.setattr(locate, "_cell", lambda *args: cell)
     res = witness(x, 2, 1, cover)
     assert res.route == ROUTE_FALLBACK
     assert res.fallback_reason == reason
-    assert res.element is expected
+    assert res.element == expected
+    assert res.element is cover.element_index[expected.key]
 
 
 def test_witness_uncovered_error_on_incomplete_cover():

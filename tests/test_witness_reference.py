@@ -476,12 +476,13 @@ def test_a_piece_checks_each_row_against_its_cell(monkeypatch, d, n, q):
     # Every piece is sent to one cell, each element's in turn: a row is
     # routed to the element exactly when the element contains it, so both of
     # index d's solved links are met at every place of d in perm; any other
-    # row is scanned, with not_contained as its reason.
+    # row is scanned, with not_contained as its reason.  Each element's pass
+    # routes on a fresh cover, since a cover keeps each placement's check.
     cover = cover_of(d, n)
     big, rows = lattice_rows(d, n, delta(n), q)
     for el in cover.elements:
         monkeypatch.setattr(locate, "_cell", lambda placed, el=el: (el.kind == KIND_TOP, el.v, el.perm))
-        got = routed_rows(verifier._router(cover, big), segments_of(rows))
+        got = routed_rows(verifier._router(replace(cover), big), segments_of(rows))
         for X, routed in zip(rows, got):
             x = tuple(Fraction(c, big) for c in X)
             if contains(el.simplex, x):
