@@ -38,7 +38,7 @@ One private step does all of the above for a segment, the scan included:
 ``_router(cover, L)`` makes it for the segments over ``L``.  It is the one
 place a row is checked: a length other than d, or a point outside the target,
 is a ValueError.  A patch's containment is decided on its first and last
-rows.  ``witness`` routes its one scaled point as a segment of one row.
+rows.  ``witness`` routes its point as a segment of one row (``_run``).
 
 ``_check_key`` makes a key's verdict once per key and cover, and
 ``_check_of`` makes from it the check of the placement that names the key,
@@ -71,6 +71,7 @@ from .cover import (
     element_kind,
 )
 from .simplex import _descends, contains
+from .triangulation import Segment
 
 ROUTE_FALLBACK = "fallback"
 ROUTES = (KIND_TOP, KIND_BASE_A, KIND_BASE_B, ROUTE_FALLBACK)
@@ -377,6 +378,12 @@ Patch = tuple[int, int, int, int, int, int, CoverElement | None, str | None, str
 Route = Callable[[Sequence[int], int, int, int], list[Patch]]  # route(P, y1, lo, hi)
 
 
+def _run(X: Sequence[int]) -> Segment:
+    """The row as a one-row segment; under two entries, an empty prefix the route step refuses."""
+    P, x = X[:-1], (X[-1] if X else 0)
+    return P, (P[-1] if P else 0), x, x + 1
+
+
 def _router(cover: Cover, big: int) -> Route:
     """The step that locates a plane segment of points with numerators over
     ``big`` (a positive multiple of ``cover.n + 2``, else a ValueError) in the
@@ -395,11 +402,11 @@ def _router(cover: Cover, big: int) -> Route:
     index d's two links solved for x_d, ``lower <= x_d <= upper``.  Every
     link is affine in ``(y, x_d)``, so the chain holds on the whole patch
     when it holds at its four corners: the piece check, run on the patch's
-    first and last rows.  A patch that fails goes one y at a time, each row
-    a piece that runs the check again; a piece that fails goes row by row:
-    a row still inside the chain keeps the element; the exhaustive scan
-    finds another one's element, a one-row patch on the ``fallback`` route
-    with the failed check as its reason, or none.
+    first and last rows.  A patch that fails goes row by row in one pass: on
+    each y, the x_d the chain still holds come back as one patch on the
+    element's route, and every other x_d, in x order, goes to the exhaustive
+    scan, which finds another element (a one-row patch on the ``fallback``
+    route with the failed check as its reason) or none.
 
     ``route`` raises ValueError for a segment whose prefix length is not ``d
     - 1``, or with a row outside the target (the domain test: the first
@@ -486,24 +493,18 @@ def _router(cover: Cover, big: int) -> Route:
                         patches.append((ya, yb, x0, x1, u0, u1, known, kind, None))
                         continue
                 reason = "not_contained"
-            for y in range(ya, yb + 1):  # one y at a time, each row a piece of a run
+            for y in range(ya, yb + 1):  # row by row: the x_d the chain holds, and scans
                 R = (*P[:-1], y)
                 a = x0 if u0 == x0 else x0 + y - ya
                 b = x1 if u1 == x1 else x1 + y - ya
-                lower, upper = b, a  # no row of the piece is inside, unless:
-                if known is not None:
-                    s = [*map(sub, pick(R), offsets)]
-                    if _descends(big, s):
-                        lower = od + s[at] if at < last else od
-                        upper = od + (s[at - 1] if at else big)
-                    if lower <= a and b <= upper + 1:
-                        patches.append((y, y, a, b, a, b, known, kind, None))
-                        continue
-                for x in range(a, b):
-                    if lower <= x <= upper:
-                        patches.append((y, y, x, x + 1, x, x + 1, known, kind, None))
-                    else:
-                        patches.append(scan(R, x, reason))
+                c = e = b  # the chain holds for c <= x_d < e: none of the row, unless
+                if known is not None and _descends(big, s := [*map(sub, pick(R), offsets)]):
+                    c = min(max(a, od + s[at] if at < last else od), b)
+                    e = max(min(b, od + (s[at - 1] if at else big) + 1), c)
+                patches += [scan(R, x, reason) for x in range(a, c)]
+                if c < e:
+                    patches.append((y, y, c, e, c, e, known, kind, None))
+                patches += [scan(R, x, reason) for x in range(e, b)]
         return patches
 
     return route
@@ -519,9 +520,7 @@ def witness(x: Point, d: int, n: int, cover: Cover) -> WitnessResult:
     if cover.d != d or cover.n != n or len(x) != d:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
-    ((_, _, _, _, _, _, element, route, reason),) = _router(cover, big)(
-        X[:-1], X[-2], X[-1], X[-1] + 1
-    )
+    ((_, _, _, _, _, _, element, route, reason),) = _router(cover, big)(*_run(X))
     if element is None:
         raise UncoveredPointError(
             f"no cover element contains in-domain point {point_format(_point(X, big))}"

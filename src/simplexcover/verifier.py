@@ -11,14 +11,18 @@ unless a point must be scanned or shown.
 only, whose rows are a list, a tuple or a ``Rows`` (``samplers``).  It splits
 a campaign into blocks of ``BLOCK_ROWS`` consecutive rows, counted across
 streams, and gives block b to worker ``b % jobs``; a segment that a block
-boundary falls inside is cut there.  Worker 0 is the calling process; it
-forks the others before the walk, one for each block up to ``jobs`` that the
-streams reach.  A worker makes only the rows of its own blocks: it reads a
-lattice ``Rows`` as plane segments and slices a list, a tuple or another
-``Rows`` at each of its blocks, one segment per row, stepping over the
-others' blocks in O(1).  A forked worker sends its counts back over a pipe,
-which the caller reads after its own walk.  The merged report is the one a
-single worker makes, down to the row order of failures and the error raised.
+boundary falls inside is cut there.  Worker 0 is the calling process.
+``tally`` alone forks: before worker 0's walk, one worker for each block up
+to ``jobs`` that the streams reach; it also hands each forked worker's share
+over and reaps it.  Each worker runs ``_walk``, which only routes: it makes
+only the rows of its own blocks, reads a lattice ``Rows`` as plane segments
+and slices a list, a tuple or another ``Rows`` at each of its blocks, one
+segment per row, stepping over the others' blocks in O(1).  A forked worker
+sends its counts back over a pipe, which the caller reads after its own walk.
+The merged report is the one a single worker makes, down to the row order of
+failures and the error raised: a walk stops at its first error and keeps it
+with the first row of the block it was walking, and the earliest such row
+names the error ``tally`` raises.
 
 Coverage of the target is certified by sampling: exhaustive rational lattices
 where tractable, seeded random streams plus a boundary suite elsewhere.
@@ -40,7 +44,7 @@ from typing import BinaryIO, Iterable, Sequence
 
 from .arith import Point, _point, _scale, point_format
 from .cover import KIND_BASE_A, Cover
-from .locate import ROUTE_FALLBACK, ROUTES, Route, _router
+from .locate import ROUTE_FALLBACK, ROUTES, Route, _router, _run
 from .samplers import Rows, Stream, _check_plan, in_domain
 from .triangulation import Segment
 
@@ -93,9 +97,9 @@ def _jobs() -> int:
 class _Share:
     """A worker's part of a tally: the rows it routed, counted by route and
     fallback reason; its failures and sliver violations as ``(row index,
-    point)``; the first error it met as ``(row index, exception)``, and in a
-    forked worker that error's traceback as text (a traceback does not
-    pickle)."""
+    point)``; the first error it met as ``(index, exception)``, the index of
+    the first row of the block it met it in, and in a forked worker that
+    error's traceback as text (a traceback does not pickle)."""
 
     def __init__(self) -> None:
         self.routes = dict.fromkeys(ROUTES, 0)
@@ -137,10 +141,6 @@ def _fork(children: list[Child]) -> int | None:
     return None
 
 
-class _RowError(Exception):
-    """Ends a walk at its cause, the error of the rows from index ``args[0]``."""
-
-
 class _WorkerFailed(RuntimeError):
     """A forked tally worker ended without sending its share: the tally
     fails with it, and no row's error stands in for it."""
@@ -157,101 +157,70 @@ def _refuse_unindexable(name: str, rows: Sequence[Sequence[int]]) -> None:
         )
 
 
-def _run(X: Sequence[int]) -> Segment:
-    """The row as a segment of one row.  An empty or one-entry row gets an
-    empty prefix, which the route step refuses."""
-    P, x = X[:-1], (X[-1] if X else 0)
-    return P, (P[-1] if P else 0), x, x + 1
-
-
-def _receive(children: list[Child], child: Child) -> _Share:
-    """Read a forked worker's share from its pipe, reap the worker and drop
-    it from ``children``."""
+def _receive(children: list[Child]) -> _Share:
+    """Read the first forked worker's share from its pipe, reap the worker
+    and drop it from ``children``."""
     import pickle
 
-    pid, fh = child
+    pid, fh = children[0]
     data = fh.read()
     status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    children.remove(child)
+    del children[0]
     fh.close()
     if status != 0 or not data:
         raise _WorkerFailed(f"a tally worker failed (exit status {status})")
     return pickle.loads(data)
 
 
-def _walk(
-    cover: Cover,
-    streams: list[Stream],
-    jobs: int,
-    children: list[Child],
-) -> tuple[_Share, int | None]:
+def _walk(cover: Cover, streams: list[Stream], jobs: int, mine: set[int]) -> _Share:
     """Walk the rows of ``streams`` in blocks of BLOCK_ROWS, counted across
-    streams; route the rows of this worker's blocks as plane segments and
-    skip the others.
+    streams; route the rows of the blocks ``b % jobs in mine`` as plane
+    segments and skip the others.  ``_walk`` forks nothing: ``tally`` runs it
+    once in each worker.
 
-    The caller, worker 0, first forks worker k for each block k < jobs that
-    the streams reach; worker k routes the blocks ``b % jobs == k``, or,
-    where its fork fails, worker 0 routes them too.  A ``Rows`` that gives
-    plane segments (the lattice) is read as segments, cut where a block
-    boundary falls inside one; any other stream is sliced at each of this
-    worker's blocks, one segment per row (``_run``).  Another worker's block
-    is skipped in O(1) and its rows are never made.  Returns this worker's
-    share and, in a forked worker, the write end of its pipe.  An error
-    stops the walk; it is kept in the share with the index of its row, of
-    the first row of its segment, or, for an L that has no router, of its
-    stream: each orders it among the workers' errors, as a segment lies in
-    one block."""
+    A ``Rows`` that gives plane segments (the lattice) is read as segments,
+    cut where a block boundary falls inside one; any other stream is sliced
+    at each of these blocks, one segment per row (``_run``).  Another
+    worker's block is skipped in O(1) and its rows are never made.  An error
+    stops the walk; it is kept in the share with the index of the first row
+    of the block, or of the part of a stream in it, that was being walked,
+    or, for an L that has no router, of its stream.  The blocks are disjoint
+    and each is one worker's, so that index orders it among the workers'
+    errors."""
     share = _Share()
     m = cover.n + 2
     base_a = KIND_BASE_A
-    mine = {0}  # the workers whose blocks this one routes
-    pipe = None
     routers: dict[int, Route] = {}
     index = 0  # the rows walked so far
-    blocks = -(-sum(len(rows) for _, rows in streams) // BLOCK_ROWS)
-    for k in range(1, min(jobs, blocks)):
-        try:
-            pipe = _fork(children)
-        except OSError:
-            mine.add(k)
-            continue
-        if pipe is not None:  # worker k, which routes its own blocks alone
-            mine = {k}
-            break
 
     def count_segments(route: Route, big: int, segments: Iterable[Segment], start: int) -> None:
         """Route the segments, the first row with index ``start``, and count
         their rows.  A patch's rows are counted in closed form, and listed
-        only as failures or sliver violations.  An error is kept with the
-        index of its segment's first row, in the block of the row that
-        raised it."""
+        only as failures or sliver violations."""
         routes, reasons = share.routes, share.reasons
         failures, slivers = share.failures, share.slivers
         plane = big // m  # the sliver plane x_d = delta
-        try:
-            for P, y1, lo, hi in segments:
-                for ya, yb, x0, x1, u0, u1, element, kind, reason in route(P, y1, lo, hi):
-                    if element is None:
-                        listed, cap = failures, x1
-                    else:
-                        rows = (yb - ya + 1) * (x1 - x0 + u1 - u0) // 2
-                        routes[kind] += rows
-                        if reason is not None:
-                            reasons[reason] += rows
-                        if x0 > plane or kind == base_a:
-                            continue
-                        listed, cap = slivers, plane + 1
-                    Q, y0 = P[:-1], P[-1]
-                    for y in range(ya, yb + 1):
-                        # row (y, x) comes y(y+1)/2 + x - y0(y0+1)/2 - lo rows after the first
-                        row = start + (y - y0) * (y + y0 + 1) // 2 - lo
-                        a = x0 if u0 == x0 else x0 + y - ya
-                        b = min(x1 if u1 == x1 else x1 + y - ya, cap)
-                        listed += [(row + x, _point((*Q, y, x), big)) for x in range(a, b)]
-                y0 = P[-1]
-                start += (y1 - y0) * (y1 + y0 + 1) // 2 + hi - lo
-        except Exception as exc:  # a segment was refused
-            raise _RowError(start) from exc
+        for P, y1, lo, hi in segments:
+            for ya, yb, x0, x1, u0, u1, element, kind, reason in route(P, y1, lo, hi):
+                if element is None:
+                    listed, cap = failures, x1
+                else:
+                    rows = (yb - ya + 1) * (x1 - x0 + u1 - u0) // 2
+                    routes[kind] += rows
+                    if reason is not None:
+                        reasons[reason] += rows
+                    if x0 > plane or kind == base_a:
+                        continue
+                    listed, cap = slivers, plane + 1
+                Q, y0 = P[:-1], P[-1]
+                for y in range(ya, yb + 1):
+                    # row (y, x) comes y(y+1)/2 + x - y0(y0+1)/2 - lo rows after the first
+                    row = start + (y - y0) * (y + y0 + 1) // 2 - lo
+                    a = x0 if u0 == x0 else x0 + y - ya
+                    b = min(x1 if u1 == x1 else x1 + y - ya, cap)
+                    listed += [(row + x, _point((*Q, y, x), big)) for x in range(a, b)]
+            y0 = P[-1]
+            start += (y1 - y0) * (y1 + y0 + 1) // 2 + hi - lo
 
     try:
         for big, rows in streams:
@@ -268,11 +237,9 @@ def _walk(
                     part = map(_run, rows[i:j]) if planes is None else planes(i, j)
                     count_segments(route, big, part, index)
                 index = stop
-    except _RowError as err:
-        share.error = err.args[0], err.__cause__
-    except Exception as exc:  # no router for the stream's L, or no slice of its rows
+    except Exception as exc:  # a segment refused, no router for L, or no slice of the rows
         share.error = index, exc
-    return share, pipe
+    return share
 
 
 def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
@@ -295,16 +262,19 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
     ``lattice_rows`` and ``random_rows`` give), else this raises TypeError,
     and hold at most ``sys.maxsize`` rows, the most a campaign indexes, else
     this raises ValueError naming the stream; both before any worker is
-    forked.  The rows go in blocks of BLOCK_ROWS,
-    counted across streams, to one worker per CPU this process may run on
-    (``_jobs``, ``_walk``), and each worker makes only its own blocks' rows.
-    Worker 0 is this process; a forked worker sends its share back over a
-    pipe and ends with ``os._exit``, and every one is reaped before this
-    returns or raises.  Worker 0 reads the shares in fork order after its
-    own walk.  Merged, the shares give the report of one worker:
-    failures and sliver violations in row order, and the error of the
-    earliest failing row, with its type and message; a forked worker's error
-    is raised from its traceback, sent as text.
+    forked.  The rows go in blocks of BLOCK_ROWS, counted across streams, to
+    one worker per CPU this process may run on (``_jobs``), and each worker
+    makes only its own blocks' rows (``_walk``).  ``tally`` alone forks,
+    hands shares over and reaps.  Worker 0 is this process: before its own
+    walk it forks worker k for each block k < jobs that the streams reach,
+    or, where a fork fails, routes worker k's blocks itself.  A forked worker
+    walks its blocks, sends its share back over a pipe and ends with
+    ``os._exit``; worker 0 reads the shares in fork order after its own
+    walk, and every worker is reaped before this returns or raises.  Merged,
+    the shares give the report of one worker: failures and sliver violations
+    in row order, and the error that stopped the earliest walked block, with
+    its type and message; a forked worker's error is raised from its
+    traceback, sent as text.
     """
     t0 = time.perf_counter()
     streams = list(streams)
@@ -313,23 +283,32 @@ def tally(cover: Cover, streams: Iterable[Stream]) -> CoverageReport:
             kind = type(rows).__name__
             raise TypeError(f"tally takes rows as a list, a tuple or a Rows, not {kind}")
         _refuse_unindexable(f"stream {i} (L = {big})", rows)
+    jobs = _jobs()
+    blocks = -(-sum(len(rows) for _, rows in streams) // BLOCK_ROWS)
     caller = os.getpid()
     children: list[Child] = []
+    mine = {0}  # the workers whose blocks the caller routes
     try:
-        share, pipe = _walk(cover, streams, _jobs(), children)
-        if pipe is not None:  # a forked worker: hand the share over and end
-            import pickle
+        for k in range(1, min(jobs, blocks)):
+            try:
+                pipe = _fork(children)
+            except OSError:
+                mine.add(k)
+                continue
+            if pipe is not None:  # worker k: walk its own blocks, hand the share over and end
+                import pickle
 
-            if share.error is not None:
-                import traceback
+                share = _walk(cover, streams, jobs, {k})
+                if share.error is not None:
+                    import traceback
 
-                share.trace = "".join(traceback.format_exception(share.error[1]))
-            with open(pipe, "wb") as fh:
-                pickle.dump(share, fh)
-            os._exit(0)
-        shares = [share]
+                    share.trace = "".join(traceback.format_exception(share.error[1]))
+                with open(pipe, "wb") as fh:
+                    pickle.dump(share, fh)
+                os._exit(0)
+        shares = [_walk(cover, streams, jobs, mine)]
         while children:
-            shares.append(_receive(children, children[0]))
+            shares.append(_receive(children))
     finally:
         if os.getpid() != caller:
             os._exit(1)  # a forked worker never returns to the caller's code

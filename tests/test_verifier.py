@@ -675,6 +675,27 @@ def test_workers_raise_the_serial_error(monkeypatch, bad, cut, message):
         assert re.search(message, str(exc)), exc
 
 
+@pytest.mark.parametrize("swap", [False, True])
+def test_workers_raise_the_earlier_of_a_row_and_a_stream_error(monkeypatch, swap):
+    # Blocks of 10 rows.  The outside row is in block 1 (rows 10-19) of the
+    # lattice stream, worker 1's of 2 or 3; the other stream's L is not a
+    # multiple of n+2, which every worker meets at that stream's first row.
+    # The error of the earlier stream is raised, whichever worker met it.
+    cover = build_cover(3, 2)
+    big, rows = lattice_rows(3, 2, cover.delta, 1)
+    rows = list(rows)
+    rows.insert(15, (100, 0, 0))
+    streams = [(big, rows), (big + 1, [(0, 0, 0)])]
+    message = "^point 25,0,0 is outside the target simplex$"
+    if swap:
+        streams.reverse()
+        message = "^point/cover dimension or scale mismatch$"
+    outcomes = _by_jobs(monkeypatch, 10, lambda: tally(cover, streams))
+    assert all(type(exc) is ValueError for exc in outcomes), outcomes
+    for exc in outcomes:
+        assert re.search(message, str(exc)), exc
+
+
 def test_a_campaign_of_one_block_forks_nothing(monkeypatch):
     cover = build_cover(2, 1)
     big, rows = lattice_rows(2, 1, cover.delta, 2)

@@ -492,6 +492,53 @@ def test_a_piece_checks_each_row_against_its_cell(monkeypatch, d, n, q):
                 assert routed == (scanned, ROUTE_FALLBACK, "not_contained"), (el.key, X)
 
 
+@pytest.mark.parametrize("d,n,q", [(2, 2, 2), (3, 2, 1), (4, 1, 1)])
+def test_a_failed_patch_goes_row_by_row_in_one_pass(monkeypatch, d, n, q):
+    # Every piece is sent to one cell, each element's in turn, and the plane
+    # segments are routed whole.  A patch the element contains comes back
+    # as it is; any other goes row by row: on each row, the x_d the element
+    # contains come back as one patch on its route, and every other x_d is
+    # scanned alone, in x order.
+    cover = cover_of(d, n)
+    big, rows = lattice_rows(d, n, delta(n), q)
+    segments = list(segments_of(rows))
+    assert routed_rows(verifier._router(cover, big), segments) == reference_rows(cover, big, rows)
+    place = locate._placer(d, n, big, big // (n + 2))
+    held_in_part = 0  # rows whose held x_d are more than one, and not all
+    for el in cover.elements:
+        monkeypatch.setattr(locate, "_cell", lambda placed, el=el: (el.kind == KIND_TOP, el.v, el.perm))
+        route = verifier._router(replace(cover), big)
+        for P, y1, lo, hi in segments:
+            expected = []
+            for ya, yb, x0, x1, u0, u1, _ in place(P, y1, lo, hi):
+                ends = {
+                    y: (x0 if u0 == x0 else x0 + y - ya, x1 if u1 == x1 else x1 + y - ya)
+                    for y in range(ya, yb + 1)
+                }
+                points = {
+                    (y, x): tuple(Fraction(c, big) for c in (*P[:-1], y, x))
+                    for y, (a, b) in ends.items()
+                    for x in range(a, b)
+                }
+                if all(contains(el.simplex, x) for x in points.values()):
+                    expected.append((ya, yb, x0, x1, u0, u1, el, el.kind, None))
+                    continue
+                for y, (a, b) in ends.items():
+                    held = [x for x in range(a, b) if contains(el.simplex, points[y, x])]
+                    held_in_part += 1 < len(held) < b - a
+                    for x in range(a, b):
+                        if x not in held:
+                            point = points[y, x]
+                            scanned = next(e for e in cover.elements if contains(e.simplex, point))
+                            outcome = scanned, ROUTE_FALLBACK, "not_contained"
+                            expected.append((y, y, x, x + 1, x, x + 1, *outcome))
+                        elif x == held[0]:
+                            c, e = held[0], held[-1] + 1
+                            expected.append((y, y, c, e, c, e, el, el.kind, None))
+            assert route(P, y1, lo, hi) == expected, (el.key, P, y1, lo, hi)
+    assert held_in_part
+
+
 # --- plane segments against the per-row reference ---------------------------
 
 PLANE_GRID = [(2, 1), (2, 5), (3, 2), (3, 4), (4, 2), (5, 1), (5, 2)]
