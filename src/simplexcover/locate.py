@@ -36,9 +36,10 @@ total; the result is flagged as ``fallback`` and names the check in
 
 One private step does all of the above for a segment, the scan included:
 ``_router(cover, L)`` makes it for the segments over ``L``.  It is the one
-place a row is checked: a length other than d, or a point outside the target,
-is a ValueError.  A patch's containment is decided on its first and last
-rows.  ``witness`` routes its point as a segment of one row (``_run``).
+place a row is checked: a length other than d, a segment that holds no row,
+or a point outside the target, is a ValueError.  A patch's containment is
+decided on its first and last rows.  ``witness`` routes its point as a
+segment of one row (``_run``).
 
 ``_check_key`` makes a key's verdict once per key and cover, and
 ``_check_of`` makes from it the check of the placement that names the key,
@@ -333,8 +334,9 @@ def _cell(placed: Placed) -> Cell:
 Verdict = tuple[CoverElement, IntVector] | tuple[None, str]
 # a placement's check, over no denominator: the element, its kind, the getter
 # of the prefix entries in perm order, their anchor numerators, index d's
-# numerator, index d's place in perm and y's place among the prefix indices;
-# for a failed verdict, None, the failed check and five Nones
+# numerator, index d's place in perm and y's place in the chain ``[L, prefix
+# residuals in perm order, 0]``; for a failed verdict, None, the failed check
+# and five Nones
 Check = tuple
 
 
@@ -368,7 +370,7 @@ def _check_of(cover: Cover, placed: Placed) -> Check:
     rest = [j - 1 for j in perm if j != d]
     pick = itemgetter(*rest) if d > 2 else itemgetter(slice(1))  # a sequence either way
     prefix = tuple([nums[i] for i in rest])
-    return known, known.kind, pick, prefix, nums[d - 1], perm.index(d), rest.index(d - 2)
+    return known, known.kind, pick, prefix, nums[d - 1], perm.index(d), rest.index(d - 2) + 1
 
 
 # a band's first and last y, the first row's x_d from and to (exclusive), the
@@ -398,24 +400,30 @@ def _router(cover: Cover, big: int) -> Route:
     one exact check.  The cell's element is returned on its kind's route
     when its placement's check (``_check_of``, made once per placement and
     kept on the cover) passes and every row of the patch is contained in it.
-    Containment is the cell's chain: the links between prefix entries, and
-    index d's two links solved for x_d, ``lower <= x_d <= upper``.  Every
-    link is affine in ``(y, x_d)``, so the chain holds on the whole patch
-    when it holds at its four corners: the piece check, run on the patch's
-    first and last rows.  A patch that fails goes row by row in one pass: on
+    Containment is the cell's chain on a row's residuals over ``big``: ``s =
+    [big, *prefix residuals in perm order, 0]`` descends, and index d, at
+    place ``at`` in perm with anchor numerator ``od``, lies in ``od +
+    s[at+1] <= x_d <= od + s[at]``.  Every link is affine in ``(y, x_d)``, so
+    the chain holds on the whole patch when it holds at its four corners: on
+    the patch's first row, then on its last, where only y's entry ``s[p]``
+    has grown, so only its link ``s[p] <= s[p-1]`` and index d's bounds are
+    checked again.  A patch that fails goes row by row in one pass: on
     each y, the x_d the chain still holds come back as one patch on the
     element's route, and every other x_d, in x order, goes to the exhaustive
     scan, which finds another element (a one-row patch on the ``fallback``
     route with the failed check as its reason) or none.
 
-    ``route`` raises ValueError for a segment whose prefix length is not ``d
-    - 1``, or with a row outside the target (the domain test: the first
-    row's chain ``side >= P_1 >= ... >= P_{d-1} >= lo >= 0``, ``y1 <=
-    P_{d-2}`` (``side`` for d = 2) and ``hi - 1 <= y1``); the message names
-    the first such row.  The constants of ``big`` and the routing rule are
-    set up once here, and each placement's check is scaled to ``big`` the
-    first time a band lands in it: the cover's check with its anchor
-    numerators times ``big/(n+2)``, or, for a failed verdict, as it is.
+    ``route`` refuses a segment with a ValueError, in this order: a prefix
+    whose length is not ``d - 1``; a segment that holds no row (``y1 < y0``,
+    or ``hi <= lo`` when ``y1 == y0``), named whole; then the domain test,
+    which names the first row outside the target: the first row, unless
+    ``P`` descends from ``side`` and ``0 <= lo <= y0``; the first row past
+    ``y = P_{d-2}`` (``side`` for d = 2), if ``y1`` is past it; and the last
+    row's ``x_d = y1 + 1``, if ``hi`` is past it.  The constants of ``big``
+    and the routing rule are set up once here, and each placement's check is
+    scaled to ``big`` the first time a band lands in it: the cover's check
+    with its anchor numerators times ``big/(n+2)``, or, for a failed
+    verdict, as it is.
     """
     d, n = cover.d, cover.n
     if big <= 0 or big % (n + 2):
@@ -423,7 +431,6 @@ def _router(cover: Cover, big: int) -> Route:
     unit = big // (n + 2)
     side = n * big + unit
     kept = cover._checks
-    last = d - 1  # the prefix entries, and index d's place when it sorts last
     place = _placer(d, n, big, unit)
     checks: dict[Placed, Check] = {}
 
@@ -448,20 +455,17 @@ def _router(cover: Cover, big: int) -> Route:
         return y, y, x, x + 1, x, x + 1, None, None, reason
 
     def route(P: Sequence[int], y1: int, lo: int, hi: int) -> list[Patch]:
-        if len(P) != last:
+        if len(P) != d - 1:
             raise ValueError("point/cover dimension or scale mismatch")
         y0 = P[-1]
+        if y1 < y0 or y1 == y0 and hi <= lo:
+            raise ValueError(f"plane segment {(tuple(P), y1, lo, hi)} holds no row")
+        if not (_descends(side, P) and 0 <= lo <= y0):  # the first row
+            raise outside((*P, lo))
         top = P[-2] if d > 2 else side  # the greatest y inside
-        if not (
-            _descends(side, P)
-            and 0 <= lo
-            and hi <= y1 + 1
-            and (y1 == y0 or lo <= y0 and y1 <= top)
-        ):
-            if not (_descends(side, P) and 0 <= lo <= y0):  # the first row
-                raise outside((*P, lo))
-            if y1 > top:  # the rows up to y = top are inside
-                raise outside((*P[:-1], top + 1, 0))
+        if y1 > top:
+            raise outside((*P[:-1], top + 1, 0))
+        if hi > y1 + 1:
             raise outside((*P[:-1], y1, y1 + 1))
         patches = []
         for ya, yb, x0, x1, u0, u1, placed in place(P, y1, lo, hi):
@@ -473,23 +477,11 @@ def _router(cover: Cover, big: int) -> Route:
                 reason = kind  # a failed check holds its reason in place of the kind
             else:
                 # the chain on the patch's first row, then on its last, where
-                # only y's entry has moved: the links between prefix entries,
-                # then index d's two links solved for x_d
-                s = [*map(sub, pick(P if ya == y0 else (*P[:-1], ya)), offsets)]
-                if (
-                    _descends(big, s)
-                    and (od + s[at] if at < last else od) <= x0
-                    and x1 <= od + (s[at - 1] if at else big) + 1
-                ):
-                    if ya == yb:
-                        patches.append((ya, yb, x0, x1, u0, u1, known, kind, None))
-                        continue
+                # only y's entry has moved
+                s = [big, *map(sub, pick(P if ya == y0 else (*P[:-1], ya)), offsets), 0]
+                if _descends(big, s) and od + s[at + 1] <= x0 and x1 <= od + s[at] + 1:
                     s[p] += yb - ya
-                    if (
-                        s[p] <= (s[p - 1] if p else big)
-                        and (od + s[at] if at < last else od) <= u0
-                        and u1 <= od + (s[at - 1] if at else big) + 1
-                    ):
+                    if ya == yb or s[p] <= s[p - 1] and od + s[at + 1] <= u0 and u1 <= od + s[at] + 1:
                         patches.append((ya, yb, x0, x1, u0, u1, known, kind, None))
                         continue
                 reason = "not_contained"
@@ -498,9 +490,9 @@ def _router(cover: Cover, big: int) -> Route:
                 a = x0 if u0 == x0 else x0 + y - ya
                 b = x1 if u1 == x1 else x1 + y - ya
                 c = e = b  # the chain holds for c <= x_d < e: none of the row, unless
-                if known is not None and _descends(big, s := [*map(sub, pick(R), offsets)]):
-                    c = min(max(a, od + s[at] if at < last else od), b)
-                    e = max(min(b, od + (s[at - 1] if at else big) + 1), c)
+                if known is not None and _descends(big, s := [big, *map(sub, pick(R), offsets), 0]):
+                    c = min(max(a, od + s[at + 1]), b)
+                    e = max(min(b, od + s[at] + 1), c)
                 patches += [scan(R, x, reason) for x in range(a, c)]
                 if c < e:
                     patches.append((y, y, c, e, c, e, known, kind, None))
@@ -517,7 +509,7 @@ def witness(x: Point, d: int, n: int, cover: Cover) -> WitnessResult:
     than ``fallback`` are the element's kind; ``fallback`` marks a defensive
     exhaustive scan and signals a defect in the routing rule.
     """
-    if cover.d != d or cover.n != n or len(x) != d:
+    if cover.d != d or cover.n != n:
         raise ValueError("point/cover dimension or scale mismatch")
     big, (X,) = _scale((x,), n)
     ((_, _, _, _, _, _, element, route, reason),) = _router(cover, big)(*_run(X))

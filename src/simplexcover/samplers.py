@@ -152,7 +152,7 @@ def random_rows(d: int, n: int, eps: Fraction, count: int, seed: int) -> Stream:
     _check_plan(d, n, eps)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    scale = (n + eps) / RANDOM_GRID
+    scale = Fraction(n + eps, RANDOM_GRID)
     big = math.lcm(n + 2, scale.denominator)
     scaled = (scale.numerator * (big // scale.denominator)).__mul__
     mark: tuple[int, tuple] = 0, ()  # a row index and the generator's state before its draws

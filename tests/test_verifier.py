@@ -412,6 +412,38 @@ def test_rows_next_to_a_refused_row(d, n):
             assert element is fresh[Y][0] and rest == list(fresh[Y][1:]), (X, Y)
 
 
+@pytest.mark.parametrize("segment", [((3,), 2, 0, 2), ((3,), 3, 3, 2)], ids=["reversed", "lo-past-hi"])
+def test_a_segment_that_holds_no_row_is_refused(segment):
+    # y1 < y0, or hi <= lo on a segment of one row: no row to route, refused
+    # by name before any placement, alone or in a tally stream's planes
+    cover = build_cover(2, 1)
+    message = f"^plane segment {re.escape(str(segment))} holds no row$"
+    with pytest.raises(ValueError, match=message):
+        verifier._router(cover, 6)(*segment)
+    rows = verifier.Rows(1, lambda i, j: iter([(3, 0)][i:j]), lambda i, j: iter([segment]))
+    with pytest.raises(ValueError, match=message):
+        tally(cover, [(6, rows)])
+
+
+@pytest.mark.parametrize(
+    "d,n,big,segment,point",
+    [
+        (2, 1, 6, ((3,), 9, 0, 10), "3/2,0"),  # y1 past side
+        (2, 1, 6, ((3,), 5, 0, 7), "5/6,1"),  # hi past y1 + 1
+        (2, 1, 6, ((3,), 5, 4, 6), "1/2,2/3"),  # lo past y0
+        (3, 2, 8, ((6, 3), 7, 0, 8), "3/4,7/8,0"),  # y1 past P_1
+        (3, 2, 8, ((6, 3), 5, 0, 7), "3/4,5/8,3/4"),  # hi past y1 + 1
+        (3, 2, 8, ((6, 3), 5, 4, 6), "3/4,3/8,1/2"),  # lo past y0
+        (3, 2, 8, ((3, 6), 6, 0, 7), "3/8,3/4,0"),  # P does not descend
+    ],
+)
+def test_a_refused_segment_names_its_first_outside_row(d, n, big, segment, point):
+    # a segment of several rows is refused by the first row outside the target
+    route = verifier._router(build_cover(d, n), big)
+    with pytest.raises(ValueError, match=f"^point {re.escape(point)} is outside the target simplex$"):
+        route(*segment)
+
+
 # SHA-256 of the point_format lines, one per point, pinned before the samplers
 # were written as integer rows.
 SAMPLER_DIGESTS = [
@@ -864,6 +896,16 @@ def test_random_rows_start_at_any_index(eps_of, seed):
     assert pairs == list(zip(whole[5:20], whole[10:]))
     assert list(second) == whole[25:]
     assert list(rows) == whole
+
+
+def test_random_samplers_take_an_int_eps():
+    # as lattice_rows and boundary_suite do: eps = 0 and Fraction(0) give one
+    # stream over one L
+    assert random_rows(3, 2, F(1, 4), 50, 1)[0] == 4_000_000
+    big, rows = random_rows(3, 2, 0, 50, 1)
+    fraction_big, fraction_rows = random_rows(3, 2, F(0), 50, 1)
+    assert big == fraction_big and list(rows) == list(fraction_rows)
+    assert list(random_samples(3, 2, 0, 50, 1)) == list(random_samples(3, 2, F(0), 50, 1))
 
 
 def test_rows_take_only_slices_of_step_one():
