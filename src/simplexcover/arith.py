@@ -8,6 +8,12 @@ renderer.
 
 Points are plain tuples of Fractions; permutations are tuples of 1-based
 images ``(pi(1), ..., pi(d))``.  Both are immutable and freely shareable.
+
+The package's value classes (``CoverElement``, the covers, ``KuhnSimplex``,
+``WitnessResult``, ``CoverageReport``) build on ``_Value`` and ``_Frozen``
+here, which give them the ``==``, ``hash``, ``repr`` and ``replace`` that
+``dataclasses`` would generate, without importing it (and ``inspect`` with it)
+in every process.
 """
 
 from __future__ import annotations
@@ -86,3 +92,50 @@ def _scale(points: Sequence[Point], n: int) -> tuple[int, list[list[int]]]:
 def _point(X: Sequence[int], big: int) -> Point:
     """The point with numerators X over ``big``, made exact."""
     return tuple(Fraction(c, big) for c in X)
+
+
+_set = object.__setattr__  # sets a ``_Frozen``'s fields in its ``__init__``, one global lookup each
+
+
+class _Value:
+    """A value class, as ``dataclass`` makes one, over the fields that
+    ``__match_args__`` names, in order.  ``==`` compares the fields of two
+    objects of one class, and returns ``NotImplemented`` against anything
+    else; ``repr`` shows them; ``__replace__`` (``copy.replace`` from Python
+    3.13) makes a new object through ``__init__`` with the fields named
+    changed, so an unknown field is a TypeError and ``__post_init__`` checks
+    the new object.  Each class writes its own ``__init__``, which calls
+    ``self.__post_init__()`` last where the class has one.  A ``_Value`` is
+    mutable and has no hash."""
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __replace__(self, /, **changes: object) -> _Value:
+        return self.__class__(**{name: getattr(self, name) for name in self.__match_args__} | changes)
+
+
+class _Frozen(_Value):
+    """A ``_Value`` that hashes its fields and refuses assignment: its
+    ``__init__`` sets them with ``_set``, and a ``cached_property`` writes to
+    ``__dict__`` itself."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

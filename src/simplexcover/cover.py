@@ -29,11 +29,12 @@ cell of the S^{n-1} triangulation, a base key a cell of the base slab of
 S^{n+1}) and makes that one element, with the anchor tuple ``elements`` will
 share.  ``ExplicitCover(d, n, elements)`` holds the elements given, as a
 tuple, and ``member`` looks keys up in them, so a dropped or altered element
-is caught; each must have dimension d and a permutation of 1..d.  The two
-compare, hash and print as the dataclasses they are: ``replace(build_cover(2,
-2), n=3)`` is ``build_cover(2, 3)``, and no explicit cover equals a canonical
-one.  Point location (``locate._router``'s step) asks ``member`` once per
-key and keeps the check it makes of the answer on the cover, in ``_checks``:
+is caught; each must have dimension d and a permutation of 1..d.  Both are
+frozen value classes (``arith._Frozen``) that compare, hash and print by their
+fields: ``build_cover(2, 2).__replace__(n=3)`` (``copy.replace`` from Python
+3.13) is ``build_cover(2, 3)``, and no explicit cover equals a canonical one.
+Point location (``locate._router``'s step) asks ``member`` once per key and
+keeps the check it makes of the answer on the cover, in ``_checks``:
 one per key routed to, none per point or denominator; ``elements`` reuses
 the elements those checks hold.  ``cli`` keeps the cover of the last (d, n)
 that ``witness`` or ``verify`` ran at, checks and all, so repeated calls in
@@ -45,13 +46,12 @@ target; nothing here asserts containment in S^{n+delta}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .arith import IntVector, Permutation, Point, _scale, is_permutation
+from .arith import IntVector, Permutation, Point, _Frozen, _scale, _set, is_permutation
 from .simplex import KuhnSimplex
 from .triangulation import base_slab_groups, check_dn, is_admissible, simplex_groups
 
@@ -64,14 +64,17 @@ AnchorGroup = tuple[bool, IntVector, tuple[Permutation, ...]]  # top, v, perms
 Key = tuple[str, IntVector, Permutation]  # kind, v, perm
 
 
-@dataclass(frozen=True)
-class CoverElement:
+class CoverElement(_Frozen):
     """One simplex of the cover: its kind, lattice data, and explicit anchor."""
 
-    kind: str
-    v: IntVector
-    perm: Permutation
-    anchor: Point
+    __match_args__ = ("kind", "v", "perm", "anchor")
+
+    def __init__(self, kind: str, v: IntVector, perm: Permutation, anchor: Point) -> None:
+        _set(self, "kind", kind)
+        _set(self, "v", v)
+        _set(self, "perm", perm)
+        _set(self, "anchor", anchor)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -89,7 +92,7 @@ class CoverElement:
 Row = tuple[str, IntVector, Permutation, IntVector]  # kind, v, perm, anchor numerators over L
 
 
-class _Cover:
+class _Cover(_Frozen):
     """What a cover derives from its (d, n) and elements, made on first read."""
 
     @cached_property
@@ -107,18 +110,21 @@ class _Cover:
         points are routed: the element (or None) first, and nothing that
         depends on a denominator.  A placement names one key, so this holds
         one entry per key routed to; a check depends on this frozen cover and
-        the key alone, so a failed one is kept too; ``replace(cover, ...)``
+        the key alone, so a failed one is kept too; ``cover.__replace__(...)``
         starts with none."""
         return {}
 
 
-@dataclass(frozen=True)
 class CoverSpec(_Cover):
     """The canonical cover of (d, n); ``elements`` is made from the
     construction when first read, in canonical order (top, then base)."""
 
-    d: int
-    n: int
+    __match_args__ = ("d", "n")
+
+    def __init__(self, d: int, n: int) -> None:
+        _set(self, "d", d)
+        _set(self, "n", n)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_dn(self.d, self.n)
@@ -198,19 +204,20 @@ class CoverSpec(_Cover):
         return {}
 
 
-@dataclass(frozen=True)
 class ExplicitCover(_Cover):
     """A cover given as its elements, kept in the given order as a tuple."""
 
-    d: int
-    n: int
-    elements: tuple[CoverElement, ...]
+    __match_args__ = ("d", "n", "elements")
+
+    def __init__(self, d: int, n: int, elements: Iterable[CoverElement]) -> None:
+        _set(self, "d", d)
+        _set(self, "n", n)
+        _set(self, "elements", tuple(elements))  # a generator is read once, here
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_dn(self.d, self.n)
-        elements = tuple(self.elements)  # a generator is read once, here
-        object.__setattr__(self, "elements", elements)
-        for i, el in enumerate(elements):
+        for i, el in enumerate(self.elements):
             if len(el.v) != self.d or len(el.anchor) != self.d:
                 raise ValueError(f"element {i} is not of dimension d = {self.d}: {el}")
             if not is_permutation(el.perm, self.d):

@@ -54,13 +54,12 @@ last (d, n) only.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter, sub
 from typing import Callable, Sequence
 
-from .arith import IntVector, Permutation, Point, _point, _scale, point_format
+from .arith import IntVector, Permutation, Point, _Frozen, _point, _scale, _set, point_format
 from .cover import (
     KIND_BASE_A,
     KIND_BASE_B,
@@ -83,14 +82,23 @@ class UncoveredPointError(RuntimeError):
     contradict the covering theorem; it exists to make failures loud."""
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    element: CoverElement
-    route: str
-    x: Point
-    delta: Fraction
-    # on the fallback route, the failed check: v1_bound, missing, anchor or not_contained
-    fallback_reason: str | None = None
+class WitnessResult(_Frozen):
+    __match_args__ = ("element", "route", "x", "delta", "fallback_reason")
+
+    def __init__(
+        self,
+        element: CoverElement,
+        route: str,
+        x: Point,
+        delta: Fraction,
+        # on the fallback route, the failed check: v1_bound, missing, anchor or not_contained
+        fallback_reason: str | None = None,
+    ) -> None:
+        _set(self, "element", element)
+        _set(self, "route", route)
+        _set(self, "x", x)
+        _set(self, "delta", delta)
+        _set(self, "fallback_reason", fallback_reason)
 
     @cached_property
     def w(self) -> Point:

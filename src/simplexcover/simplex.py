@@ -13,21 +13,23 @@ step on integer numerators over a common denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .arith import Permutation, Point, is_permutation
+from .arith import Permutation, Point, _Frozen, _set, is_permutation
 
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class KuhnSimplex:
+class KuhnSimplex(_Frozen):
     """The unit right simplex with base vertex ``anchor`` and edge order ``perm``."""
 
-    anchor: Point
-    perm: Permutation
+    __match_args__ = ("anchor", "perm")
+
+    def __init__(self, anchor: Point, perm: Permutation) -> None:
+        _set(self, "anchor", anchor)
+        _set(self, "perm", perm)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not is_permutation(self.perm, len(self.anchor)):

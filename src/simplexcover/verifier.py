@@ -36,13 +36,12 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import BinaryIO, Iterable, Sequence
 
-from .arith import Point, _point, _scale, point_format
+from .arith import Point, _point, _scale, _Value, point_format
 from .cover import KIND_BASE_A, Cover
 from .locate import ROUTE_FALLBACK, ROUTES, Route, _router, _run
 from .samplers import Rows, Stream, _check_plan, in_domain
@@ -51,15 +50,34 @@ from .triangulation import Segment
 FORMAT_POINTS_LIMIT = 5  # points shown before "(+k more)"
 
 
-@dataclass
-class CoverageReport:
-    total: int
-    covered: int
-    routes: dict[str, int]
-    failures: tuple[Point, ...]
-    elapsed_ms: int
-    sliver_violations: tuple[Point, ...] = field(default=())
-    fallback_reasons: dict[str, int] = field(default_factory=dict)  # not serialized
+class CoverageReport(_Value):
+    __match_args__ = (
+        "total",
+        "covered",
+        "routes",
+        "failures",
+        "elapsed_ms",
+        "sliver_violations",
+        "fallback_reasons",
+    )
+
+    def __init__(
+        self,
+        total: int,
+        covered: int,
+        routes: dict[str, int],
+        failures: tuple[Point, ...],
+        elapsed_ms: int,
+        sliver_violations: tuple[Point, ...] = (),
+        fallback_reasons: dict[str, int] | None = None,  # not serialized; None: a new {}
+    ) -> None:
+        self.total = total
+        self.covered = covered
+        self.routes = routes
+        self.failures = failures
+        self.elapsed_ms = elapsed_ms
+        self.sliver_violations = sliver_violations
+        self.fallback_reasons = {} if fallback_reasons is None else fallback_reasons
 
     @property
     def success(self) -> bool:

@@ -26,6 +26,12 @@ from simplexcover.triangulation import Cell, check_dn, is_admissible
 from simplexcover.locate import ROUTE_FALLBACK, UncoveredPointError
 
 
+def replace(obj, /, **changes):
+    """``obj`` with the fields named changed, through the value class's own
+    ``__replace__`` (what ``copy.replace`` calls from Python 3.13)."""
+    return obj.__replace__(**changes)
+
+
 def unit_volume(d: int) -> Fraction:
     """Volume 1/d! of any unit right d-simplex."""
     if d < 2:

@@ -9,13 +9,13 @@ import subprocess
 import sys
 import time
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from fractions import Fraction
 
+from oracles import replace
 from simplexcover import cli, locate, verifier
 from simplexcover.arith import rat_format
 from simplexcover.cover import (

@@ -1,12 +1,12 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice, permutations, product
 
 import pytest
 
+from oracles import replace
 from simplexcover import cover as cover_module
 from simplexcover.cover import (
     KIND_BASE_A,

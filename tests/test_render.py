@@ -1,12 +1,11 @@
 import math
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import render_svg_fractions
+from oracles import render_svg_fractions, replace
 from simplexcover.cover import CoverElement, ExplicitCover, build_cover
 from simplexcover.render import CHUNK_LINES, render_svg, svg_chunks
 

@@ -6,7 +6,6 @@ import re
 import sys
 import traceback
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -18,6 +17,7 @@ from oracles import (
     generic_interior_cube_samples,
     generic_interior_simplex_samples,
     partition_check,
+    replace,
     strictly_contains,
 )
 from simplexcover import cli, verifier

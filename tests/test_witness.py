@@ -1,10 +1,9 @@
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import locate_two_pass
+from oracles import locate_two_pass, replace
 from simplexcover import cover as cover_module
 from simplexcover import locate
 from simplexcover.arith import point_parse

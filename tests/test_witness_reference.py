@@ -10,7 +10,6 @@ located by ``locate_two_pass`` and checked by exact containment, on the
 row's integers (``contains_row``, itself checked against ``contains``)."""
 
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -19,7 +18,7 @@ from math import ceil, comb, floor, gcd, lcm
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fraction_witness, locate_two_pass, make_element
+from oracles import fraction_witness, locate_two_pass, make_element, replace
 from test_verifier import (
     _by_jobs,
     _campaign,
